@@ -116,7 +116,8 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
     """Certify witness additivity for all weight pairs in a box.
 
     Same contract as the pure twin: returns (pairs checked, first
-    failing (lam, lamp) or None), outer index range [start, stop).
+    failing (lam, lamp) or None), outer index range [start, stop)
+    clipped to the box.
     """
     cdef TBL tb
     _tbl_init(&tb, t)
@@ -124,8 +125,7 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
     cdef long long rad = radius
     cdef long long width = 2 * rad + 1
     total = width ** int(n)
-    if stop is None:
-        stop = total
+    stop = total if stop is None else min(stop, total)
     cdef long long c_start = start, c_stop = stop
     if c_start >= c_stop:
         _tbl_free(&tb)

@@ -148,16 +148,16 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
     on the constructed vector.  Returns (pairs checked, first failing
     pair or None); the count stops at the failure.
 
-    The outer index range [start, stop) allows partitioned runs; the
-    inner loop always covers the full box.  Outer weights are walked one
-    at a time and the inner box a slab at a time; every value is bounded
-    by 2 * radius times the largest column sum of the n-matrix.
+    The outer index range [start, stop) allows partitioned runs; it is
+    clipped to the box, and the inner loop always covers the full box.
+    Outer weights are walked one at a time and the inner box a slab at a
+    time; every value is bounded by 2 * radius times the largest column
+    sum of the n-matrix.
     """
     n, l = t.n, t.l
     width = 2 * radius + 1
     total = width ** n
-    if stop is None:
-        stop = total
+    stop = total if stop is None else min(stop, total)
     if start >= stop:
         return 0, None
     _require_int64(2 * radius * _nmat_colsum(t), "pair_witness_sweep")
@@ -182,7 +182,7 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
 
     lam = _decode(start, n, width, radius)
     checked = 0
-    for _ in range(min(stop - start, total - start % total)):
+    for _ in range(stop - start):
         arg0 = [min(members, key=lam.__getitem__) for members in blocks]
         lamv = np.array(lam, dtype=np.int64)
         phil = np.array(_phi_of(lam, t), dtype=np.int64)

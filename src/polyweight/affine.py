@@ -12,7 +12,7 @@ distinguished case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classify import simple_membership
 from .errors import DomainError, PreconditionError, ShiftRangeError
@@ -53,14 +53,12 @@ def _orbit_lattice(datum, p):
     return datum._cache[key]
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(namedtuple("AffineElement", "w translation")):
     """A finite Weyl element together with a translation in p times the
     root lattice.  Build through ``affine_element`` so the translation
     constraint is verified."""
 
-    w: tuple
-    translation: tuple
+    __slots__ = ()
 
 
 def affine_element(w, translation, datum, p):
@@ -116,8 +114,7 @@ def dot_act(g, weight, datum):
     )
 
 
-@dataclass(frozen=True)
-class OrbitSlice:
+class OrbitSlice(namedtuple("OrbitSlice", "base box_radius elements")):
     """Distinct orbit classes meeting a coordinate box.
 
     ``elements`` holds one canonical representative per class; when the
@@ -125,9 +122,7 @@ class OrbitSlice:
     member and may itself leave the box.
     """
 
-    base: tuple
-    box_radius: int
-    elements: tuple
+    __slots__ = ()
 
 
 def orbit_in_box(weight, p, box_radius, datum):
@@ -187,12 +182,15 @@ def shift_bound_a(weight, ctx):
     return best
 
 
-@dataclass(frozen=True)
-class ShiftCheckResult:
-    ok: bool
-    counterexample: tuple | None
-    orbit_size: int
-    shift_bound: int
+class ShiftCheckResult(
+    namedtuple(
+        "ShiftCheckResult", "ok counterexample orbit_size shift_bound"
+    )
+):
+    """Verdict of the shift-bijection check; ``counterexample`` is the
+    first orbit class whose membership the shift changes, or None."""
+
+    __slots__ = ()
 
 
 def check_shift_bijection(weight, i, ctx, box_radius):

@@ -13,8 +13,7 @@ the weight-basis expansion used by the decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import (
     DecompositionUnavailable,
@@ -22,7 +21,7 @@ from .errors import (
     HypothesisFailure,
     PreconditionError,
 )
-from .groups import GroupDatum
+from .groups import _CachedRecord
 from .lattice import (
     act,
     check_dim,
@@ -56,6 +55,8 @@ def _exact_inverse_rows(columns, n):
     inverse is not integral (the stacked basis-plus-kernel matrix of a
     valid datum is unimodular, so a failure means corrupted data).
     """
+    from fractions import Fraction
+
     if len(columns) != n:
         raise DomainError("basis and kernel together must have full rank")
     m = [
@@ -83,8 +84,7 @@ def _exact_inverse_rows(columns, n):
     return rows
 
 
-@dataclass
-class ClassificationContext:
+class ClassificationContext(_CachedRecord):
     """Group datum plus modulus, with exact coordinate machinery.
 
     Only data satisfying every construction hypothesis are accepted;
@@ -92,10 +92,14 @@ class ClassificationContext:
     solely by the ambient counterexample entry points.
     """
 
-    datum: GroupDatum
-    p: int
-    r: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("datum", "p", "r")
+
+    def __init__(self, datum, p, r, _cache=None):
+        self.datum = datum
+        self.p = p
+        self.r = r
+        self._cache = {} if _cache is None else _cache
+        self.__post_init__()
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -205,12 +209,10 @@ def in_Pr(weight, ctx):
     return True
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "lambda0 lambda_tilde")):
     """Base digit plus p^r-multiple split of a character class."""
 
-    lambda0: tuple
-    lambda_tilde: tuple
+    __slots__ = ()
 
 
 def decompose(weight, ctx):
@@ -372,18 +374,20 @@ def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, ctx_or_datum, prpow=None):
     return None
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    """Evaluation of the even orthogonal rank-8 witness-failure scenario."""
+class CounterexampleReport(
+    namedtuple(
+        "CounterexampleReport",
+        "prpow lam0 lam_tilde phi_lam0 phi_lam0_shifted phi_lam_tilde "
+        "witness weyl_order",
+    )
+):
+    """Evaluation of the even orthogonal rank-8 witness-failure scenario.
 
-    prpow: int
-    lam0: tuple
-    lam_tilde: tuple
-    phi_lam0: tuple
-    phi_lam0_shifted: tuple
-    phi_lam_tilde: tuple
-    witness: tuple | None
-    weyl_order: int
+    ``witness`` is a Weyl element, or None when every twist stays
+    polynomial.
+    """
+
+    __slots__ = ()
 
 
 def go_even_counterexample(prpow):

@@ -28,7 +28,7 @@ characters are always even.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError
 from .lattice import (
@@ -48,8 +48,32 @@ from .lattice import (
 WEYL_CAP = 100_000
 
 
-@dataclass
-class GroupDatum:
+class _CachedRecord:
+    """Field-wise repr and equality for a mutable record with a cache.
+
+    ``_fields`` names the compared and printed attributes, in order; the
+    per-instance ``_cache`` dict is neither.  Instances are unhashable.
+    """
+
+    _fields = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class GroupDatum(_CachedRecord):
     """Immutable description of one group family instance.
 
     ``weight_basis`` lists ambient lifts forming a basis of the character
@@ -59,21 +83,32 @@ class GroupDatum:
     pairing is achievable).  Families that admit no such basis store None.
     """
 
-    family: str
-    spec_string: str
-    ambient_dim: int
-    lattice: QuotientLattice
-    blocks: tuple
-    b: tuple
-    d_indices: tuple
-    n_matrix: tuple
-    simple_roots: tuple
-    simple_coroots: tuple
-    weyl_generators: tuple
-    positive_root_sum_twice: tuple
-    weight_basis: tuple | None
-    basis_pairing_diag: tuple | None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = tuple(
+        "family spec_string ambient_dim lattice blocks b d_indices n_matrix "
+        "simple_roots simple_coroots weyl_generators positive_root_sum_twice "
+        "weight_basis basis_pairing_diag".split()
+    )
+
+    def __init__(
+        self, family, spec_string, ambient_dim, lattice, blocks, b, d_indices,
+        n_matrix, simple_roots, simple_coroots, weyl_generators,
+        positive_root_sum_twice, weight_basis, basis_pairing_diag, _cache=None,
+    ):
+        self.family = family
+        self.spec_string = spec_string
+        self.ambient_dim = ambient_dim
+        self.lattice = lattice
+        self.blocks = blocks
+        self.b = b
+        self.d_indices = d_indices
+        self.n_matrix = n_matrix
+        self.simple_roots = simple_roots
+        self.simple_coroots = simple_coroots
+        self.weyl_generators = weyl_generators
+        self.positive_root_sum_twice = positive_root_sum_twice
+        self.weight_basis = weight_basis
+        self.basis_pairing_diag = basis_pairing_diag
+        self._cache = {} if _cache is None else _cache
 
     @property
     def num_blocks(self):
@@ -102,8 +137,9 @@ class GroupDatum:
         return self._cache["validation"]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(
+    namedtuple("ValidationReport", "a b c_lower c_upper d witnesses")
+):
     """Boolean verdicts for the construction hypotheses, with witnesses.
 
     (a)  every ``b_i`` has 0/1 coordinates;
@@ -116,12 +152,7 @@ class ValidationReport:
          over them with the declared non-negative coefficients.
     """
 
-    a: bool
-    b: bool
-    c_lower: bool
-    c_upper: bool
-    d: bool
-    witnesses: tuple
+    __slots__ = ()
 
     @property
     def all_ok(self):

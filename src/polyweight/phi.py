@@ -12,33 +12,30 @@ these facts exhaustively on coordinate boxes.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernels
 from .errors import DomainError, HypothesisFailure, PreconditionError
 from .lattice import act, check_dim, is_prime, vec_add, vec_scale
 
 
-@dataclass(frozen=True)
-class PhiData:
+class PhiData(namedtuple("PhiData", "blocks n_matrix target_rank")):
     """Block partition and expansion matrix defining the functional."""
 
-    blocks: tuple
-    n_matrix: tuple
-    target_rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        seen = sorted(i for blk in self.blocks for i in blk)
+    def __new__(cls, blocks, n_matrix, target_rank):
+        seen = sorted(i for blk in blocks for i in blk)
         if seen != list(range(len(seen))):
             raise DomainError("blocks must partition the ambient indices")
-        for row in self.n_matrix:
-            if len(row) != self.target_rank:
+        for row in n_matrix:
+            if len(row) != target_rank:
                 raise DomainError("n-matrix row length must equal the target rank")
             if row and min(row) < 0:
                 raise DomainError("n-matrix entries must be non-negative")
-        if len(self.n_matrix) != len(self.blocks):
+        if len(n_matrix) != len(blocks):
             raise DomainError("one n-matrix row is needed per block")
+        return super().__new__(cls, blocks, n_matrix, target_rank)
 
     @property
     def ambient_dim(self):
@@ -168,27 +165,28 @@ def kernel_block_constancy(mu, datum):
     return True
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
-    name: str
-    ok: bool
-    checked: int
-    witness: str = ""
-    skipped: bool = False
+class PropertyVerdict(
+    namedtuple(
+        "PropertyVerdict",
+        "name ok checked witness skipped",
+        defaults=("", False),
+    )
+):
+    """One certified property: verdict, points checked, first witness."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(
+    namedtuple(
+        "AssumptionReport",
+        "group p r box_radius positivity homogeneity additivity_witness "
+        "x0_bijection",
+    )
+):
     """Outcome of the exhaustive box certification of the four properties."""
 
-    group: str
-    p: int
-    r: int
-    box_radius: int
-    positivity: PropertyVerdict
-    homogeneity: PropertyVerdict
-    additivity_witness: PropertyVerdict
-    x0_bijection: PropertyVerdict
+    __slots__ = ()
 
     @property
     def properties(self):
@@ -225,7 +223,9 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
     checks that the functional inverts the distinguished combinations
     c |-> sum c_j d_j.  Failures are reported with witnesses, never
     raised.  ``jobs`` partitions the pair sweep; results do not depend
-    on the partition.
+    on the partition.  With ``jobs > 1`` a process pool is started on
+    demand for the sweep, so importing this module never loads
+    ``concurrent.futures`` or ``multiprocessing``.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
@@ -279,6 +279,8 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
         if jobs <= 1 or total < 2 * jobs:
             pair_checked, pair_fail = _kernels.pair_witness_sweep(tables, radius)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             bounds = [total * k // jobs for k in range(jobs + 1)]
             chunks = [
                 (tables, radius, bounds[k], bounds[k + 1]) for k in range(jobs)

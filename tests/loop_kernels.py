@@ -57,15 +57,14 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
     on the constructed vector.  Returns (pairs checked, first failing
     pair or None); the count stops at the failure.
 
-    The outer index range [start, stop) allows partitioned runs; the
-    inner loop always covers the full box.
+    The outer index range [start, stop) allows partitioned runs; it is
+    clipped to the box, and the inner loop always covers the full box.
     """
     n, s, l = t.n, t.s, t.l
     boff, bmem = t.boff, t.bmem
     width = 2 * radius + 1
     total = width ** n
-    if stop is None:
-        stop = total
+    stop = total if stop is None else min(stop, total)
     if start >= stop:
         return 0, None
     lam = _decode(start, n, width, radius)

@@ -1,6 +1,7 @@
 """Dot-action, orbit slices, shift bound, and the shift-bijection check."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyweight.affine import (
+    AffineElement,
+    OrbitSlice,
+    ShiftCheckResult,
     _rho_shift,
     affine_element,
     check_shift_bijection,
@@ -33,14 +37,20 @@ def weights(datum, bound=5):
     return st.tuples(*([st.integers(-bound, bound)] * datum.ambient_dim))
 
 
-def solve_integer(gens, target):
-    """Exact rational solve deciding target in the integer span of gens."""
-    n = len(target)
+def integer_span_test(gens, n):
+    """Exact rational elimination deciding membership in the integer span
+    of gens, done once for the generator matrix.
+
+    Gauss-Jordan runs on the generator columns beside an identity block,
+    so the block ends up holding the row operations.  Applied to a target
+    they give the column the same elimination would leave there: zero
+    below the pivot rows and integral on them for a member.  The
+    operations are kept as integers over a common denominator.
+    """
     m = len(gens)
-    if m == 0:
-        return all(x == 0 for x in target)
     rows = [
-        [Fraction(gens[j][i]) for j in range(m)] + [Fraction(target[i])]
+        [Fraction(gens[j][i]) for j in range(m)]
+        + [Fraction(int(k == i)) for k in range(n)]
         for i in range(n)
     ]
     piv = 0
@@ -56,23 +66,29 @@ def solve_integer(gens, target):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
         piv += 1
-    if any(rows[r][m] for r in range(piv, n)):
-        return False
-    return all(rows[k][m].denominator == 1 for k in range(piv))
+    den = math.lcm(*(x.denominator for row in rows for x in row[m:]))
+    ops = [[int(x * den) for x in row[m:]] for row in rows]
+
+    def contains(target):
+        reduced = [sum(a * x for a, x in zip(op, target)) for op in ops]
+        return not any(reduced[piv:]) and all(v % den == 0 for v in reduced[:piv])
+
+    return contains
 
 
 def orbit_oracle(lam, p, radius, datum):
-    """Independent orbit scan: per box point, solve the membership system."""
+    """Independent orbit scan: test every box point against the system."""
     n = datum.ambient_dim
     gens = [tuple(p * c for c in root) for root in datum.simple_roots]
     gens += list(datum.lattice.kernel_basis)
+    in_span = integer_span_test(gens, n)
     bases = [
         vec_add(act(w, lam), _rho_shift(w, datum))
         for w in datum.weyl_group()
     ]
     out = set()
     for x in itertools.product(range(-radius, radius + 1), repeat=n):
-        if any(solve_integer(gens, vec_sub(x, b)) for b in bases):
+        if any(in_span(vec_sub(x, b)) for b in bases):
             out.add(datum.lattice.canonical_rep(x))
     return tuple(sorted(out))
 
@@ -285,3 +301,39 @@ class TestShiftBijection:
             assert simple_membership(mu, c) == simple_membership(
                 vec_add(mu, b), c
             )
+
+
+class TestRecords:
+    """Construction, repr, equality and immutability of the records."""
+
+    def test_affine_element(self):
+        g = affine_element((1, 0), (2, -2), GL2, 2)
+        assert g == AffineElement((1, 0), (2, -2))
+        assert g == AffineElement(w=(1, 0), translation=(2, -2))
+        assert g != AffineElement((0, 1), (2, -2))
+        assert repr(g) == "AffineElement(w=(1, 0), translation=(2, -2))"
+        with pytest.raises(AttributeError):
+            g.w = (0, 1)
+
+    def test_orbit_slice(self):
+        slice_ = orbit_in_box((1, 0), 2, 1, GL2)
+        assert slice_ == OrbitSlice((1, 0), 1, ((1, 0),))
+        assert slice_ == OrbitSlice(base=(1, 0), box_radius=1, elements=((1, 0),))
+        assert repr(slice_) == (
+            "OrbitSlice(base=(1, 0), box_radius=1, elements=((1, 0),))"
+        )
+        with pytest.raises(AttributeError):
+            slice_.elements = ()
+
+    def test_shift_check_result(self):
+        result = check_shift_bijection((1, 0), 1, ClassificationContext(GL2, 2, 1), 2)
+        assert result == ShiftCheckResult(True, None, 2, 0)
+        assert result == ShiftCheckResult(
+            ok=True, counterexample=None, orbit_size=2, shift_bound=0
+        )
+        assert repr(result) == (
+            "ShiftCheckResult(ok=True, counterexample=None, orbit_size=2, "
+            "shift_bound=0)"
+        )
+        with pytest.raises(AttributeError):
+            result.ok = False

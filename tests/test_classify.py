@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from polyweight.classify import (
     ClassificationContext,
+    CounterexampleReport,
+    Decomposition,
     decompose,
     enumerate_Pr,
     go_even_counterexample,
@@ -327,3 +329,61 @@ class TestGoEvenCounterexample:
     def test_gate_rejects_wrong_residue(self, prpow):
         with pytest.raises(PreconditionError):
             go_even_counterexample(prpow)
+
+
+class TestRecords:
+    """Construction, repr, equality and immutability of the records."""
+
+    def test_context(self):
+        by_position = ClassificationContext(GL2, 3, 1)
+        by_keyword = ClassificationContext(datum=GL2, p=3, r=1)
+        assert by_position == by_keyword
+        assert by_position != ClassificationContext(GL2, 3, 2)
+        assert by_position != ClassificationContext(GL2, 2, 1)
+        by_position.tables()
+        assert by_position._cache and not by_keyword._cache
+        assert by_position == by_keyword
+        assert repr(by_position) == f"ClassificationContext(datum={GL2!r}, p=3, r=1)"
+        assert "_cache" not in repr(by_position)
+        with pytest.raises(TypeError):
+            hash(by_position)
+
+    def test_decomposition(self):
+        split = decompose((4, 0), ctx(GL2, 3, 1))
+        assert split == Decomposition((1, 0), (1, 0))
+        assert split == Decomposition(lambda0=(1, 0), lambda_tilde=(1, 0))
+        assert repr(split) == "Decomposition(lambda0=(1, 0), lambda_tilde=(1, 0))"
+        with pytest.raises(AttributeError):
+            split.lambda0 = (0, 0)
+
+    def test_counterexample_report(self):
+        report = go_even_counterexample(5)
+        values = (
+            5,
+            (2, 2, 2, 2, 1, 1, 1, 1),
+            (0, 0, 0, 0, 1, 1, -1, 1),
+            (4,),
+            (-1,),
+            (-1,),
+            None,
+            192,
+        )
+        assert report == CounterexampleReport(*values)
+        assert report == CounterexampleReport(
+            prpow=5,
+            lam0=values[1],
+            lam_tilde=values[2],
+            phi_lam0=(4,),
+            phi_lam0_shifted=(-1,),
+            phi_lam_tilde=(-1,),
+            witness=None,
+            weyl_order=192,
+        )
+        assert repr(report) == (
+            "CounterexampleReport(prpow=5, lam0=(2, 2, 2, 2, 1, 1, 1, 1), "
+            "lam_tilde=(0, 0, 0, 0, 1, 1, -1, 1), phi_lam0=(4,), "
+            "phi_lam0_shifted=(-1,), phi_lam_tilde=(-1,), witness=None, "
+            "weyl_order=192)"
+        )
+        with pytest.raises(AttributeError):
+            report.witness = ()

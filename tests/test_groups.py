@@ -6,6 +6,8 @@ import pytest
 
 from polyweight.errors import DomainError
 from polyweight.groups import (
+    GroupDatum,
+    ValidationReport,
     build_gl,
     build_go_even,
     build_go_odd,
@@ -222,3 +224,71 @@ def test_weyl_group_cached_and_sorted():
     first = datum.weyl_group()
     assert first is datum.weyl_group()
     assert list(first) == sorted(first)
+
+
+DATUM_FIELDS = (
+    "family",
+    "spec_string",
+    "ambient_dim",
+    "lattice",
+    "blocks",
+    "b",
+    "d_indices",
+    "n_matrix",
+    "simple_roots",
+    "simple_coroots",
+    "weyl_generators",
+    "positive_root_sum_twice",
+    "weight_basis",
+    "basis_pairing_diag",
+)
+
+
+class TestRecords:
+    """Construction, repr, equality and immutability of the records."""
+
+    def test_group_datum_fields(self):
+        datum = build_gl(2)
+        values = [getattr(datum, name) for name in DATUM_FIELDS]
+        by_position = GroupDatum(*values)
+        by_keyword = GroupDatum(**dict(zip(DATUM_FIELDS, values)))
+        assert by_position == by_keyword == datum
+        assert by_position._cache == {}
+        assert by_position._cache is not by_keyword._cache
+        assert repr(datum) == "GroupDatum({})".format(
+            ", ".join(
+                f"{name}={value!r}" for name, value in zip(DATUM_FIELDS, values)
+            )
+        )
+        assert repr(datum).startswith(
+            "GroupDatum(family='gl', spec_string='gl:2', ambient_dim=2, lattice="
+        )
+
+    def test_group_datum_cache_is_not_compared_or_printed(self):
+        datum = build_gsp(4)
+        copy = GroupDatum(*(getattr(datum, name) for name in DATUM_FIELDS))
+        before = repr(datum)
+        datum.weyl_group()
+        datum.validation()
+        assert datum._cache and not copy._cache
+        assert "_cache" not in repr(datum)
+        assert repr(datum) == repr(copy) == before
+        assert datum == copy
+        with pytest.raises(TypeError):
+            hash(datum)
+
+    def test_validation_report(self):
+        report = ValidationReport(True, True, False, True, True, ("w",))
+        assert report == ValidationReport(
+            a=True, b=True, c_lower=False, c_upper=True, d=True, witnesses=("w",)
+        )
+        assert not report.all_ok
+        assert validate_datum(build_gl(2)) == ValidationReport(
+            True, True, True, True, True, ()
+        )
+        assert repr(report) == (
+            "ValidationReport(a=True, b=True, c_lower=False, c_upper=True, "
+            "d=True, witnesses=('w',))"
+        )
+        with pytest.raises(AttributeError):
+            report.a = False

@@ -117,7 +117,16 @@ class TestAgainstLoopReference:
     def test_pair_witness_sweep(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
         total = (2 * radius + 1) ** t.n
-        for start, stop in ((0, None), (1, total // 2), (total - 1, total + 3)):
+        ranges = (
+            (0, None),
+            (1, total // 2),
+            (total - 1, total + 3),
+            # ranges starting at or past the box end are empty
+            (total, total + 1),
+            (total + 2, total + 3),
+            (total, 3 * total),
+        )
+        for start, stop in ranges:
             assert pure.pair_witness_sweep(
                 t, radius, start, stop
             ) == loop_kernels.pair_witness_sweep(t, radius, start, stop)
@@ -191,6 +200,9 @@ class TestPartitionedSweep:
         for backend in BACKENDS:
             assert backend.pair_witness_sweep(t, 1, 5, 5) == (0, None)
             assert backend.pair_witness_sweep(t, 1, 9, 4) == (0, None)
+            # the box has 9 outer weights: a range past it sweeps nothing
+            assert backend.pair_witness_sweep(t, 1, 9, 20) == (0, None)
+            assert backend.pair_witness_sweep(t, 1, 11, 12) == (0, None)
 
 
 class TestAgainstPublicPredicates:
@@ -321,6 +333,15 @@ class TestPairSweepAgainstScalar:
             assert backend.pair_witness_sweep(t, radius, total - 1, total + 9) == (
                 total, None
             )
+            # so partitions whose last stop lies past the box add up to
+            # the full sweep, and a later one adds nothing
+            past = [0, total // 2, total + 7, 2 * total]
+            parts = [
+                backend.pair_witness_sweep(t, radius, a, b)
+                for a, b in zip(past, past[1:])
+            ]
+            assert sum(part[0] for part in parts) == total * total
+            assert parts[-1] == (0, None)
 
     def test_corrupted_blocks_report_first_failure(self):
         # gl(3) with coordinate 1 listed in two blocks, {0, 1} and {1}.
@@ -491,11 +512,23 @@ class TestInt64Bound:
 
 
 def test_package_import_does_not_load_numpy():
+    # numpy is loaded by the sweeps, the process pool by jobs > 1 and
+    # fractions by a classification context; none of them, nor the
+    # dataclasses machinery, is needed to import the package
+    unused = (
+        "numpy",
+        "concurrent.futures",
+        "multiprocessing",
+        "dataclasses",
+        "inspect",
+        "fractions",
+    )
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, polyweight; print('numpy' in sys.modules)"],
+         "import sys, polyweight; "
+         f"print([m for m in {unused!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

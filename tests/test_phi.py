@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyweight.errors import HypothesisFailure, PreconditionError
+from polyweight.errors import DomainError, HypothesisFailure, PreconditionError
 from polyweight.groups import (
     build_gl,
     build_go_even,
@@ -16,7 +16,9 @@ from polyweight.groups import (
 )
 from polyweight.lattice import act, vec_add, vec_scale
 from polyweight.phi import (
+    AssumptionReport,
     PhiData,
+    PropertyVerdict,
     check_assumption,
     default_box_radius,
     find_witness_w,
@@ -250,3 +252,84 @@ def test_default_box_radius():
     assert default_box_radius(4) == 3
     assert default_box_radius(5) == 2
     assert default_box_radius(8) == 2
+
+
+class TestRecords:
+    """Construction, repr, equality and immutability of the records."""
+
+    def test_phi_data(self):
+        data = PhiData(((0,), (1, 2)), ((1,), (2,)), 1)
+        assert data == PhiData(
+            blocks=((0,), (1, 2)), n_matrix=((1,), (2,)), target_rank=1
+        )
+        assert data != PhiData(((0,), (1, 2)), ((1,), (1,)), 1)
+        assert data.ambient_dim == 3
+        assert repr(data) == (
+            "PhiData(blocks=((0,), (1, 2)), n_matrix=((1,), (2,)), "
+            "target_rank=1)"
+        )
+        with pytest.raises(AttributeError):
+            data.target_rank = 2
+        with pytest.raises(AttributeError):
+            data.extra = 0
+
+    @pytest.mark.parametrize(
+        "blocks,n_matrix,target_rank",
+        [
+            (((0,), (0, 1)), ((1,), (1,)), 1),  # index 0 twice
+            (((0,), (2,)), ((1,), (1,)), 1),  # index 1 missing
+            (((0, 1),), ((1, 1),), 1),  # row longer than the rank
+            (((0, 1),), ((-1,),), 1),  # negative entry
+            (((0,), (1,)), ((1,),), 1),  # one row for two blocks
+        ],
+        ids=["repeat", "gap", "row-length", "negative", "row-count"],
+    )
+    def test_phi_data_rejects_bad_input(self, blocks, n_matrix, target_rank):
+        with pytest.raises(DomainError):
+            PhiData(blocks, n_matrix, target_rank)
+        with pytest.raises(DomainError):
+            PhiData(blocks=blocks, n_matrix=n_matrix, target_rank=target_rank)
+
+    def test_property_verdict(self):
+        verdict = PropertyVerdict("homogeneity", True, 27)
+        assert verdict.witness == ""
+        assert verdict.skipped is False
+        assert verdict == PropertyVerdict(
+            name="homogeneity", ok=True, checked=27, witness="", skipped=False
+        )
+        assert verdict != PropertyVerdict("homogeneity", True, 27, "w")
+        assert repr(verdict) == (
+            "PropertyVerdict(name='homogeneity', ok=True, checked=27, "
+            "witness='', skipped=False)"
+        )
+        with pytest.raises(AttributeError):
+            verdict.ok = False
+
+    def test_assumption_report(self):
+        report = check_assumption(build_gl(1), 2, 1, box_radius=1)
+        rebuilt = AssumptionReport(
+            group="gl:1",
+            p=2,
+            r=1,
+            box_radius=1,
+            positivity=PropertyVerdict("positivity", True, 3),
+            homogeneity=PropertyVerdict("homogeneity", True, 3),
+            additivity_witness=PropertyVerdict("additivity_witness", True, 9),
+            x0_bijection=PropertyVerdict("x0_bijection", True, 3),
+        )
+        assert report == rebuilt
+        assert report == AssumptionReport("gl:1", 2, 1, 1, *report.properties)
+        assert report.all_ok
+        assert repr(report) == (
+            "AssumptionReport(group='gl:1', p=2, r=1, box_radius=1, "
+            "positivity=PropertyVerdict(name='positivity', ok=True, "
+            "checked=3, witness='', skipped=False), "
+            "homogeneity=PropertyVerdict(name='homogeneity', ok=True, "
+            "checked=3, witness='', skipped=False), "
+            "additivity_witness=PropertyVerdict(name='additivity_witness', "
+            "ok=True, checked=9, witness='', skipped=False), "
+            "x0_bijection=PropertyVerdict(name='x0_bijection', ok=True, "
+            "checked=3, witness='', skipped=False))"
+        )
+        with pytest.raises(AttributeError):
+            report.p = 3
