@@ -10,7 +10,7 @@ import time
 
 from polyweight._kernels import pure
 from polyweight.classify import ClassificationContext
-from polyweight.groups import build_gl, build_go_odd, build_gsp
+from polyweight.groups import build_go_odd, build_gsp
 
 try:
     from polyweight._kernels import _fast as fast
@@ -23,12 +23,8 @@ def tables_of(datum, p, r):
 
 
 def workloads():
-    gl3 = tables_of(build_gl(3), 2, 2)
     gsp4 = tables_of(build_gsp(4), 2, 2)
     go5 = tables_of(build_go_odd(5), 2, 2)
-    flat = tuple(
-        (7 * k * k + 3 * k - 5) % 23 - 11 for k in range(3 * 20000)
-    )
     return [
         ("pair_witness_sweep", "gsp(4) radius 2",
          lambda impl: impl.pair_witness_sweep(gsp4, 2)),
@@ -38,8 +34,6 @@ def workloads():
          lambda impl: impl.predicate_flags_box(go5, 4, 4)),
         ("decompose_unique_sweep", "gsp(4) p^r=4 radius 5",
          lambda impl: impl.decompose_unique_sweep(gsp4, 4, 5)),
-        ("simple_flags_many", "gl(3) 20000 weights",
-         lambda impl: impl.simple_flags_many(gl3, 4, flat)),
     ]
 
 

@@ -59,4 +59,3 @@ pair_witness_sweep = _impl.pair_witness_sweep
 poly_consistency_sweep = _impl.poly_consistency_sweep
 predicate_flags_box = _impl.predicate_flags_box
 decompose_unique_sweep = _impl.decompose_unique_sweep
-simple_flags_many = _impl.simple_flags_many

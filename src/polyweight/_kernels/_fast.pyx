@@ -461,78 +461,3 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
     free(sphi)
     _tbl_free(&tb)
     return result
-
-
-def simple_flags_many(t, prpow, flat_weights):
-    """Per-weight quotient-sign flags: 1 polynomial, 0 not, 2 undecomposable."""
-    cdef TBL tb
-    _tbl_init(&tb, t)
-    cdef long long n = tb.n, l = tb.l, ns = tb.ns, rank = tb.rank
-    cdef long long step = prpow
-    cdef long long m = len(flat_weights) // n
-    cdef long long *flat = _copy(flat_weights)
-    cdef long long *coords = <long long *> malloc(rank * sizeof(long long))
-    cdef long long *digits = <long long *> malloc(rank * sizeof(long long))
-    cdef long long *lam0p = <long long *> malloc(n * sizeof(long long))
-    cdef long long *phi0 = <long long *> malloc(l * sizeof(long long))
-    cdef long long *tilde = <long long *> malloc(n * sizeof(long long))
-    cdef long long *tphi = <long long *> malloc(l * sizeof(long long))
-    if (flat == NULL or coords == NULL or digits == NULL or lam0p == NULL
-            or phi0 == NULL or tilde == NULL or tphi == NULL):
-        free(flat); free(coords); free(digits); free(lam0p)
-        free(phi0); free(tilde); free(tphi)
-        _tbl_free(&tb)
-        raise MemoryError()
-    cdef long long a, base, c, dig, flag, j, k, mn, row, tc, v, w
-    out = []
-    for w in range(m):
-        base = w * n
-        for k in range(rank):
-            row = k * n
-            v = 0
-            for a in range(n):
-                c = tb.coef[row + a]
-                if c:
-                    v += c * flat[base + a]
-            coords[k] = v
-        flag = 1
-        for k in range(ns):
-            dig = _fmod(coords[k], step)
-            if tb.diag[k] * dig > step - 1:
-                flag = 2
-                break
-            digits[k] = dig
-        if flag == 2:
-            out.append(2)
-            continue
-        for k in range(ns, rank):
-            digits[k] = _fmod(coords[k], step)
-        for a in range(n):
-            lam0p[a] = 0
-        for k in range(rank):
-            dig = digits[k]
-            if dig:
-                row = k * n
-                for a in range(n):
-                    lam0p[a] += dig * tb.basis[row + a]
-        _phi_of(lam0p, &tb, phi0)
-        for a in range(n):
-            tilde[a] = 0
-        for k in range(rank):
-            tc = _fdiv(coords[k] - digits[k], step)
-            if k >= ns:
-                tc += _fdiv(phi0[k - ns], step)
-            if tc:
-                row = k * n
-                for a in range(n):
-                    tilde[a] += tc * tb.basis[row + a]
-        _phi_of(tilde, &tb, tphi)
-        mn = tphi[0]
-        for j in range(1, l):
-            if tphi[j] < mn:
-                mn = tphi[j]
-        out.append(1 if mn >= 0 else 0)
-    free(flat); free(coords); free(digits); free(lam0p)
-    free(phi0); free(tilde); free(tphi)
-    _tbl_free(&tb)
-    return out

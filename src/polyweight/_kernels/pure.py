@@ -8,10 +8,10 @@ these kernels against the scalar library on every machine.
 
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
-numpy int64 arrays; the other kernels are plain Python loops.  Before
-sweeping, the vectorised kernels bound every intermediate from the
-radius, the modulus and the table entries, and raise DomainError when
-the bound does not fit in 64 bits, so no value wraps.  numpy is imported
+numpy int64 arrays; ``poly_consistency_sweep`` is a plain Python loop.
+Before sweeping, the vectorised kernels bound every intermediate from
+the radius, the modulus and the table entries, and raise DomainError
+when the bound does not fit in 64 bits, so no value wraps.  numpy is imported
 inside those functions only, so importing the package does not load it.
 
 Every function takes a ``Tables`` bundle (see the package ``__init__``)
@@ -374,62 +374,3 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
                 for f in bad[:room]
             )
     return checked, tuple(failures)
-
-
-def simple_flags_many(t, prpow, flat_weights):
-    """Classify many weights by the sign of the quotient part.
-
-    ``flat_weights`` concatenates ambient weights.  Per weight the result
-    is 1 when the decomposition exists and its quotient part lies in the
-    polynomial cone, 0 when it exists with a non-polynomial quotient, and
-    2 when no restricted digit representative exists.
-    """
-    n, l, ns, rank = t.n, t.l, t.ns, t.rank
-    m = len(flat_weights) // n
-    out = []
-    tilde = [0] * n
-    for w in range(m):
-        base = w * n
-        coords = [0] * rank
-        for k in range(rank):
-            row = k * n
-            v = 0
-            for a in range(n):
-                c = t.coef[row + a]
-                if c:
-                    v += c * flat_weights[base + a]
-            coords[k] = v
-        flag = 1
-        digits = [0] * rank
-        for k in range(ns):
-            dig = coords[k] % prpow
-            if t.diag[k] * dig > prpow - 1:
-                flag = 2
-                break
-            digits[k] = dig
-        if flag == 2:
-            out.append(2)
-            continue
-        for k in range(ns, rank):
-            digits[k] = coords[k] % prpow
-        lam0p = [0] * n
-        for k in range(rank):
-            dig = digits[k]
-            if dig:
-                row = k * n
-                for a in range(n):
-                    lam0p[a] += dig * t.basis[row + a]
-        phi0 = _phi_of(lam0p, t)
-        for a in range(n):
-            tilde[a] = 0
-        for k in range(rank):
-            tc = (coords[k] - digits[k]) // prpow
-            if k >= ns:
-                tc += phi0[k - ns] // prpow
-            if tc:
-                row = k * n
-                for a in range(n):
-                    tilde[a] += tc * t.basis[row + a]
-        tphi = _phi_of(tilde, t)
-        out.append(1 if min(tphi) >= 0 else 0)
-    return out

@@ -258,9 +258,11 @@ def decompose(weight, ctx):
         tilde_coords.append(base)
     lam_tilde = ctx.from_coordinates(tilde_coords)
 
-    assert in_Pr(lam0, ctx), "decomposition left the digit set"
+    if not in_Pr(lam0, ctx):
+        raise AssertionError("decomposition left the digit set")
     recombined = vec_add(lam0, vec_scale(step, lam_tilde))
-    assert ctx.datum.lattice.equal_mod_kernel(recombined, weight)
+    if not ctx.datum.lattice.equal_mod_kernel(recombined, weight):
+        raise AssertionError("decomposition does not recombine to the weight")
     return Decomposition(lambda0=lam0, lambda_tilde=lam_tilde)
 
 

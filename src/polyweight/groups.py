@@ -44,6 +44,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
+from .phi import PhiData, phi_ambient
 
 WEYL_CAP = 100_000
 
@@ -222,83 +223,149 @@ def _cartan_expected(family, num_roots, parts=None):
     return tuple(tuple(row) for row in mat)
 
 
-def _has_nonneg_rep(lattice, vec, window):
-    """Search the kernel-shift window for an all-non-negative representative."""
-    basis = lattice.kernel_basis
-    if not basis:
-        return min(vec) >= 0
-    rng = range(-window, window + 1)
-    for coeffs in itertools.product(rng, repeat=len(basis)):
-        shifted = list(vec)
-        for c, k in zip(coeffs, basis):
-            if c:
-                for idx, kv in enumerate(k):
-                    shifted[idx] += c * kv
-        if min(shifted) >= 0:
-            return True
-    return False
+def _ensure(condition, message):
+    """A builder postcondition that also holds under ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
+def _has_polynomial_rep(vec, data):
+    """Whether the class of ``vec`` has a coordinatewise non-negative lift.
+
+    The block-shift argument.  ``_finalize`` requires every kernel vector
+    k to be constant on each block B, with value k_B there, and the
+    block-minimum functional phi_j(v) = sum_B n_Bj min_B(v) to vanish on
+    k.  A kernel shift therefore moves all coordinates of a block by the
+    same integer, so min_B(v + k) = min_B(v) + k_B and phi(v + k) =
+    phi(v): phi is constant on the class.
+
+    * If some v + k is non-negative, every block minimum of it is, and
+      phi(v) = phi(v + k) >= 0 because the n_Bj are non-negative.
+    * If phi(v) >= 0, then v >= sum_B min_B(v) b_B coordinatewise, and
+      that sum is congruent to sum_j phi_j(v) d_j, because each b_B is
+      congruent to sum_j n_Bj d_j.  So v is congruent to
+      sum_j phi_j(v) d_j + (v - sum_B min_B(v) b_B), a sum of two
+      non-negative vectors.
+
+    The test takes time linear in the ambient dimension, where a search
+    over kernel shifts grows exponentially with the kernel rank.
+    ``check_assumption``'s positivity property compares the same sign
+    test with such a search on whole coordinate boxes.
+    """
+    return min(phi_ambient(vec, data)) >= 0
+
+
+def _normalisation_pairs(datum):
+    """Each dual lift of the weight basis with its reduced lift.
+
+    The reduced lift subtracts the distinguished weight of the block
+    holding the lift's last non-zero coordinate: the lift extends to the
+    torus closure, but dropping one block indicator ruins that.
+    """
+    d_vecs = datum.d_vectors
+    for lift in datum.weight_basis[: len(datum.simple_coroots)]:
+        if len(d_vecs) == 1:
+            d_for_block = d_vecs[0]
+        else:
+            blk = max(i for i, c in enumerate(lift) if c)
+            d_for_block = next(
+                dv for dv, blkidx in zip(d_vecs, datum.d_indices)
+                if blk in datum.blocks[blkidx]
+            )
+        yield lift, vec_sub(lift, d_for_block)
 
 
 def _finalize(datum):
-    """Constructor-time sanity checks shared by all builders."""
+    """Constructor-time sanity checks shared by all builders.
+
+    Every check raises ``AssertionError`` on a builder defect, also under
+    ``python -O``.
+    """
     n = datum.ambient_dim
     lat = datum.lattice
     for b_vec, block in zip(datum.b, datum.blocks):
-        assert set(b_vec) <= {0, 1}
-        assert tuple(i for i, c in enumerate(b_vec) if c) == tuple(sorted(block))
+        _ensure(set(b_vec) <= {0, 1}, "block indicator must have 0/1 coordinates")
+        _ensure(
+            tuple(i for i, c in enumerate(b_vec) if c) == tuple(sorted(block)),
+            "block indicator must be supported on its block",
+        )
     flat = sorted(i for blk in datum.blocks for i in blk)
-    assert flat == list(range(n)), "blocks must partition the ambient indices"
+    _ensure(flat == list(range(n)), "blocks must partition the ambient indices")
 
     for cov in datum.simple_coroots:
-        assert lat.annihilates(cov), "coroot does not descend to the quotient"
+        _ensure(lat.annihilates(cov), "coroot does not descend to the quotient")
         for b_vec in datum.b:
-            assert pair(b_vec, cov) == 0, "block indicator must pair to zero"
-        assert pair(datum.positive_root_sum_twice, cov) == 2
+            _ensure(pair(b_vec, cov) == 0, "block indicator must pair to zero")
+        _ensure(
+            pair(datum.positive_root_sum_twice, cov) == 2,
+            "twice the positive root sum must pair to 2 with every simple coroot",
+        )
 
     cartan = tuple(
         tuple(pair(root, cov) for cov in datum.simple_coroots)
         for root in datum.simple_roots
     )
     parts = [len(blk) for blk in datum.blocks] if datum.family == "levi" else None
-    assert cartan == _cartan_expected(datum.family, len(datum.simple_roots), parts)
+    _ensure(
+        cartan == _cartan_expected(datum.family, len(datum.simple_roots), parts),
+        "simple roots and coroots must give the family's Cartan matrix",
+    )
 
     for g in datum.weyl_generators:
-        assert is_perm(g) and len(g) == n
+        _ensure(is_perm(g) and len(g) == n, "Weyl generator must be a permutation")
         for k in lat.kernel_basis:
-            assert lat.contains(act(g, k)), "generator must preserve the kernel"
+            _ensure(lat.contains(act(g, k)), "generator must preserve the kernel")
 
     d_vecs = datum.d_vectors
+    _ensure(
+        len(datum.n_matrix) == len(datum.blocks),
+        "one n-matrix row is needed per block",
+    )
     for b_vec, row in zip(datum.b, datum.n_matrix):
-        assert len(row) == len(d_vecs) and min(row, default=0) >= 0
+        _ensure(
+            len(row) == len(d_vecs) and min(row, default=0) >= 0,
+            "n-matrix rows must be non-negative with one entry per d weight",
+        )
         combo = [0] * n
         for coeff, d_vec in zip(row, d_vecs):
             for idx, dv in enumerate(d_vec):
                 combo[idx] += coeff * dv
-        assert lat.equal_mod_kernel(b_vec, tuple(combo))
+        _ensure(
+            lat.equal_mod_kernel(b_vec, tuple(combo)),
+            "block indicator must expand over the d weights",
+        )
+
+    # The hypotheses of the block-shift argument in _has_polynomial_rep.
+    data = PhiData.from_datum(datum)
+    for k in lat.kernel_basis:
+        _ensure(
+            all(len({k[a] for a in blk}) == 1 for blk in datum.blocks),
+            "kernel vector must be constant on every block",
+        )
+        _ensure(not any(phi_ambient(k, data)), "functional must vanish on the kernel")
 
     if datum.weight_basis is not None:
         dual = datum.weight_basis[: len(datum.simple_coroots)]
         tail = datum.weight_basis[len(datum.simple_coroots):]
-        assert tail == d_vecs
+        _ensure(tail == d_vecs, "weight basis must end with the d weights")
         for k, lift in enumerate(dual):
             for j, cov in enumerate(datum.simple_coroots):
                 want = datum.basis_pairing_diag[k] if j == k else 0
-                assert pair(lift, cov) == want
-            # Polynomial normalization: the lift extends to the torus
-            # closure, but dropping one block indicator ruins that.
-            window = sum(abs(c) for c in lift) + 1
-            assert _has_nonneg_rep(lat, lift, window)
-            if len(d_vecs) == 1:
-                d_for_block = d_vecs[0]
-            else:
-                blk = max(i for i, c in enumerate(lift) if c)
-                d_for_block = next(
-                    dv for dv, blkidx in zip(d_vecs, datum.d_indices)
-                    if blk in datum.blocks[blkidx]
+                _ensure(
+                    pair(lift, cov) == want,
+                    "dual lift must pair to its diagonal entry with its own "
+                    "simple coroot and to 0 with the others",
                 )
-            reduced = vec_sub(lift, d_for_block)
-            window = sum(abs(c) for c in reduced) + 1
-            assert not _has_nonneg_rep(lat, reduced, window)
+        # Polynomial normalization.
+        for lift, reduced in _normalisation_pairs(datum):
+            _ensure(
+                _has_polynomial_rep(lift, data),
+                "dual lift has no non-negative representative",
+            )
+            _ensure(
+                not _has_polynomial_rep(reduced, data),
+                "reduced lift has a non-negative representative",
+            )
     return datum
 
 

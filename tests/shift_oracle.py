@@ -1,0 +1,39 @@
+"""Kernel-shift search reference for the polynomial-representative test.
+
+``polyweight.groups._finalize`` once decided whether a class has a
+coordinatewise non-negative representative by searching every kernel
+shift with coefficients in a window, at (2w + 1)^(kernel rank) shifts
+per vector.  The library now decides it with the sign of the
+block-minimum functional in linear time; the tests keep the search as
+an oracle that never evaluates the functional and require the two to
+agree.
+"""
+
+import itertools
+
+
+def has_nonneg_rep(lattice, vec, window):
+    """Search the kernel-shift window for an all-non-negative representative."""
+    basis = lattice.kernel_basis
+    if not basis:
+        return min(vec) >= 0
+    rng = range(-window, window + 1)
+    for coeffs in itertools.product(rng, repeat=len(basis)):
+        shifted = list(vec)
+        for c, k in zip(coeffs, basis):
+            if c:
+                for idx, kv in enumerate(k):
+                    shifted[idx] += c * kv
+        if min(shifted) >= 0:
+            return True
+    return False
+
+
+def finalize_window(vec):
+    """The window ``_finalize`` searched for a basis lift."""
+    return sum(abs(c) for c in vec) + 1
+
+
+def box_window(vec, radius):
+    """The window ``poly_consistency_sweep`` searches for a box point."""
+    return max(vec) - min(vec) + radius

@@ -1,13 +1,22 @@
 """Group family construction data and hypothesis validation."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import polyweight
 from polyweight.errors import DomainError
 from polyweight.groups import (
     GroupDatum,
     ValidationReport,
+    _finalize,
+    _has_polynomial_rep,
+    _normalisation_pairs,
     build_gl,
     build_go_even,
     build_go_odd,
@@ -18,7 +27,11 @@ from polyweight.groups import (
     validate_datum,
     x0_basis,
 )
-from polyweight.lattice import act, pair, transposition
+from polyweight.lattice import QuotientLattice, act, pair, transposition
+from polyweight.phi import PhiData
+from shift_oracle import box_window, finalize_window, has_nonneg_rep
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(polyweight.__file__)))
 
 ALL_GOOD = [
     build_gl(1),
@@ -292,3 +305,114 @@ class TestRecords:
         )
         with pytest.raises(AttributeError):
             report.a = False
+
+
+# -- polynomial normalisation: block-minimum test against the shift search --
+
+NORMALISED_SPECS = (
+    [f"gsp:{n}" for n in range(4, 11, 2)]
+    + [f"go:{n}" for n in range(5, 10, 2)]
+    + [f"gl:{n}" for n in range(2, 9)]
+    + ["levi:1,2,3", "levi:2,2,3", "levi:1,1,2,4"]
+)
+
+
+@pytest.mark.parametrize("spec", NORMALISED_SPECS)
+def test_normalisation_agrees_with_shift_search(spec):
+    datum = parse_group_spec(spec)
+    data = PhiData.from_datum(datum)
+    lat = datum.lattice
+    pairs = list(_normalisation_pairs(datum))
+    assert len(pairs) == len(datum.simple_coroots)
+    for lift, reduced in pairs:
+        assert _has_polynomial_rep(lift, data)
+        assert has_nonneg_rep(lat, lift, finalize_window(lift))
+        assert not _has_polynomial_rep(reduced, data)
+        assert not has_nonneg_rep(lat, reduced, finalize_window(reduced))
+
+
+BOX_CASES = (
+    [(f"gl:{n}", 2) for n in range(1, 6)]
+    + [("gsp:2", 2), ("gsp:4", 2), ("go:3", 2), ("go:5", 2), ("go:4", 2)]
+    + [("levi:2,3", 2), ("levi:1,1,2", 2)]
+    + [("gl:6", 1), ("gl:7", 1), ("gsp:6", 1), ("go:6", 1), ("go:7", 1)]
+    + [("levi:1,2,3", 1), ("levi:2,2,3", 1)]
+)
+
+
+@pytest.mark.parametrize("spec,radius", BOX_CASES, ids=[c[0] for c in BOX_CASES])
+def test_block_minimum_test_agrees_with_shift_search_on_box(spec, radius):
+    datum = parse_group_spec(spec)
+    data = PhiData.from_datum(datum)
+    lat = datum.lattice
+    counts = {True: 0, False: 0}
+    rng = range(-radius, radius + 1)
+    for vec in itertools.product(rng, repeat=datum.ambient_dim):
+        got = _has_polynomial_rep(vec, data)
+        assert got == has_nonneg_rep(lat, vec, box_window(vec, radius)), vec
+        counts[got] += 1
+    assert counts[True] and counts[False]
+
+
+def _drop_block_indicator(datum):
+    """The datum with its first dual lift replaced by the reduced lift."""
+    _, reduced = next(_normalisation_pairs(datum))
+    basis = (reduced,) + datum.weight_basis[1:]
+    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
+    return GroupDatum(**dict(fields, weight_basis=basis))
+
+
+DROPPED_INDICATOR_SCRIPT = """
+from polyweight.groups import GroupDatum, _finalize, _normalisation_pairs, build_gsp
+datum = build_gsp(4)
+_, reduced = next(_normalisation_pairs(datum))
+fields = {name: getattr(datum, name) for name in GroupDatum._fields}
+broken = GroupDatum(**dict(fields, weight_basis=(reduced,) + datum.weight_basis[1:]))
+try:
+    _finalize(broken)
+except AssertionError as exc:
+    print("debug", __debug__, "raised", exc)
+"""
+
+
+class TestFinalizeRaises:
+    def test_dropped_block_indicator(self):
+        broken = _drop_block_indicator(build_gsp(4))
+        with pytest.raises(AssertionError, match="no non-negative representative"):
+            _finalize(broken)
+
+    def test_dropped_block_indicator_under_optimize(self):
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", DROPPED_INDICATOR_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("debug False raised dual lift")
+
+    def test_functional_must_vanish_on_kernel(self):
+        datum = build_levi([1, 1])
+        fields = {name: getattr(datum, name) for name in GroupDatum._fields}
+        fields["lattice"] = QuotientLattice(2, [(1, -1)])
+        with pytest.raises(AssertionError, match="vanish on the kernel"):
+            _finalize(GroupDatum(**fields))
+
+
+@pytest.mark.parametrize("builder,size", [(build_gsp, 40), (build_go_odd, 41)])
+def test_high_rank_builds_and_validates(builder, size):
+    datum = builder(size)
+    assert datum.ambient_dim == size
+    assert validate_datum(datum).all_ok
+
+
+def test_cli_validates_gsp30():
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    begin = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyweight", "validate", "--group", "gsp:30"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    elapsed = time.perf_counter() - begin
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["all_ok"] is True
+    print(f"validate --group gsp:30: {elapsed:.2f} s")

@@ -98,19 +98,6 @@ class TestBackendAgreement:
             t, prpow, radius
         ) == fast.decompose_unique_sweep(t, prpow, radius)
 
-    def test_simple_flags_many(self, datum, p, r, radius):
-        t = tables_of(datum, p, r)
-        prpow = p**r
-        rng = random.Random(7)
-        weights = [
-            rng.randrange(-3 * prpow, 3 * prpow + 1)
-            for _ in range(40 * t.n)
-        ]
-        flat = tuple(weights)
-        assert list(pure.simple_flags_many(t, prpow, flat)) == list(
-            fast.simple_flags_many(t, prpow, flat)
-        )
-
 
 @pytest.mark.parametrize("datum,p,r,radius", CASES, ids=CASE_IDS)
 class TestAgainstLoopReference:
@@ -268,19 +255,6 @@ class TestFailureReporting:
             assert backend.poly_consistency_sweep(bad, 1) == (
                 1, ((-1, -1), True, False)
             )
-
-
-class TestSimpleFlagValues:
-    def test_infeasible_class_flags_two(self):
-        t = tables_of(GO5, 2, 1)
-        flat = (0, 1, 0, 0, 0) + (0, 0, 0, 0, 0)
-        for backend in BACKENDS:
-            assert list(backend.simple_flags_many(t, 2, flat)) == [2, 1]
-
-    def test_empty_input(self):
-        t = tables_of(GL2, 2, 1)
-        for backend in BACKENDS:
-            assert list(backend.simple_flags_many(t, 2, ())) == []
 
 
 def test_tables_replace_roundtrip():
