@@ -10,9 +10,8 @@ modulus, digit-set enumeration, certification of the structural
 hypotheses, the even orthogonal rank-8 failure scenario, and the affine
 dot-action with orbit and shift-bijection checks.
 
-Hot sweep loops live in :mod:`polyweight._kernels` with a compiled
-backend when the extension built and a Python and numpy fallback otherwise;
-``kernel_backend_name`` reports which one loaded.
+Hot sweep loops live in :mod:`polyweight._kernels`, one implementation
+in Python and numpy; ``kernel_backend_name`` names it.
 """
 
 from ._kernels import BACKEND_NAME as kernel_backend_name

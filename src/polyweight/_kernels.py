@@ -1,10 +1,11 @@
-"""Reference implementations of the box-sweep kernels.
+"""The box-sweep kernels: the library's one batch layer.
 
-These define the semantics the compiled extension must match value for
-value: exact integers and a fixed iteration order (ascending
-lexicographic over closed integer boxes, last coordinate fastest).  The
-test suite compares the two backends on shared inputs, and compares
-these kernels against the scalar library on every machine.
+The heavy loops (all-pairs witness certification, decomposition
+uniqueness sweeps, box-wide predicate evaluation) use exact integer
+semantics and a fixed iteration order (ascending lexicographic over
+closed integer boxes, last coordinate fastest).  The test suite compares
+them against the scalar library and against the plain loops in
+``tests/loop_kernels.py``.
 
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
@@ -14,14 +15,41 @@ the radius, the modulus and the table entries, and raise DomainError
 when the bound does not fit in 64 bits, so no value wraps.  numpy is imported
 inside those functions only, so importing the package does not load it.
 
-Every function takes a ``Tables`` bundle (see the package ``__init__``)
-of flat integer tuples, so the compiled twin can copy the data into C
-arrays without touching Python objects in its inner loops.
+Every kernel takes the flat integer table bundle ``Tables``.  Rows of
+2-d tables are concatenated; ``boff``/``bmem`` store the block partition
+as offsets into a flat member list.
 """
 
+from collections import namedtuple
 from itertools import product
 
-from ..errors import DomainError
+from .errors import DomainError
+
+# Public as ``polyweight.kernel_backend_name`` and as the CLI's "backend"
+# JSON key, so CLI output depends on this value.
+BACKEND_NAME = "pure"
+
+Tables = namedtuple(
+    "Tables",
+    [
+        "n",        # ambient dimension
+        "s",        # number of blocks
+        "l",        # rank of the distinguished sublattice (columns of nmat)
+        "boff",     # s + 1 block offsets
+        "bmem",     # n block members, grouped by block
+        "nmat",     # s * l expansion coefficients
+        "ns",       # number of simple coroots
+        "coroots",  # ns * n covector coordinates
+        "dvecs",    # l * n ambient coordinates of the d weights
+        "rank",     # rank of the character quotient
+        "coef",     # rank * n coordinate functionals w.r.t. the basis
+        "basis",    # rank * n ambient basis vectors (dual part, then d part)
+        "diag",     # ns pairing values of dual basis elements (1 or 2)
+        "krank",    # kernel rank
+        "kernel",   # krank * n kernel basis vectors
+    ],
+    defaults=(0, (), (), 0, (), (), (), 0, ()),
+)
 
 _INT64_MAX = 2**63 - 1
 

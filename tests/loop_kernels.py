@@ -1,6 +1,6 @@
-"""Plain-loop reference for the vectorised fallback sweeps.
+"""Plain-loop reference for the vectorised sweeps.
 
-These are the element-at-a-time loops that ``polyweight._kernels.pure``
+These are the element-at-a-time loops that ``polyweight._kernels``
 used before its pair, predicate-flag and decomposition sweeps were
 vectorised with numpy.  They use exact Python integers and the fixed box
 order (ascending lexicographic, last coordinate fastest), and the tests

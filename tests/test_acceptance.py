@@ -2,8 +2,8 @@
 
 Each test prints one PASS/FAIL line (bypassing capture so the verdicts
 appear in any run log) and then asserts both the checked property and
-its runtime budget.  The budgets hold on either kernel backend: the
-pure fallback evaluates its heavy sweeps with numpy.
+its runtime budget.  The heavy sweeps run in the numpy kernels of
+``polyweight._kernels``.
 """
 
 import itertools

@@ -1,11 +1,9 @@
-"""The sweep kernels agree with the scalar library and across backends.
+"""The sweep kernels agree with the scalar library and the loop reference.
 
-The pure module defines the semantics.  On every machine its kernels are
-compared against the scalar predicates (``phi``, ``find_witness_w``,
-``decompose``, ``in_Pr``) on small boxes, and its vectorised sweeps
-against the plain loops in ``loop_kernels``.  Where the compiled twin is
-built it must also return identical values in the identical fixed box
-order; the tests that compare against it are skipped otherwise.
+On every machine the kernels are compared against the scalar predicates
+(``phi``, ``find_witness_w``, ``decompose``, ``in_Pr``) on small boxes,
+and the vectorised sweeps against the plain loops in ``loop_kernels``,
+value for value in the fixed box order.
 """
 
 import itertools
@@ -18,7 +16,7 @@ import numpy as np
 import pytest
 
 from polyweight import kernel_backend_name
-from polyweight._kernels import Tables, pure
+from polyweight import _kernels as kernels
 from polyweight.classify import (
     ClassificationContext,
     decompose,
@@ -29,17 +27,7 @@ from polyweight.classify import (
 from polyweight.errors import DecompositionUnavailable, DomainError
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
 from polyweight.lattice import act, vec_add, vec_scale, vec_sub
-from polyweight.phi import find_witness_w, phi
-
-try:
-    from polyweight._kernels import _fast as fast
-except ImportError:
-    fast = None
-
-requires_fast = pytest.mark.skipif(
-    fast is None, reason="compiled kernel extension is not built"
-)
-BACKENDS = [pure] if fast is None else [pure, fast]
+from polyweight.phi import check_assumption, find_witness_w, phi
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)
@@ -66,37 +54,22 @@ def box_points(n, radius):
 
 
 def test_backend_name_is_known():
-    assert kernel_backend_name in ("pure", "fast")
+    assert kernel_backend_name == "pure"
 
 
-@requires_fast
-@pytest.mark.parametrize("datum,p,r,radius", CASES, ids=CASE_IDS)
-class TestBackendAgreement:
-    def test_pair_witness_sweep(self, datum, p, r, radius):
-        t = tables_of(datum, p, r)
-        assert pure.pair_witness_sweep(t, radius) == fast.pair_witness_sweep(
-            t, radius
-        )
+def test_check_assumption_calls_the_sweeps_through_the_module(monkeypatch):
+    # the per-layer trace of perfbench wraps these module attributes, so
+    # check_assumption must look them up on the module when it runs
+    expected = check_assumption(GL3, 2, 1, box_radius=1)
+    calls = []
+    for name in ("pair_witness_sweep", "poly_consistency_sweep"):
+        def counted(*args, _name=name, _sweep=getattr(kernels, name), **kwargs):
+            calls.append(_name)
+            return _sweep(*args, **kwargs)
 
-    def test_poly_consistency_sweep(self, datum, p, r, radius):
-        t = tables_of(datum, p, r)
-        assert pure.poly_consistency_sweep(
-            t, radius
-        ) == fast.poly_consistency_sweep(t, radius)
-
-    def test_predicate_flags_box(self, datum, p, r, radius):
-        t = tables_of(datum, p, r)
-        prpow = p**r
-        assert list(pure.predicate_flags_box(t, prpow, radius)) == list(
-            fast.predicate_flags_box(t, prpow, radius)
-        )
-
-    def test_decompose_unique_sweep(self, datum, p, r, radius):
-        t = tables_of(datum, p, r)
-        prpow = p**r
-        assert pure.decompose_unique_sweep(
-            t, prpow, radius
-        ) == fast.decompose_unique_sweep(t, prpow, radius)
+        monkeypatch.setattr(kernels, name, counted)
+    assert check_assumption(GL3, 2, 1, box_radius=1) == expected
+    assert sorted(calls) == ["pair_witness_sweep", "poly_consistency_sweep"]
 
 
 @pytest.mark.parametrize("datum,p,r,radius", CASES, ids=CASE_IDS)
@@ -114,20 +87,20 @@ class TestAgainstLoopReference:
             (total, 3 * total),
         )
         for start, stop in ranges:
-            assert pure.pair_witness_sweep(
+            assert kernels.pair_witness_sweep(
                 t, radius, start, stop
             ) == loop_kernels.pair_witness_sweep(t, radius, start, stop)
 
     def test_predicate_flags_box(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
-        assert pure.predicate_flags_box(
+        assert kernels.predicate_flags_box(
             t, p**r, radius + 1
         ) == loop_kernels.predicate_flags_box(t, p**r, radius + 1)
 
     def test_decompose_unique_sweep(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
         for max_failures in (5, 10**6):
-            assert pure.decompose_unique_sweep(
+            assert kernels.decompose_unique_sweep(
                 t, p**r, radius, max_failures
             ) == loop_kernels.decompose_unique_sweep(t, p**r, radius, max_failures)
 
@@ -149,7 +122,7 @@ def test_corrupted_tables_match_loop_reference():
                 bmem=tuple(members) + (rng.randrange(t.n),),
                 nmat=tuple(nmat) + tuple(rng.randint(1, 2) for _ in range(t.l)),
             )
-            assert pure.pair_witness_sweep(
+            assert kernels.pair_witness_sweep(
                 bad, 1
             ) == loop_kernels.pair_witness_sweep(bad, 1)
         bad = t._replace(
@@ -159,10 +132,10 @@ def test_corrupted_tables_match_loop_reference():
             diag=tuple(rng.randint(1, 3) for _ in t.diag),
         )
         for prpow in (2, 3, 4):
-            assert pure.decompose_unique_sweep(
+            assert kernels.decompose_unique_sweep(
                 bad, prpow, 1, 10**6
             ) == loop_kernels.decompose_unique_sweep(bad, prpow, 1, 10**6)
-            assert pure.predicate_flags_box(
+            assert kernels.predicate_flags_box(
                 bad, prpow, 1
             ) == loop_kernels.predicate_flags_box(bad, prpow, 1)
 
@@ -172,24 +145,22 @@ class TestPartitionedSweep:
         t = tables_of(GL3, 2, 1)
         radius = 1
         total = (2 * radius + 1) ** t.n
-        full = pure.pair_witness_sweep(t, radius)
+        full = kernels.pair_witness_sweep(t, radius)
         cuts = [0, total // 3, 2 * total // 3, total]
-        for backend in BACKENDS:
-            checked = 0
-            for start, stop in zip(cuts, cuts[1:]):
-                part = backend.pair_witness_sweep(t, radius, start, stop)
-                assert part[1] is None
-                checked += part[0]
-            assert checked == full[0]
+        checked = 0
+        for start, stop in zip(cuts, cuts[1:]):
+            part = kernels.pair_witness_sweep(t, radius, start, stop)
+            assert part[1] is None
+            checked += part[0]
+        assert checked == full[0]
 
     def test_empty_partition(self):
         t = tables_of(GL2, 2, 1)
-        for backend in BACKENDS:
-            assert backend.pair_witness_sweep(t, 1, 5, 5) == (0, None)
-            assert backend.pair_witness_sweep(t, 1, 9, 4) == (0, None)
-            # the box has 9 outer weights: a range past it sweeps nothing
-            assert backend.pair_witness_sweep(t, 1, 9, 20) == (0, None)
-            assert backend.pair_witness_sweep(t, 1, 11, 12) == (0, None)
+        assert kernels.pair_witness_sweep(t, 1, 5, 5) == (0, None)
+        assert kernels.pair_witness_sweep(t, 1, 9, 4) == (0, None)
+        # the box has 9 outer weights: a range past it sweeps nothing
+        assert kernels.pair_witness_sweep(t, 1, 9, 20) == (0, None)
+        assert kernels.pair_witness_sweep(t, 1, 11, 12) == (0, None)
 
 
 class TestAgainstPublicPredicates:
@@ -215,8 +186,7 @@ class TestAgainstPublicPredicates:
                 | (int(inrange) << 2)
                 | (int(literal) << 3)
             )
-        for backend in BACKENDS:
-            assert list(backend.predicate_flags_box(t, prpow, radius)) == expected
+        assert list(kernels.predicate_flags_box(t, prpow, radius)) == expected
 
 
 class TestFailureReporting:
@@ -224,42 +194,32 @@ class TestFailureReporting:
         # the middle basis element pairs to 2, so odd residues have no
         # restricted digit representative and count as failures
         t = tables_of(GO5, 2, 1)
-        outs = [b.decompose_unique_sweep(t, 2, 1) for b in BACKENDS]
-        assert all(out == outs[0] for out in outs)
-        checked, failures = outs[0]
+        checked, failures = kernels.decompose_unique_sweep(t, 2, 1)
         assert checked == 3**5
         assert failures
         assert all(count == 0 for _, count in failures)
 
     def test_max_failures_truncates(self):
         t = tables_of(GO5, 2, 1)
-        for backend in BACKENDS:
-            _, failures = backend.decompose_unique_sweep(t, 2, 1, max_failures=2)
-            assert len(failures) == 2
-        longs = [
-            b.decompose_unique_sweep(t, 2, 1, max_failures=5)[1]
-            for b in BACKENDS
-        ]
-        assert longs[0][:2] == pure.decompose_unique_sweep(
-            t, 2, 1, max_failures=2
-        )[1]
-        assert all(long == longs[0] for long in longs)
+        _, failures = kernels.decompose_unique_sweep(t, 2, 1, max_failures=2)
+        assert len(failures) == 2
+        _, longer = kernels.decompose_unique_sweep(t, 2, 1, max_failures=5)
+        assert longer[:2] == failures
 
     def test_poly_disagreement_tuple_matches(self):
         # corrupt the expansion matrix so the sign test and the shift
-        # oracle disagree; both backends must report the same first point
+        # oracle disagree; the sweep reports the first such point
         t = tables_of(GL2, 2, 1)
         assert t.krank == 0
         bad = t._replace(nmat=(-1,))
-        for backend in BACKENDS:
-            assert backend.poly_consistency_sweep(bad, 1) == (
-                1, ((-1, -1), True, False)
-            )
+        assert kernels.poly_consistency_sweep(bad, 1) == (
+            1, ((-1, -1), True, False)
+        )
 
 
 def test_tables_replace_roundtrip():
     t = tables_of(GL2, 2, 1)
-    assert isinstance(t, Tables)
+    assert isinstance(t, kernels.Tables)
     assert t._replace() == t
 
 
@@ -287,35 +247,34 @@ class TestPairSweepAgainstScalar:
                     phil, phi(lamp, datum)
                 )
         t = tables_of(datum, 2, 1)
-        assert pure.pair_witness_sweep(t, radius) == (len(points) ** 2, None)
+        assert kernels.pair_witness_sweep(t, radius) == (len(points) ** 2, None)
 
     @pytest.mark.parametrize("datum,radius", SCALAR_CASES, ids=SCALAR_IDS)
     def test_partitions_add_up(self, datum, radius):
         t = tables_of(datum, 2, 1)
         total = (2 * radius + 1) ** t.n
         cuts = [0, 1, total // 3, total - 1, total]
-        for backend in BACKENDS:
-            parts = [
-                backend.pair_witness_sweep(t, radius, a, b)
-                for a, b in zip(cuts, cuts[1:])
-            ]
-            assert [part[0] for part in parts] == [
-                (b - a) * total for a, b in zip(cuts, cuts[1:])
-            ]
-            assert all(part[1] is None for part in parts)
-            # a stop past the box end is clipped to the box
-            assert backend.pair_witness_sweep(t, radius, total - 1, total + 9) == (
-                total, None
-            )
-            # so partitions whose last stop lies past the box add up to
-            # the full sweep, and a later one adds nothing
-            past = [0, total // 2, total + 7, 2 * total]
-            parts = [
-                backend.pair_witness_sweep(t, radius, a, b)
-                for a, b in zip(past, past[1:])
-            ]
-            assert sum(part[0] for part in parts) == total * total
-            assert parts[-1] == (0, None)
+        parts = [
+            kernels.pair_witness_sweep(t, radius, a, b)
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        assert [part[0] for part in parts] == [
+            (b - a) * total for a, b in zip(cuts, cuts[1:])
+        ]
+        assert all(part[1] is None for part in parts)
+        # a stop past the box end is clipped to the box
+        assert kernels.pair_witness_sweep(t, radius, total - 1, total + 9) == (
+            total, None
+        )
+        # so partitions whose last stop lies past the box add up to
+        # the full sweep, and a later one adds nothing
+        past = [0, total // 2, total + 7, 2 * total]
+        parts = [
+            kernels.pair_witness_sweep(t, radius, a, b)
+            for a, b in zip(past, past[1:])
+        ]
+        assert sum(part[0] for part in parts) == total * total
+        assert parts[-1] == (0, None)
 
     def test_corrupted_blocks_report_first_failure(self):
         # gl(3) with coordinate 1 listed in two blocks, {0, 1} and {1}.
@@ -327,12 +286,11 @@ class TestPairSweepAgainstScalar:
         t = tables_of(GL3, 2, 1)
         bad = t._replace(s=2, boff=(0, 2, 3), bmem=(0, 1, 1), nmat=(1, 1))
         failure = ((-1, 0, -1), (0, -1, -1))
-        for backend in BACKENDS:
-            assert backend.pair_witness_sweep(bad, 1) == (91, failure)
-            # the same pair, counted from a partition that starts at it
-            assert backend.pair_witness_sweep(bad, 1, 3, 5) == (10, failure)
-            # a partition ending before it sees no failure
-            assert backend.pair_witness_sweep(bad, 1, 0, 3) == (81, None)
+        assert kernels.pair_witness_sweep(bad, 1) == (91, failure)
+        # the same pair, counted from a partition that starts at it
+        assert kernels.pair_witness_sweep(bad, 1, 3, 5) == (10, failure)
+        # a partition ending before it sees no failure
+        assert kernels.pair_witness_sweep(bad, 1, 0, 3) == (81, None)
 
 
 MODULI = [(2, 1), (3, 1), (2, 2)]
@@ -371,22 +329,20 @@ class TestDecomposeSweepAgainstScalar:
         ctx = ClassificationContext(datum, p, r)
         size = (2 * radius + 1) ** datum.ambient_dim
         expected = scalar_decompose_failures(ctx, radius)
-        for backend in BACKENDS:
-            assert backend.decompose_unique_sweep(
-                ctx.tables(), p**r, radius, max_failures=size
-            ) == (size, tuple(expected))
+        assert kernels.decompose_unique_sweep(
+            ctx.tables(), p**r, radius, max_failures=size
+        ) == (size, tuple(expected))
 
     def test_max_failures_keeps_a_prefix(self):
         ctx = ClassificationContext(GO5, 3, 1)
-        _, everything = pure.decompose_unique_sweep(ctx.tables(), 3, 1, 10**6)
+        _, everything = kernels.decompose_unique_sweep(ctx.tables(), 3, 1, 10**6)
         assert len(everything) > 40
         for cap in (0, 1, 5, 40, len(everything), len(everything) + 1):
-            for backend in BACKENDS:
-                checked, failures = backend.decompose_unique_sweep(
-                    ctx.tables(), 3, 1, max_failures=cap
-                )
-                assert checked == 3**5
-                assert failures == everything[:cap]
+            checked, failures = kernels.decompose_unique_sweep(
+                ctx.tables(), 3, 1, max_failures=cap
+            )
+            assert checked == 3**5
+            assert failures == everything[:cap]
 
     def test_corrupted_pairing_diagonal(self):
         # declaring gl(2)'s dual basis element to pair to 2 makes every
@@ -395,8 +351,7 @@ class TestDecomposeSweepAgainstScalar:
         expected = tuple(
             (lam, 0) for lam in box_points(2, 2) if (lam[0] - lam[1]) % 2
         )
-        for backend in BACKENDS:
-            assert backend.decompose_unique_sweep(t, 2, 2, 100) == (25, expected)
+        assert kernels.decompose_unique_sweep(t, 2, 2, 100) == (25, expected)
 
 
 class TestSlabs:
@@ -407,34 +362,34 @@ class TestSlabs:
         gsp4 = tables_of(GSP4, 3, 1)
         go5 = tables_of(GO5, 3, 1)
         whole = (
-            pure.pair_witness_sweep(gsp4, 1),
-            pure.pair_witness_sweep(gsp4, 1, 5, 40),
-            pure.decompose_unique_sweep(go5, 3, 1, 10**6),
-            pure.predicate_flags_box(gsp4, 3, 2),
+            kernels.pair_witness_sweep(gsp4, 1),
+            kernels.pair_witness_sweep(gsp4, 1, 5, 40),
+            kernels.decompose_unique_sweep(go5, 3, 1, 10**6),
+            kernels.predicate_flags_box(gsp4, 3, 2),
         )
-        monkeypatch.setattr(pure, "_SLAB_ROWS", rows)
+        monkeypatch.setattr(kernels, "_SLAB_ROWS", rows)
         assert (
-            pure.pair_witness_sweep(gsp4, 1),
-            pure.pair_witness_sweep(gsp4, 1, 5, 40),
-            pure.decompose_unique_sweep(go5, 3, 1, 10**6),
-            pure.predicate_flags_box(gsp4, 3, 2),
+            kernels.pair_witness_sweep(gsp4, 1),
+            kernels.pair_witness_sweep(gsp4, 1, 5, 40),
+            kernels.decompose_unique_sweep(go5, 3, 1, 10**6),
+            kernels.predicate_flags_box(gsp4, 3, 2),
         ) == whole
 
     @pytest.mark.parametrize("n,radius", [(1, 3), (2, 2), (3, 1), (2, 9)])
     def test_slabs_walk_the_box_in_order(self, monkeypatch, n, radius):
-        monkeypatch.setattr(pure, "_SLAB_ROWS", 4)
-        slabs = list(pure._box_slabs(np, n, radius))
+        monkeypatch.setattr(kernels, "_SLAB_ROWS", 4)
+        slabs = list(kernels._box_slabs(np, n, radius))
         assert all(len(slab) <= 4 for slab in slabs)
         walked = [tuple(int(v) for v in row) for slab in slabs for row in slab]
         assert walked == list(box_points(n, radius))
 
     def test_huge_radius_yields_bounded_slabs(self):
         radius = 3037000500
-        slabs = pure._box_slabs(np, 3, radius)
+        slabs = kernels._box_slabs(np, 3, radius)
         first, second = next(slabs), next(slabs)
-        assert len(first) == len(second) == pure._SLAB_ROWS
+        assert len(first) == len(second) == kernels._SLAB_ROWS
         assert tuple(first[0]) == (-radius,) * 3
-        assert tuple(second[0]) == (-radius, -radius, -radius + pure._SLAB_ROWS)
+        assert tuple(second[0]) == (-radius, -radius, -radius + kernels._SLAB_ROWS)
 
 
 class TestInt64Bound:
@@ -445,7 +400,7 @@ class TestInt64Bound:
 
         def fits(k):
             try:
-                pure.decompose_unique_sweep(t, 2**k, 0)
+                kernels.decompose_unique_sweep(t, 2**k, 0)
             except DomainError:
                 return False
             return True
@@ -455,14 +410,14 @@ class TestInt64Bound:
         assert usable == list(range(1, top + 1))
         assert 2 ** (top + 1) < 2**63
         with pytest.raises(DomainError):
-            pure.decompose_unique_sweep(t, 2 ** (top + 1), 1)
+            kernels.decompose_unique_sweep(t, 2 ** (top + 1), 1)
         # just inside the bound the values are still exact: every class
         # decomposes, and the scalar split agrees
-        assert pure.decompose_unique_sweep(t, 2**top, 1) == (9, ())
+        assert kernels.decompose_unique_sweep(t, 2**top, 1) == (9, ())
         ctx = ClassificationContext(GL2, 2, top)
         for lam in box_points(2, 1):
             assert in_Pr(decompose(lam, ctx).lambda0, ctx)
-        flags = pure.predicate_flags_box(t, 2**top, 1)
+        flags = kernels.predicate_flags_box(t, 2**top, 1)
         assert [word >> 3 for word in flags] == [
             int(in_Pr(lam, ctx)) for lam in box_points(2, 1)
         ]
@@ -471,18 +426,18 @@ class TestInt64Bound:
         t = tables_of(GO5, 2, 1)
         for prpow in (2**63, 3**40):
             with pytest.raises(DomainError):
-                pure.decompose_unique_sweep(t, prpow, 1)
+                kernels.decompose_unique_sweep(t, prpow, 1)
             with pytest.raises(DomainError):
-                pure.predicate_flags_box(t, prpow, 1)
+                kernels.predicate_flags_box(t, prpow, 1)
 
     def test_radius_past_the_bound(self):
         t = tables_of(GO5, 2, 1)
         # the n-matrix column sum is 2 + 2 + 1 = 5, so 2 * radius * 5 > 2^63
         radius = 2**63 // 10 + 1
         with pytest.raises(DomainError):
-            pure.pair_witness_sweep(t, radius, 0, 1)
+            kernels.pair_witness_sweep(t, radius, 0, 1)
         with pytest.raises(DomainError):
-            pure.decompose_unique_sweep(t, 2, 2**63)
+            kernels.decompose_unique_sweep(t, 2, 2**63)
 
 
 def test_package_import_does_not_load_numpy():
