@@ -23,6 +23,7 @@ from .errors import (
 )
 from .groups import _CachedRecord
 from .lattice import (
+    _echelonize,
     act,
     check_dim,
     is_prime,
@@ -51,37 +52,26 @@ def _failed_hypotheses(report):
 def _exact_inverse_rows(columns, n):
     """Rows of the inverse of the matrix with the given integer columns.
 
-    Exact rational elimination; raises if the matrix is singular or the
-    inverse is not integral (the stacked basis-plus-kernel matrix of a
-    valid datum is unimodular, so a failure means corrupted data).
+    Row-reduces [M | I] to Hermite normal form with integer operations
+    only (Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4): the row operations form a unimodular E with E M in Hermite
+    form, so when E M is the identity the right block E is the inverse.
+    Raises if the matrix is singular or not unimodular (the stacked
+    basis-plus-kernel matrix of a valid datum is unimodular, so a failure
+    means corrupted data).
     """
-    from fractions import Fraction
-
     if len(columns) != n:
         raise DomainError("basis and kernel together must have full rank")
-    m = [
-        [Fraction(columns[j][i]) for j in range(n)]
-        + [Fraction(1 if k == i else 0) for k in range(n)]
+    augmented = [
+        tuple(col[i] for col in columns) + tuple(int(k == i) for k in range(n))
         for i in range(n)
     ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise DomainError("basis and kernel together must have full rank")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    rows = []
-    for i in range(n):
-        row = m[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise DomainError("weight basis plus kernel is not unimodular")
-        rows.append(tuple(int(x) for x in row))
-    return rows
+    rows, pivots = _echelonize(augmented, 2 * n)
+    if pivots[n - 1] != n - 1:
+        raise DomainError("basis and kernel together must have full rank")
+    if any(row[i] != 1 for i, row in enumerate(rows)):
+        raise DomainError("weight basis plus kernel is not unimodular")
+    return [row[n:] for row in rows]
 
 
 class ClassificationContext(_CachedRecord):
@@ -200,11 +190,24 @@ def in_Pr(weight, ctx):
     Polynomial, restricted, and subtracting p^r times any distinguished
     weight leaves the polynomial cone.
     """
-    if not (is_polynomial(weight, ctx) and is_restricted(weight, ctx)):
+    return _in_pr(weight, ctx.datum, ctx.prpow)
+
+
+def _in_pr(weight, datum, prpow):
+    """``in_Pr`` for a datum and modulus, on ``weight`` as given.
+
+    The bare form serves the even orthogonal family in ambient semantics.
+    """
+    data = PhiData.from_datum(datum)
+    if min(phi_ambient(weight, data)) < 0:
         return False
-    step = ctx.prpow
-    for d in ctx.datum.d_vectors:
-        if is_polynomial(vec_sub(weight, vec_scale(step, d)), ctx):
+    lat = datum.lattice
+    for cov in datum.simple_coroots:
+        val = pair(weight, cov, lat)
+        if val < 0 or val > prpow - 1:
+            return False
+    for d in datum.d_vectors:
+        if min(phi_ambient(vec_sub(weight, vec_scale(prpow, d)), data)) >= 0:
             return False
     return True
 
@@ -332,21 +335,6 @@ def pr_box_oracle(ctx, bound=None):
     return tuple(sorted(reps))
 
 
-def _ambient_in_pr(weight, datum, prpow):
-    data = PhiData.from_datum(datum)
-    if min(phi_ambient(weight, data)) < 0:
-        return False
-    lat = datum.lattice
-    for cov in datum.simple_coroots:
-        val = pair(weight, cov, lat)
-        if val < 0 or val > prpow - 1:
-            return False
-    for d in datum.d_vectors:
-        if min(phi_ambient(vec_sub(weight, vec_scale(prpow, d)), data)) >= 0:
-            return False
-    return True
-
-
 def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, ctx_or_datum, prpow=None):
     """First Weyl element pushing lam0 + p^r lam_tilde out of the cone.
 
@@ -366,7 +354,7 @@ def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, ctx_or_datum, prpow=None):
             raise DomainError("a modulus p^r is required with a bare datum")
     check_dim(lam0, datum.ambient_dim)
     check_dim(lam_tilde, datum.ambient_dim)
-    if not _ambient_in_pr(lam0, datum, prpow):
+    if not _in_pr(lam0, datum, prpow):
         raise PreconditionError("lam0 is not in the digit set for this datum")
     data = PhiData.from_datum(datum)
     shift = vec_scale(prpow, lam_tilde)

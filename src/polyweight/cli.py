@@ -75,16 +75,29 @@ def _require_positive(value, name):
     return value
 
 
+def _integer_root(value, k):
+    """The integer part of the k-th root of a positive integer."""
+    x = 1 << -(-value.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + value // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _require_prime_power(value):
-    if value < 2:
-        raise RequestError(f"--prpower must be a prime power, got {value}")
-    base = next(q for q in range(2, value + 1) if value % q == 0)
-    reduced = value
-    while reduced % base == 0:
-        reduced //= base
-    if reduced != 1:
-        raise RequestError(f"--prpower must be a prime power, got {value}")
-    return value
+    # For the largest k with an exact k-th root, the root is no perfect
+    # power, so value is a prime power iff that root is prime.
+    if value >= 2:
+        base = value
+        for k in range(value.bit_length(), 1, -1):
+            root = _integer_root(value, k)
+            if root ** k == value:
+                base = root
+                break
+        if is_prime(base):
+            return value
+    raise RequestError(f"--prpower must be a prime power, got {value}")
 
 
 def _group_for(args):

@@ -33,8 +33,8 @@ from collections import namedtuple
 from .errors import DomainError
 from .lattice import (
     QuotientLattice,
+    _echelonize,
     act,
-    check_dim,
     compose,
     generate_group,
     identity_perm,
@@ -44,7 +44,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .phi import PhiData, phi_ambient
+from .phi import PhiData, kernel_block_constancy, phi_ambient
 
 WEYL_CAP = 100_000
 
@@ -245,7 +245,8 @@ def _has_polynomial_rep(vec, data):
       that sum is congruent to sum_j phi_j(v) d_j, because each b_B is
       congruent to sum_j n_Bj d_j.  So v is congruent to
       sum_j phi_j(v) d_j + (v - sum_B min_B(v) b_B), a sum of two
-      non-negative vectors.
+      non-negative vectors.  This uses (a), (b) and (d), which
+      ``_finalize`` checks with the code ``validate_datum`` reports with.
 
     The test takes time linear in the ambient dimension, where a search
     over kernel shifts grows exponentially with the kernel rank.
@@ -278,19 +279,30 @@ def _normalisation_pairs(datum):
 def _finalize(datum):
     """Constructor-time sanity checks shared by all builders.
 
-    Every check raises ``AssertionError`` on a builder defect, also under
+    Hypotheses (a), (b), (c-upper) and (d) are checked by
+    ``_hypothesis_witnesses``, as ``validate_datum`` checks them; (c-lower)
+    needs the Weyl group and is left to validation.  The checks here
+    state the rest: the block-shift hypotheses of ``_has_polynomial_rep``,
+    the coroots and their Cartan matrix, twice the positive root sum,
+    kernel preservation, and a dual, polynomially normalised weight basis.
+    The block-shift checks run first because they name the cause of one
+    kind of (d) failure: a block-constant kernel vector on which the
+    functional does not vanish makes the d classes dependent.  Their
+    ``PhiData`` raises ``DomainError`` on a malformed partition or
+    n-matrix; every other check raises ``AssertionError``, also under
     ``python -O``.
     """
-    n = datum.ambient_dim
     lat = datum.lattice
-    for b_vec, block in zip(datum.b, datum.blocks):
-        _ensure(set(b_vec) <= {0, 1}, "block indicator must have 0/1 coordinates")
+    data = PhiData.from_datum(datum)
+    for k in lat.kernel_basis:
         _ensure(
-            tuple(i for i, c in enumerate(b_vec) if c) == tuple(sorted(block)),
-            "block indicator must be supported on its block",
+            kernel_block_constancy(k, datum),
+            "kernel vector must be constant on every block",
         )
-    flat = sorted(i for blk in datum.blocks for i in blk)
-    _ensure(flat == list(range(n)), "blocks must partition the ambient indices")
+        _ensure(not any(phi_ambient(k, data)), "functional must vanish on the kernel")
+
+    failed = [w for found in _hypothesis_witnesses(datum) for w in found]
+    _ensure(not failed, "construction hypotheses fail: " + "; ".join(failed))
 
     for cov in datum.simple_coroots:
         _ensure(lat.annihilates(cov), "coroot does not descend to the quotient")
@@ -312,42 +324,13 @@ def _finalize(datum):
     )
 
     for g in datum.weyl_generators:
-        _ensure(is_perm(g) and len(g) == n, "Weyl generator must be a permutation")
         for k in lat.kernel_basis:
             _ensure(lat.contains(act(g, k)), "generator must preserve the kernel")
-
-    d_vecs = datum.d_vectors
-    _ensure(
-        len(datum.n_matrix) == len(datum.blocks),
-        "one n-matrix row is needed per block",
-    )
-    for b_vec, row in zip(datum.b, datum.n_matrix):
-        _ensure(
-            len(row) == len(d_vecs) and min(row, default=0) >= 0,
-            "n-matrix rows must be non-negative with one entry per d weight",
-        )
-        combo = [0] * n
-        for coeff, d_vec in zip(row, d_vecs):
-            for idx, dv in enumerate(d_vec):
-                combo[idx] += coeff * dv
-        _ensure(
-            lat.equal_mod_kernel(b_vec, tuple(combo)),
-            "block indicator must expand over the d weights",
-        )
-
-    # The hypotheses of the block-shift argument in _has_polynomial_rep.
-    data = PhiData.from_datum(datum)
-    for k in lat.kernel_basis:
-        _ensure(
-            all(len({k[a] for a in blk}) == 1 for blk in datum.blocks),
-            "kernel vector must be constant on every block",
-        )
-        _ensure(not any(phi_ambient(k, data)), "functional must vanish on the kernel")
 
     if datum.weight_basis is not None:
         dual = datum.weight_basis[: len(datum.simple_coroots)]
         tail = datum.weight_basis[len(datum.simple_coroots):]
-        _ensure(tail == d_vecs, "weight basis must end with the d weights")
+        _ensure(tail == datum.d_vectors, "weight basis must end with the d weights")
         for k, lift in enumerate(dual):
             for j, cov in enumerate(datum.simple_coroots):
                 want = datum.basis_pairing_diag[k] if j == k else 0
@@ -643,36 +626,74 @@ def _certify_transposition(n, x, y, generators):
     return None
 
 
-def validate_datum(datum, cap=WEYL_CAP):
-    """Check the construction hypotheses and report per-item verdicts."""
-    n = datum.ambient_dim
-    witnesses = []
+def _hypothesis_witnesses(datum):
+    """Witness lists against hypotheses (a), (b), (c-upper) and (d).
 
-    ok_a = True
+    A hypothesis holds iff its list is empty.  No check needs the Weyl
+    closure.  (b) and (d) pair ``b``, ``blocks`` and the n-matrix rows
+    by position, so their counts and the row lengths are checked too.
+    """
+    n = datum.ambient_dim
+    wit_a, wit_b, wit_c_upper, wit_d = [], [], [], []
+
     for i, b_vec in enumerate(datum.b):
         if not set(b_vec) <= {0, 1}:
-            ok_a = False
-            witnesses.append(f"(a): b[{i}] has a coordinate outside 0/1")
+            wit_a.append(f"(a): b[{i}] has a coordinate outside 0/1")
 
-    ok_b = True
+    if len(datum.b) != len(datum.blocks):
+        wit_b.append(
+            f"(b): block indicator count {len(datum.b)} differs from block "
+            f"count {len(datum.blocks)}"
+        )
     seen = []
     for i, (b_vec, blk) in enumerate(zip(datum.b, datum.blocks)):
         support = tuple(k for k, c in enumerate(b_vec) if c)
         if support != tuple(sorted(blk)):
-            ok_b = False
-            witnesses.append(f"(b): support of b[{i}] differs from block {i}")
+            wit_b.append(f"(b): support of b[{i}] differs from block {i}")
         seen.extend(support)
     if sorted(seen) != list(range(n)):
-        ok_b = False
-        witnesses.append("(b): block supports do not partition the indices")
+        wit_b.append("(b): block supports do not partition the indices")
 
-    ok_c_upper = True
     for g in datum.weyl_generators:
         if len(g) != n or not is_perm(g):
-            ok_c_upper = False
-            witnesses.append(f"(c-upper): generator {g} is not a permutation")
+            wit_c_upper.append(f"(c-upper): generator {g} is not a permutation")
 
-    ok_c_lower = True
+    d_vecs = datum.d_vectors
+    stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
+    rows, _ = _echelonize(stacked, n)
+    if len(rows) != len(stacked):
+        wit_d.append("(d): the d classes are linearly dependent")
+    if len(datum.n_matrix) != len(datum.blocks):
+        wit_d.append(
+            f"(d): n-matrix row count {len(datum.n_matrix)} differs from "
+            f"block count {len(datum.blocks)}"
+        )
+    for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
+        if len(row) != len(d_vecs):
+            wit_d.append(
+                f"(d): expansion of b[{i}] has length {len(row)}, not the "
+                f"d-list length {len(d_vecs)}"
+            )
+            continue
+        if min(row, default=0) < 0:
+            wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
+            continue
+        combo = [0] * n
+        for coeff, d_vec in zip(row, d_vecs):
+            for idx, dv in enumerate(d_vec):
+                combo[idx] += coeff * dv
+        if not datum.lattice.equal_mod_kernel(b_vec, tuple(combo)):
+            wit_d.append(f"(d): b[{i}] does not expand over the d classes")
+
+    return wit_a, wit_b, wit_c_upper, wit_d
+
+
+def validate_datum(datum, cap=WEYL_CAP):
+    """Check the construction hypotheses and report per-item verdicts."""
+    n = datum.ambient_dim
+    wit_a, wit_b, wit_c_upper, wit_d = _hypothesis_witnesses(datum)
+
+    wit_c_lower = []
     closure = None
     for bi, blk in enumerate(datum.blocks):
         for x, y in itertools.combinations(sorted(blk), 2):
@@ -682,37 +703,15 @@ def validate_datum(datum, cap=WEYL_CAP):
             if closure is None:
                 closure = set(datum.weyl_group(cap))
             if transposition(n, x, y) not in closure:
-                ok_c_lower = False
-                witnesses.append(
+                wit_c_lower.append(
                     f"(c-lower): transposition ({x}, {y}) within block {bi} "
                     "is not in the generated Weyl group"
                 )
 
-    ok_d = True
-    d_vecs = datum.d_vectors
-    stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
-    from .lattice import _echelonize
-
-    rows, _ = _echelonize(stacked, n)
-    if len(rows) != len(stacked):
-        ok_d = False
-        witnesses.append("(d): the d classes are linearly dependent")
-    for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
-        if min(row, default=0) < 0:
-            ok_d = False
-            witnesses.append(f"(d): expansion of b[{i}] has a negative coefficient")
-            continue
-        combo = [0] * n
-        for coeff, d_vec in zip(row, d_vecs):
-            for idx, dv in enumerate(d_vec):
-                combo[idx] += coeff * dv
-        if not datum.lattice.equal_mod_kernel(b_vec, tuple(combo)):
-            ok_d = False
-            witnesses.append(f"(d): b[{i}] does not expand over the d classes")
-
     return ValidationReport(
-        a=ok_a, b=ok_b, c_lower=ok_c_lower, c_upper=ok_c_upper, d=ok_d,
-        witnesses=tuple(witnesses),
+        a=not wit_a, b=not wit_b, c_lower=not wit_c_lower,
+        c_upper=not wit_c_upper, d=not wit_d,
+        witnesses=tuple(wit_a + wit_b + wit_c_upper + wit_c_lower + wit_d),
     )
 
 

@@ -1,6 +1,8 @@
 """Membership predicates, decomposition, enumeration, counterexample."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from polyweight.errors import (
     PreconditionError,
 )
 from polyweight.groups import (
+    GroupDatum,
     build_gl,
     build_go_even,
     build_go_odd,
@@ -77,6 +80,34 @@ class TestContext:
         assert datum.lattice.equal_mod_kernel(rebuilt, lam)
         assert c.coordinates(rebuilt) == coords
         assert c.x0_coordinates(lam) == coords[c.dual_count:]
+
+    @pytest.mark.parametrize(
+        "basis,message",
+        [
+            (((1, 1), (1, 1)), "must have full rank"),
+            (((1, 1),), "must have full rank"),
+            (((2, 0), (1, 1)), "not unimodular"),
+        ],
+        ids=["singular", "too-short", "index-two"],
+    )
+    def test_rejects_a_singular_or_non_unimodular_basis(self, basis, message):
+        fields = {name: getattr(GL2, name) for name in GroupDatum._fields}
+        datum = GroupDatum(**dict(fields, weight_basis=basis))
+        assert datum.validation().all_ok
+        with pytest.raises(DomainError, match=message):
+            ctx(datum, 3, 1)
+
+    def test_context_does_not_load_fractions(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from polyweight.groups import build_gsp; "
+             "from polyweight.classify import ClassificationContext; "
+             "ClassificationContext(build_gsp(6), 3, 1); "
+             "print('fractions' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_tables_cached(self):
         c = ctx(GSP4, 2, 1)

@@ -169,6 +169,18 @@ class TestCounterexample:
         assert code == EXIT_PRECONDITION
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "prpower", [999_999_999_989, 999_999_999_989**2], ids=["prime", "square"]
+    )
+    def test_large_prime_power_answers(self, prpower):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyweight", "counterexample",
+             "--prpower", str(prpower)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["result"]["prpow"] == prpower
+
 
 class TestOrbitShift:
     def test_admissible_shift(self, capsys):
@@ -222,12 +234,14 @@ class TestExitCodes:
              "--weight", "a,b"],
             ["counterexample", "--prpower", "6"],
             ["counterexample", "--prpower", "1"],
+            ["counterexample", "--prpower", "36"],
             ["orbit-shift", "--group", "gl:2", "--p", "2", "--r", "1",
              "--weight", "1,0", "--shift-i", "-1", "--box-radius", "4"],
         ],
         ids=[
             "unknown-family", "composite-p", "zero-exponent", "wrong-length",
             "non-integer-weight", "composite-prpower", "unit-prpower",
+            "square-of-composite-prpower",
             "negative-shift",
         ],
     )

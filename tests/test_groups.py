@@ -10,7 +10,8 @@ import time
 import pytest
 
 import polyweight
-from polyweight.errors import DomainError
+from polyweight.classify import ClassificationContext
+from polyweight.errors import DomainError, HypothesisFailure
 from polyweight.groups import (
     GroupDatum,
     ValidationReport,
@@ -331,6 +332,18 @@ def test_normalisation_agrees_with_shift_search(spec):
         assert not has_nonneg_rep(lat, reduced, finalize_window(reduced))
 
 
+@pytest.mark.parametrize("spec", NORMALISED_SPECS + ["gsp:40", "go:41"])
+def test_context_inverts_the_basis_plus_kernel_stack(spec):
+    datum = parse_group_spec(spec)
+    rows = ClassificationContext(datum, 3, 1)._coef
+    stacked = datum.weight_basis + datum.lattice.kernel_basis
+    assert len(stacked) == datum.ambient_dim
+    for i, row in enumerate(rows):
+        assert [sum(a * b for a, b in zip(row, col)) for col in stacked] == [
+            int(i == j) for j in range(len(stacked))
+        ]
+
+
 BOX_CASES = (
     [(f"gl:{n}", 2) for n in range(1, 6)]
     + [("gsp:2", 2), ("gsp:4", 2), ("go:3", 2), ("go:5", 2), ("go:4", 2)]
@@ -396,6 +409,63 @@ class TestFinalizeRaises:
         fields["lattice"] = QuotientLattice(2, [(1, -1)])
         with pytest.raises(AssertionError, match="vanish on the kernel"):
             _finalize(GroupDatum(**fields))
+
+
+def _replace(datum, **changes):
+    """The datum with some fields replaced, built without ``_finalize``."""
+    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
+    return GroupDatum(**dict(fields, **changes))
+
+
+LEVI23 = build_levi([2, 3])
+
+SHAPE_GAPS = [
+    ("missing-n-matrix-row", "d", {"n_matrix": LEVI23.n_matrix[:1]},
+     "(d): n-matrix row count 1 differs from block count 2"),
+    ("short-n-matrix-row", "d", {"n_matrix": ((1,), (0, 1))},
+     "(d): expansion of b[0] has length 1, not the d-list length 2"),
+    ("extra-block-indicator", "b", {"b": LEVI23.b + (LEVI23.b[0],)},
+     "(b): block indicator count 3 differs from block count 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "hypothesis,changes,witness",
+    [case[1:] for case in SHAPE_GAPS],
+    ids=[case[0] for case in SHAPE_GAPS],
+)
+def test_validation_rejects_shape_gaps(hypothesis, changes, witness):
+    broken = _replace(LEVI23, **changes)
+    report = validate_datum(broken)
+    assert report.witnesses == (witness,)
+    failing = [h for h in ValidationReport._fields[:5] if not getattr(report, h)]
+    assert failing == [hypothesis]
+    with pytest.raises(HypothesisFailure):
+        ClassificationContext(broken, 3, 1)
+
+
+FINALIZE_DEFECTS = [
+    ("a", build_gl(2), {"b": ((2, 2),)}),
+    ("b", LEVI23, {"blocks": ((2, 3, 4), (0, 1))}),
+    ("c_upper", build_levi([1, 1]), {"weyl_generators": ((0, 0),)}),
+    ("d", LEVI23, {"d_indices": (0, 0)}),
+]
+
+
+@pytest.mark.parametrize(
+    "hypothesis,datum,changes",
+    FINALIZE_DEFECTS,
+    ids=[case[0] for case in FINALIZE_DEFECTS],
+)
+def test_finalize_raises_the_validation_witnesses(hypothesis, datum, changes):
+    broken = _replace(datum, **changes)
+    report = validate_datum(broken)
+    assert not getattr(report, hypothesis) and report.c_lower
+    with pytest.raises(AssertionError) as err:
+        _finalize(broken)
+    assert str(err.value) == "construction hypotheses fail: " + "; ".join(
+        report.witnesses
+    )
 
 
 @pytest.mark.parametrize("builder,size", [(build_gsp, 40), (build_go_odd, 41)])

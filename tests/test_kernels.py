@@ -441,9 +441,9 @@ class TestInt64Bound:
 
 
 def test_package_import_does_not_load_numpy():
-    # numpy is loaded by the sweeps, the process pool by jobs > 1 and
-    # fractions by a classification context; none of them, nor the
-    # dataclasses machinery, is needed to import the package
+    # numpy is loaded by the sweeps and the process pool by jobs > 1;
+    # neither of them, nor the dataclasses machinery or fractions, is
+    # needed to import the package
     unused = (
         "numpy",
         "concurrent.futures",
