@@ -7,6 +7,11 @@ closed integer boxes, last coordinate fastest).  The test suite compares
 them against the scalar library and against the plain loops in
 ``tests/loop_kernels.py``.
 
+``pair_witness_sweep`` and ``poly_consistency_sweep`` visit every point
+of a box.  ``phi.check_assumption`` certifies the same properties one
+block size at a time without them; they are the exhaustive oracles the
+test suite compares it with.
+
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
 numpy int64 arrays; ``poly_consistency_sweep`` is a plain Python loop.

@@ -187,9 +187,7 @@ def _cmd_assumption(args):
     _require_positive(args.jobs, "--jobs")
     if args.box_radius is not None:
         _require_positive(args.box_radius, "--box-radius")
-    report = check_assumption(
-        datum, args.p, args.r, box_radius=args.box_radius, jobs=args.jobs
-    )
+    report = check_assumption(datum, args.p, args.r, box_radius=args.box_radius)
     return datum, {
         "box_radius": report.box_radius,
         "all_ok": report.all_ok,
@@ -371,7 +369,10 @@ def build_parser():
     )
     _add_group_args(sub)
     sub.add_argument("--box-radius", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and ignored; must be positive",
+    )
 
     sub = commands.add_parser(
         "counterexample",

@@ -251,7 +251,7 @@ def _has_polynomial_rep(vec, data):
     The test takes time linear in the ambient dimension, where a search
     over kernel shifts grows exponentially with the kernel rank.
     ``check_assumption``'s positivity property compares the same sign
-    test with such a search on whole coordinate boxes.
+    test with such a search, once per vector of block minima in a box.
     """
     return min(phi_ambient(vec, data)) >= 0
 

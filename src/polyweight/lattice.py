@@ -13,7 +13,7 @@ the image of i, acting on weights by ``act(p, w)[p[i]] == w[i]``.
 
 from __future__ import annotations
 
-from .errors import CapExceeded, DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch, DomainError
 
 Weight = tuple  # tuple[int, ...]
 Covector = tuple  # tuple[int, ...], paired with weights by the dot product
@@ -35,19 +35,43 @@ def check_dim(vec, n):
         raise DimensionMismatch(f"expected length {n}, got {len(vec)}")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# No odd composite below this is a strong pseudoprime to all of _MR_BASES
+# (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003).
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(m):
-    """Trial-division primality test, ample for desk-scale moduli."""
+    """Deterministic Miller-Rabin test with the first 13 primes as bases.
+
+    Exact below ``PRIME_TEST_LIMIT`` (about 3.317e24); larger values raise
+    ``DomainError`` rather than get a probable answer.
+    """
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    if m >= PRIME_TEST_LIMIT:
+        raise DomainError(
+            f"primality of {m} is not decided: the deterministic test is "
+            f"exact only below {PRIME_TEST_LIMIT}"
+        )
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,26 @@ class TestCounterexample:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["result"]["prpow"] == prpower
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--prpower", "618970019642690137449562111"],
+            ["classify", "--group", "gl:3", "--p",
+             "1000000000000000000000000000057", "--r", "1", "--weight", "1,0,0"],
+        ],
+        ids=["prpower-2^89-1", "p-past-the-bound"],
+    )
+    def test_primality_past_the_bound_is_a_domain_error(self, capsys, argv):
+        # the deterministic primality test is exact below about 3.3e24 and
+        # refuses larger values at once
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: primality of")
+        assert "Traceback" not in err
 
 
 class TestOrbitShift:

@@ -27,7 +27,7 @@ from polyweight.classify import (
 from polyweight.errors import DecompositionUnavailable, DomainError
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
 from polyweight.lattice import act, vec_add, vec_scale, vec_sub
-from polyweight.phi import check_assumption, find_witness_w, phi
+from polyweight.phi import find_witness_w, phi
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)
@@ -57,19 +57,30 @@ def test_backend_name_is_known():
     assert kernel_backend_name == "pure"
 
 
-def test_check_assumption_calls_the_sweeps_through_the_module(monkeypatch):
-    # the per-layer trace of perfbench wraps these module attributes, so
-    # check_assumption must look them up on the module when it runs
-    expected = check_assumption(GL3, 2, 1, box_radius=1)
-    calls = []
+def test_kernel_module_keeps_the_exhaustive_sweeps():
+    # check_assumption does not call them, but they are the exhaustive
+    # oracles of tests/test_certify.py, and the per-layer trace of
+    # perfbench looks these module attributes up by name
     for name in ("pair_witness_sweep", "poly_consistency_sweep"):
-        def counted(*args, _name=name, _sweep=getattr(kernels, name), **kwargs):
-            calls.append(_name)
-            return _sweep(*args, **kwargs)
+        assert callable(getattr(kernels, name))
 
-        monkeypatch.setattr(kernels, name, counted)
-    assert check_assumption(GL3, 2, 1, box_radius=1) == expected
-    assert sorted(calls) == ["pair_witness_sweep", "poly_consistency_sweep"]
+
+def test_certification_leaves_numpy_unloaded():
+    # the block-factored certificate is pure Python, in the library and
+    # behind the CLI
+    code = (
+        "import sys; from polyweight import check_assumption, parse_group_spec; "
+        "from polyweight.cli import main; "
+        "report = check_assumption(parse_group_spec('go:5'), 3, 1); "
+        "status = main(['--format', 'tsv', 'assumption-check', "
+        "'--group', 'gsp:4', '--p', '2', '--r', '1']); "
+        "print(report.all_ok, status, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["True", "0", "False"]
 
 
 @pytest.mark.parametrize("datum,p,r,radius", CASES, ids=CASE_IDS)
@@ -441,9 +452,9 @@ class TestInt64Bound:
 
 
 def test_package_import_does_not_load_numpy():
-    # numpy is loaded by the sweeps and the process pool by jobs > 1;
-    # neither of them, nor the dataclasses machinery or fractions, is
-    # needed to import the package
+    # numpy is loaded by the sweeps only; neither numpy, nor a process
+    # pool, nor the dataclasses machinery or fractions, is needed to
+    # import the package
     unused = (
         "numpy",
         "concurrent.futures",

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyweight.errors import CapExceeded, DimensionMismatch
+from polyweight.errors import CapExceeded, DimensionMismatch, DomainError
 from polyweight.lattice import (
+    PRIME_TEST_LIMIT,
     QuotientLattice,
     act,
     act_covector,
@@ -152,3 +153,37 @@ def test_is_prime_small_values():
     composites = [-3, 0, 1, 4, 6, 9, 15, 91]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_matches_a_sieve_below_a_million():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytearray(len(range(q * q, limit, q)))
+    assert [k for k in range(limit) if is_prime(k)] == [
+        k for k in range(limit) if sieve[k]
+    ]
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # to every prime base up to 23
+        318665857834031151167461,  # to every prime base up to 37
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(composite):
+    assert not is_prime(composite)
+
+
+def test_is_prime_large_values():
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3 * (2**61 - 1))
+    assert not is_prime((2**31 - 1) ** 2)
+    with pytest.raises(DomainError):
+        is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(DomainError):
+        is_prime(2**89 - 1)

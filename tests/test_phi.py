@@ -242,6 +242,7 @@ class TestCheckAssumption:
         assert report.all_ok  # skipped entries do not block the verdict
 
     def test_jobs_do_not_change_the_report(self):
+        # jobs is accepted and ignored
         seq = check_assumption(GL2, 3, 1, box_radius=2, jobs=1)
         par = check_assumption(GL2, 3, 1, box_radius=2, jobs=3)
         assert seq == par
@@ -294,13 +295,16 @@ class TestRecords:
         verdict = PropertyVerdict("homogeneity", True, 27)
         assert verdict.witness == ""
         assert verdict.skipped is False
+        assert verdict.evaluated == 0
         assert verdict == PropertyVerdict(
-            name="homogeneity", ok=True, checked=27, witness="", skipped=False
+            name="homogeneity", ok=True, checked=27, witness="", skipped=False,
+            evaluated=0,
         )
         assert verdict != PropertyVerdict("homogeneity", True, 27, "w")
+        assert verdict != PropertyVerdict("homogeneity", True, 27, evaluated=6)
         assert repr(verdict) == (
             "PropertyVerdict(name='homogeneity', ok=True, checked=27, "
-            "witness='', skipped=False)"
+            "witness='', skipped=False, evaluated=0)"
         )
         with pytest.raises(AttributeError):
             verdict.ok = False
@@ -312,10 +316,12 @@ class TestRecords:
             p=2,
             r=1,
             box_radius=1,
-            positivity=PropertyVerdict("positivity", True, 3),
-            homogeneity=PropertyVerdict("homogeneity", True, 3),
-            additivity_witness=PropertyVerdict("additivity_witness", True, 9),
-            x0_bijection=PropertyVerdict("x0_bijection", True, 3),
+            positivity=PropertyVerdict("positivity", True, 3, evaluated=3),
+            homogeneity=PropertyVerdict("homogeneity", True, 3, evaluated=6),
+            additivity_witness=PropertyVerdict(
+                "additivity_witness", True, 9, evaluated=18
+            ),
+            x0_bijection=PropertyVerdict("x0_bijection", True, 3, evaluated=3),
         )
         assert report == rebuilt
         assert report == AssumptionReport("gl:1", 2, 1, 1, *report.properties)
@@ -323,13 +329,13 @@ class TestRecords:
         assert repr(report) == (
             "AssumptionReport(group='gl:1', p=2, r=1, box_radius=1, "
             "positivity=PropertyVerdict(name='positivity', ok=True, "
-            "checked=3, witness='', skipped=False), "
+            "checked=3, witness='', skipped=False, evaluated=3), "
             "homogeneity=PropertyVerdict(name='homogeneity', ok=True, "
-            "checked=3, witness='', skipped=False), "
+            "checked=3, witness='', skipped=False, evaluated=6), "
             "additivity_witness=PropertyVerdict(name='additivity_witness', "
-            "ok=True, checked=9, witness='', skipped=False), "
+            "ok=True, checked=9, witness='', skipped=False, evaluated=18), "
             "x0_bijection=PropertyVerdict(name='x0_bijection', ok=True, "
-            "checked=3, witness='', skipped=False))"
+            "checked=3, witness='', skipped=False, evaluated=3))"
         )
         with pytest.raises(AttributeError):
             report.p = 3

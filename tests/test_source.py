@@ -20,3 +20,34 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_DEFERRED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _import_time_nodes(tree):
+    """Nodes that run when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _DEFERRED):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_numpy_import():
+    # importing the package, and certifying boxes, must not load numpy;
+    # only the vectorised sweeps import it, inside their bodies
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
