@@ -20,90 +20,75 @@ the radius, the modulus and the table entries, and raise DomainError
 when the bound does not fit in 64 bits, so no value wraps.  numpy is imported
 inside those functions only, so importing the package does not load it.
 
-Every kernel takes the flat integer table bundle ``Tables``.  Rows of
-2-d tables are concatenated; ``boff``/``bmem`` store the block partition
-as offsets into a flat member list.
+Every kernel takes a ``Tables`` bundle of the datum's own rows, built
+by ``tables_for``; the scalar functional inside the sweeps is
+``phi.phi_ambient`` evaluated on it.
 """
 
 from collections import namedtuple
 from itertools import product
 
 from .errors import DomainError
+from .phi import _box, phi_ambient
 
 # Public as ``polyweight.kernel_backend_name`` and as the CLI's "backend"
 # JSON key, so CLI output depends on this value.
 BACKEND_NAME = "pure"
 
-Tables = namedtuple(
-    "Tables",
-    [
-        "n",        # ambient dimension
-        "s",        # number of blocks
-        "l",        # rank of the distinguished sublattice (columns of nmat)
-        "boff",     # s + 1 block offsets
-        "bmem",     # n block members, grouped by block
-        "nmat",     # s * l expansion coefficients
-        "ns",       # number of simple coroots
-        "coroots",  # ns * n covector coordinates
-        "dvecs",    # l * n ambient coordinates of the d weights
-        "rank",     # rank of the character quotient
-        "coef",     # rank * n coordinate functionals w.r.t. the basis
-        "basis",    # rank * n ambient basis vectors (dual part, then d part)
-        "diag",     # ns pairing values of dual basis elements (1 or 2)
-        "krank",    # kernel rank
-        "kernel",   # krank * n kernel basis vectors
-    ],
-    defaults=(0, (), (), 0, (), (), (), 0, ()),
-)
+
+class Tables(
+    namedtuple(
+        "Tables",
+        [
+            "n",         # ambient dimension
+            "blocks",    # the block partition, one tuple of indices per block
+            "n_matrix",  # one expansion row per block
+            "coroots",   # simple coroots, as ambient covectors
+            "dvecs",     # ambient coordinates of the d weights
+            "coef",      # coordinate functionals w.r.t. the basis
+            "basis",     # ambient basis vectors (dual part, then d part)
+            "diag",      # pairing values of dual basis elements (1 or 2)
+            "kernel",    # kernel basis vectors
+        ],
+    )
+):
+    """The rows a sweep reads; ``phi.phi_ambient`` evaluates on them."""
+
+    __slots__ = ()
+
+    @property
+    def ambient_dim(self):
+        return self.n
+
+    @property
+    def target_rank(self):
+        return len(self.dvecs)
+
+
+def tables_for(datum, coef=()):
+    """The sweep tables of a datum.
+
+    ``coef`` holds a ``ClassificationContext``'s coordinate rows.  Only
+    the decomposition sweep reads them, with the weight basis and its
+    pairing diagonal, which data without a weight basis leave empty.
+    """
+    return Tables(
+        n=datum.ambient_dim,
+        blocks=datum.blocks,
+        n_matrix=datum.n_matrix,
+        coroots=datum.simple_coroots,
+        dvecs=datum.d_vectors,
+        coef=tuple(coef),
+        basis=datum.weight_basis or (),
+        diag=datum.basis_pairing_diag or (),
+        kernel=datum.lattice.kernel_basis,
+    )
+
 
 _INT64_MAX = 2**63 - 1
 
 # Most box points a vectorised sweep holds at once.
 _SLAB_ROWS = 1 << 16
-
-
-def _decode(index, n, width, radius):
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = index % width - radius
-        index //= width
-    return out
-
-
-def _bump(vec, radius):
-    """Advance the box odometer in place; False when exhausted."""
-    i = len(vec) - 1
-    while i >= 0:
-        if vec[i] < radius:
-            vec[i] += 1
-            return True
-        vec[i] = -radius
-        i -= 1
-    return False
-
-
-def _phi_of(vec, t):
-    """Blockwise minima of ``vec`` expanded through the n-matrix."""
-    out = [0] * t.l
-    boff, bmem, nmat, l = t.boff, t.bmem, t.nmat, t.l
-    for i in range(t.s):
-        lo, hi = boff[i], boff[i + 1]
-        m = vec[bmem[lo]]
-        for k in range(lo + 1, hi):
-            v = vec[bmem[k]]
-            if v < m:
-                m = v
-        base = i * l
-        for j in range(l):
-            c = nmat[base + j]
-            if c:
-                out[j] += m * c
-    return out
-
-
-def _rows(flat, width):
-    """Split a flat row-major table into its rows."""
-    return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 def _max_abs_sum(vectors):
@@ -114,7 +99,7 @@ def _max_abs_sum(vectors):
 def _nmat_colsum(t):
     """Largest absolute column sum of the n-matrix (at least 1): the
     factor by which phi can exceed the largest entry of its argument."""
-    return max(_max_abs_sum(zip(*_rows(t.nmat, t.l))), 1)
+    return max(_max_abs_sum(zip(*t.n_matrix)), 1)
 
 
 def _require_int64(bound, kernel):
@@ -123,10 +108,6 @@ def _require_int64(bound, kernel):
             f"{kernel}: intermediate values may reach {bound}, beyond the "
             "64-bit range of the vectorised sweep"
         )
-
-
-def _blocks(t):
-    return [list(t.bmem[t.boff[i]:t.boff[i + 1]]) for i in range(t.s)]
 
 
 def _box_slabs(np, n, radius):
@@ -144,8 +125,7 @@ def _box_slabs(np, n, radius):
     lead = n - max(k, 1)
     if k:
         tail = np.indices((width,) * k, dtype=np.int64).reshape(k, -1).T - radius
-    prefix = [-radius] * lead
-    while True:
+    for prefix in _box(lead, radius):
         if k:
             slab = np.empty((size, n), dtype=np.int64)
             slab[:, lead:] = tail
@@ -158,12 +138,10 @@ def _box_slabs(np, n, radius):
                 slab[:, :lead] = prefix
                 slab[:, lead] = np.arange(lo, hi, dtype=np.int64)
                 yield slab
-        if not _bump(prefix, radius):
-            return
 
 
 def _phi_rows(np, vecs, blocks, nmat):
-    """``_phi_of`` applied to every row of an int64 array."""
+    """``phi.phi_ambient`` applied to every row of an int64 array."""
     out = np.zeros((len(vecs), nmat.shape[1]), dtype=np.int64)
     for members, row in zip(blocks, nmat):
         if row.any():
@@ -171,7 +149,7 @@ def _phi_rows(np, vecs, blocks, nmat):
     return out
 
 
-def pair_witness_sweep(t, radius, start=0, stop=None):
+def pair_witness_sweep(t, radius):
     """Certify witness additivity for all weight pairs in a box.
 
     For each pair (lam, lamp) the canonical witness permutation is built
@@ -181,24 +159,16 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
     on the constructed vector.  Returns (pairs checked, first failing
     pair or None); the count stops at the failure.
 
-    The outer index range [start, stop) allows partitioned runs; it is
-    clipped to the box, and the inner loop always covers the full box.
     Outer weights are walked one at a time and the inner box a slab at a
     time; every value is bounded by 2 * radius times the largest column
     sum of the n-matrix.
     """
-    n, l = t.n, t.l
-    width = 2 * radius + 1
-    total = width ** n
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return 0, None
     _require_int64(2 * radius * _nmat_colsum(t), "pair_witness_sweep")
 
     import numpy as np
 
-    blocks = _blocks(t)
-    nmat = np.array(t.nmat, dtype=np.int64).reshape(t.s, l)
+    n, blocks = t.n, t.blocks
+    nmat = np.array(t.n_matrix, dtype=np.int64)
 
     def prepare(slab):
         # per inner point: phi, and each block's first minimum position
@@ -210,15 +180,14 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
         return slab, _phi_rows(np, slab, blocks, nmat), argmins
 
     cached = None
-    if total <= _SLAB_ROWS:
+    if (2 * radius + 1) ** n <= _SLAB_ROWS:
         cached = [prepare(slab) for slab in _box_slabs(np, n, radius)]
 
-    lam = _decode(start, n, width, radius)
     checked = 0
-    for _ in range(stop - start):
+    for lam in _box(n, radius):
         arg0 = [min(members, key=lam.__getitem__) for members in blocks]
         lamv = np.array(lam, dtype=np.int64)
-        phil = np.array(_phi_of(lam, t), dtype=np.int64)
+        phil = np.array(phi_ambient(lam, t), dtype=np.int64)
         for slab, phip, argmins in cached or map(
             prepare, _box_slabs(np, n, radius)
         ):
@@ -234,9 +203,8 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
             if bad.any():
                 f = int(bad.argmax())
                 lamp = tuple(int(v) for v in slab[f])
-                return checked + f + 1, (tuple(lam), lamp)
+                return checked + f + 1, (lam, lamp)
             checked += len(slab)
-        _bump(lam, radius)
     return checked, None
 
 
@@ -248,66 +216,56 @@ def poly_consistency_sweep(t, radius):
     by the coordinate spread plus the box radius is coordinatewise
     non-negative.  Returns (weights checked, first disagreement or None)
     where a disagreement is (lam, phi verdict, oracle verdict).
+
+    The window is a small-box bound, not a proof: from gsp:16 on, where
+    the kernel is a chain of seven block differences, the box point
+    (-1, -1, -1, -1, 1, ..., 1, -1, -1, -1, -1) of radius 1 needs the
+    coefficient 4 against a window of 3, so the oracle wrongly answers
+    no.  ``phi.check_assumption`` searches unbounded ranges instead.
     """
-    n, krank = t.n, t.krank
-    kernel = t.kernel
-    lam = [-radius] * n
     checked = 0
-    while True:
-        phi = _phi_of(lam, t)
-        ok_phi = min(phi) >= 0
-        if krank == 0:
-            ok_oracle = min(lam) >= 0
-        else:
-            window = (max(lam) - min(lam)) + radius
-            coeff = [-window] * krank
-            ok_oracle = False
-            while True:
-                good = True
-                for a in range(n):
-                    v = lam[a]
-                    for k in range(krank):
-                        v += coeff[k] * kernel[k * n + a]
-                    if v < 0:
-                        good = False
-                        break
-                if good:
-                    ok_oracle = True
+    for lam in _box(t.n, radius):
+        ok_phi = min(phi_ambient(lam, t)) >= 0
+        window = max(lam) - min(lam) + radius
+        ok_oracle = False
+        for coeff in _box(len(t.kernel), window):
+            for a, v in enumerate(lam):
+                for c, vec in zip(coeff, t.kernel):
+                    v += c * vec[a]
+                if v < 0:
                     break
-                if not _bump(coeff, window):
-                    break
+            else:
+                ok_oracle = True
+                break
         checked += 1
         if ok_phi != ok_oracle:
-            return checked, (tuple(lam), ok_phi, ok_oracle)
-        if not _bump(lam, radius):
-            break
+            return checked, (lam, ok_phi, ok_oracle)
     return checked, None
 
 
 def _flags_bound(t, prpow, vmax):
     """Largest intermediate of ``_flag_words`` on entries up to ``vmax``."""
-    shifted = vmax + prpow * max(map(abs, t.dvecs), default=0)
+    shifted = vmax + prpow * max((abs(c) for d in t.dvecs for c in d), default=0)
     return max(
         prpow,
         shifted * _nmat_colsum(t),
-        vmax * _max_abs_sum(_rows(t.coroots, t.n)),
+        vmax * _max_abs_sum(t.coroots),
     )
 
 
 def _flag_words(np, t, vecs, prpow):
     """The ``predicate_flags_box`` word of every row of an int64 array."""
-    blocks = _blocks(t)
-    nmat = np.array(t.nmat, dtype=np.int64).reshape(t.s, t.l)
-    coroots = np.array(t.coroots, dtype=np.int64).reshape(t.ns, t.n)
-    phi = _phi_rows(np, vecs, blocks, nmat)
+    nmat = np.array(t.n_matrix, dtype=np.int64)
+    coroots = np.array(t.coroots, dtype=np.int64).reshape(-1, t.n)
+    phi = _phi_rows(np, vecs, t.blocks, nmat)
     poly = phi.min(axis=1) >= 0
     pairing = vecs @ coroots.T
     restricted = ((pairing >= 0) & (pairing <= prpow - 1)).all(axis=1)
     inrange = ((phi >= 0) & (phi <= prpow - 1)).all(axis=1)
     literal = poly & restricted
-    for d in _rows(t.dvecs, t.n):
+    for d in t.dvecs:
         shifted = vecs - prpow * np.array(d, dtype=np.int64)
-        literal &= _phi_rows(np, shifted, blocks, nmat).min(axis=1) < 0
+        literal &= _phi_rows(np, shifted, t.blocks, nmat).min(axis=1) < 0
     return (
         poly.astype(np.int64)
         | restricted.astype(np.int64) << 1
@@ -352,14 +310,13 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
 
     Returns (weights checked, tuple of at most max_failures (lam, count)).
     """
-    n, l, ns, rank = t.n, t.l, t.ns, t.rank
-    d_rows = _rows(t.dvecs, n)
-    lam0p_max = (prpow - 1) * _max_abs_sum(zip(*_rows(t.basis, n)))
+    n, l, ns = t.n, len(t.dvecs), len(t.coroots)
+    lam0p_max = (prpow - 1) * _max_abs_sum(zip(*t.basis))
     window_max = 1 + lam0p_max * _nmat_colsum(t) // prpow
-    cand_max = lam0p_max + prpow * window_max * _max_abs_sum(zip(*d_rows))
+    cand_max = lam0p_max + prpow * window_max * _max_abs_sum(zip(*t.dvecs))
     _require_int64(
         max(
-            radius * max(_max_abs_sum(_rows(t.coef, n)), 1),
+            radius * max(_max_abs_sum(t.coef), 1),
             prpow * max(t.diag, default=1),
             _flags_bound(t, prpow, cand_max),
         ),
@@ -368,10 +325,9 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
 
     import numpy as np
 
-    blocks = _blocks(t)
-    nmat = np.array(t.nmat, dtype=np.int64).reshape(t.s, l)
-    coef = np.array(t.coef, dtype=np.int64).reshape(rank, n)
-    basis = np.array(t.basis, dtype=np.int64).reshape(rank, n)
+    nmat = np.array(t.n_matrix, dtype=np.int64)
+    coef = np.array(t.coef, dtype=np.int64).reshape(-1, n)
+    basis = np.array(t.basis, dtype=np.int64).reshape(-1, n)
     diag = np.array(t.diag, dtype=np.int64)
 
     checked = 0
@@ -381,7 +337,7 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
         digits = (slab @ coef.T) % prpow
         feasible = (diag * digits[:, :ns] <= prpow - 1).all(axis=1)
         lam0p = digits @ basis
-        phi0 = _phi_rows(np, lam0p, blocks, nmat)
+        phi0 = _phi_rows(np, lam0p, t.blocks, nmat)
         window = 1 + np.abs(phi0).max(axis=1) // prpow
         astar = phi0 // prpow
         count = np.zeros(len(slab), dtype=np.int64)
@@ -392,7 +348,7 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
                 feasible & (window >= max(map(abs, shift), default=0))
             )
             offset = [
-                prpow * sum(c * d[a] for c, d in zip(shift, d_rows))
+                prpow * sum(c * d[a] for c, d in zip(shift, t.dvecs))
                 for a in range(n)
             ]
             cand = lam0p[rows] - np.array(offset, dtype=np.int64)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
+from ._kernels import tables_for
 from .errors import (
     DecompositionUnavailable,
     DomainError,
@@ -32,7 +33,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .phi import PhiData, phi_ambient, tables_for
+from .phi import PhiData, phi_ambient
 
 
 def _failed_hypotheses(report):
@@ -143,19 +144,9 @@ class ClassificationContext(_CachedRecord):
         return tuple(out)
 
     def tables(self):
-        """Flat integer tables for the sweep kernels."""
+        """The sweep kernels' tables of the datum and its coordinate rows."""
         if "tables" not in self._cache:
-            datum = self.datum
-            n = datum.ambient_dim
-            self._cache["tables"] = tables_for(datum)._replace(
-                ns=self.dual_count,
-                coroots=tuple(c for cov in datum.simple_coroots for c in cov),
-                dvecs=tuple(c for vec in datum.d_vectors for c in vec),
-                rank=self.rank,
-                coef=tuple(c for row in self._coef for c in row),
-                basis=tuple(c for vec in datum.weight_basis for c in vec),
-                diag=datum.basis_pairing_diag,
-            )
+            self._cache["tables"] = tables_for(self.datum, self._coef)
         return self._cache["tables"]
 
     def phi(self, weight):

@@ -233,11 +233,14 @@ def _has_polynomial_rep(vec, data):
     """Whether the class of ``vec`` has a coordinatewise non-negative lift.
 
     The block-shift argument.  ``_finalize`` requires every kernel vector
-    k to be constant on each block B, with value k_B there, and the
-    block-minimum functional phi_j(v) = sum_B n_Bj min_B(v) to vanish on
-    k.  A kernel shift therefore moves all coordinates of a block by the
-    same integer, so min_B(v + k) = min_B(v) + k_B and phi(v + k) =
-    phi(v): phi is constant on the class.
+    k to be constant on each block B, with value k_B there.  A kernel
+    shift therefore moves all coordinates of a block by the same integer,
+    so min_B(v + k) = min_B(v) + k_B.  The block-minimum functional
+    phi_j(v) = sum_B n_Bj min_B(v) vanishes on k.  By (a) and (b),
+    k = sum_B k_B b_B, which by (d) is congruent to sum_j phi_j(k) d_j.
+    k itself is congruent to 0, and by (d) the d classes are independent
+    modulo the kernel, so phi(k) = 0.  Hence phi(v + k) = phi(v): phi is
+    constant on the class.
 
     * If some v + k is non-negative, every block minimum of it is, and
       phi(v) = phi(v + k) >= 0 because the n_Bj are non-negative.
@@ -282,15 +285,12 @@ def _finalize(datum):
     Hypotheses (a), (b), (c-upper) and (d) are checked by
     ``_hypothesis_witnesses``, as ``validate_datum`` checks them; (c-lower)
     needs the Weyl group and is left to validation.  The checks here
-    state the rest: the block-shift hypotheses of ``_has_polynomial_rep``,
-    the coroots and their Cartan matrix, twice the positive root sum,
-    kernel preservation, and a dual, polynomially normalised weight basis.
-    The block-shift checks run first because they name the cause of one
-    kind of (d) failure: a block-constant kernel vector on which the
-    functional does not vanish makes the d classes dependent.  Their
-    ``PhiData`` raises ``DomainError`` on a malformed partition or
-    n-matrix; every other check raises ``AssertionError``, also under
-    ``python -O``.
+    state the rest: kernel block-constancy, which ``_has_polynomial_rep``
+    needs, the coroots and their Cartan matrix, twice the positive root
+    sum, kernel preservation, and a dual, polynomially normalised weight
+    basis.  ``PhiData`` is built first and raises ``DomainError`` on a
+    malformed partition or n-matrix; every other check raises
+    ``AssertionError``, also under ``python -O``.
     """
     lat = datum.lattice
     data = PhiData.from_datum(datum)
@@ -299,7 +299,6 @@ def _finalize(datum):
             kernel_block_constancy(k, datum),
             "kernel vector must be constant on every block",
         )
-        _ensure(not any(phi_ambient(k, data)), "functional must vanish on the kernel")
 
     failed = [w for found in _hypothesis_witnesses(datum) for w in found]
     _ensure(not failed, "construction hypotheses fail: " + "; ".join(failed))

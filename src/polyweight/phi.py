@@ -11,9 +11,9 @@ these facts on coordinate boxes, exactly, one block size at a time.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from . import _kernels
 from .errors import DomainError, HypothesisFailure, PreconditionError
 from .lattice import act, check_dim, is_prime, vec_add, vec_scale
 
@@ -79,27 +79,6 @@ def phi(weight, datum, ambient=False):
             "pass ambient=True to evaluate on a fixed representative"
         )
     return phi_ambient(weight, PhiData.from_datum(datum))
-
-
-def tables_for(datum):
-    """Flat integer tables consumed by the sweep kernels."""
-    n = datum.ambient_dim
-    boff = [0]
-    bmem = []
-    for blk in datum.blocks:
-        bmem.extend(blk)
-        boff.append(len(bmem))
-    kernel = datum.lattice.kernel_basis
-    return _kernels.Tables(
-        n=n,
-        s=datum.num_blocks,
-        l=datum.x0_rank,
-        boff=tuple(boff),
-        bmem=tuple(bmem),
-        nmat=tuple(c for row in datum.n_matrix for c in row),
-        krank=len(kernel),
-        kernel=tuple(c for vec in kernel for c in vec),
-    )
 
 
 def find_witness_w(lam, lam_prime, datum):
@@ -198,12 +177,22 @@ def default_box_radius(ambient_dim):
 
 
 def _box(dim, radius):
-    """The points of [-radius, radius]^dim in box order, made one at a time."""
+    """The points of [-radius, radius]^dim in box order, made one at a time.
+
+    ``itertools.product`` walks the same order but first stores the
+    2 * radius + 1 values as a tuple; this holds one point, so a huge
+    radius costs no memory.
+    """
     point = [-radius] * dim
     while True:
         yield tuple(point)
-        if not _kernels._bump(point, radius):
+        i = dim - 1
+        while i >= 0 and point[i] == radius:
+            point[i] = -radius
+            i -= 1
+        if i < 0:
             return
+        point[i] += 1
 
 
 def _points_through(point, radius):
@@ -350,48 +339,74 @@ def _block_kernel(datum):
     return cols
 
 
-def _shift_exists(mins, cols, window):
-    """Whether some kernel shift with coefficients in [-window, window]
-    makes every block minimum non-negative.
+def _shift_exists(mins, cols):
+    """Whether some kernel shift makes every block minimum non-negative.
 
-    ``cols[k][B]`` is kernel vector k's value on block B.  Each
-    coefficient's range is first narrowed to the values every block
-    constraint still allows given the other ranges.  A depth-first search
-    then fixes the coefficients in turn and abandons a branch as soon as
-    some block can no longer reach 0.
+    ``cols[k][B]`` is kernel vector k's value on block B, so the question
+    is whether some integer vector c has mins[B] + sum_k c_k cols[k][B]
+    >= 0 on every block B.
+
+    Every coefficient starts unbounded, and its range is narrowed to the
+    values each block constraint still allows given the other ranges.  A
+    narrowing keeps every solution, so a depth-first search of the
+    narrowed ranges is exact; it fixes the coefficients in turn and
+    abandons a branch as soon as some block can no longer reach 0.
+
+    The narrowing ends.  While some bound is infinite, only infinite
+    bounds are narrowed, and each of the 2 * krank bounds turns finite at
+    most once; after that, every narrowing shrinks a finite integer
+    range.  (Narrowing a finite bound while its opposite is infinite
+    could raise it step by step forever when no solution exists.)  If a
+    bound is still infinite at the end, no finite search decides the
+    question, and ``DomainError`` is raised.
     """
     krank = len(cols)
-    lo = [-window] * krank
-    hi = [window] * krank
+    lo = [-math.inf] * krank
+    hi = [math.inf] * krank
+    # each block's constraint, as its (k, cols[k][B]) with a non-zero value
+    terms = [
+        [(k, col[b]) for k, col in enumerate(cols) if col[b]]
+        for b in range(len(mins))
+    ]
 
-    def reach(b, k):
-        x = cols[k][b]
+    def reach(k, x):
+        # the most c_k * x can be: an int or +inf
         return x * (hi[k] if x > 0 else lo[k])
+
+    def bounded():
+        return math.inf not in hi and -math.inf not in lo
 
     changed = True
     while changed:
         changed = False
-        for b, mb in enumerate(mins):
-            if mb + sum(reach(b, k) for k in range(krank)) < 0:
+        settled = bounded()
+        for mb, row in zip(mins, terms):
+            if mb + sum(reach(k, x) for k, x in row) < 0:
                 return False
-            for k, col in enumerate(cols):
-                x = col[b]
-                if not x:
+            for k, x in row:
+                rest = mb + sum(reach(i, y) for i, y in row if i != k)
+                if rest == math.inf:
                     continue
-                rest = mb + sum(reach(b, i) for i in range(krank) if i != k)
                 if x > 0 and -(rest // x) > lo[k]:
-                    lo[k] = -(rest // x)
-                    changed = True
+                    if settled or lo[k] == -math.inf:
+                        lo[k] = -(rest // x)
+                        changed = True
                 elif x < 0 and rest // -x < hi[k]:
-                    hi[k] = rest // -x
-                    changed = True
+                    if settled or hi[k] == math.inf:
+                        hi[k] = rest // -x
+                        changed = True
                 if lo[k] > hi[k]:
                     return False
+    if not bounded():
+        raise DomainError(
+            f"kernel shift coefficients stay unbounded at block minima "
+            f"{tuple(mins)}; the positivity oracle cannot decide them"
+        )
 
     # slack[k][b]: the most that coefficients k, k+1, ... can add to block b
     slack = [[0] * len(mins)]
     for k in range(krank - 1, -1, -1):
-        slack.insert(0, [s + reach(b, k) for b, s in enumerate(slack[0])])
+        slack.insert(0, [s + reach(k, x) for s, x in zip(slack[0], cols[k])])
 
     def search(k, partial):
         if k == krank:
@@ -427,8 +442,7 @@ def _positivity(datum, data, radius, cols):
         evaluated += 1
         rep = tuple(mins[block_of[a]] for a in range(n))
         ok_phi = min(phi_ambient(rep, data)) >= 0
-        window = max(mins) - min(mins) + radius
-        ok_oracle = _shift_exists(mins, cols, window)
+        ok_oracle = _shift_exists(mins, cols)
         if ok_phi != ok_oracle:
             failure = (rep, ok_phi, ok_oracle)
             return _points_through(rep, radius), evaluated, failure
@@ -475,13 +489,14 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
       depends only on the vector m of block minima, and so does phi.
       Both are evaluated once per m in [-R, R]^s, at the block-constant
       representative, which is the first box point with those minima.
-      The oracle searches the shift coefficients in the window the
-      exhaustive ``_kernels.poly_consistency_sweep`` uses at that point.
+      The oracle narrows each shift coefficient's range from unbounded
+      by the block constraints and searches what remains, so it is exact;
+      ``DomainError`` is raised where a range stays unbounded.
     * x0 bijection.  The (2R+1)^l coefficient vectors, one at a time.
 
     ``_kernels.pair_witness_sweep`` and ``poly_consistency_sweep`` are the
     exhaustive sweeps of properties 3 and 1; the test suite checks that
-    they report the same verdicts, counts and witnesses.
+    they report the same verdicts, counts and witnesses on small boxes.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")

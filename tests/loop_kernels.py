@@ -8,14 +8,6 @@ require the vectorised sweeps to return identical values.
 """
 
 
-def _decode(index, n, width, radius):
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = index % width - radius
-        index //= width
-    return out
-
-
 def _bump(vec, radius):
     """Advance the box odometer in place; False when exhausted."""
     i = len(vec) - 1
@@ -30,24 +22,19 @@ def _bump(vec, radius):
 
 def _phi_of(vec, t):
     """Blockwise minima of ``vec`` expanded through the n-matrix."""
-    out = [0] * t.l
-    boff, bmem, nmat, l = t.boff, t.bmem, t.nmat, t.l
-    for i in range(t.s):
-        lo, hi = boff[i], boff[i + 1]
-        m = vec[bmem[lo]]
-        for k in range(lo + 1, hi):
-            v = vec[bmem[k]]
-            if v < m:
-                m = v
-        base = i * l
-        for j in range(l):
-            c = nmat[base + j]
+    out = [0] * len(t.dvecs)
+    for members, row in zip(t.blocks, t.n_matrix):
+        m = vec[members[0]]
+        for a in members[1:]:
+            if vec[a] < m:
+                m = vec[a]
+        for j, c in enumerate(row):
             if c:
                 out[j] += m * c
     return out
 
 
-def pair_witness_sweep(t, radius, start=0, stop=None):
+def pair_witness_sweep(t, radius):
     """Certify witness additivity for all weight pairs in a box.
 
     For each pair (lam, lamp) the canonical witness permutation is built
@@ -56,28 +43,17 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
     sweep then checks phi(w.lam + lamp) == phi(lam) + phi(lamp) honestly
     on the constructed vector.  Returns (pairs checked, first failing
     pair or None); the count stops at the failure.
-
-    The outer index range [start, stop) allows partitioned runs; it is
-    clipped to the box, and the inner loop always covers the full box.
     """
-    n, s, l = t.n, t.s, t.l
-    boff, bmem = t.boff, t.bmem
-    width = 2 * radius + 1
-    total = width ** n
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return 0, None
-    lam = _decode(start, n, width, radius)
-    arg0 = [0] * s
+    n, l = t.n, len(t.dvecs)
+    lam = [-radius] * n
+    arg0 = [0] * len(t.blocks)
     checked = 0
-    for _ in range(start, stop):
+    while True:
         phil = _phi_of(lam, t)
-        for i in range(s):
-            lo, hi = boff[i], boff[i + 1]
-            a0 = bmem[lo]
+        for i, members in enumerate(t.blocks):
+            a0 = members[0]
             m0 = lam[a0]
-            for k in range(lo + 1, hi):
-                a = bmem[k]
+            for a in members[1:]:
                 if lam[a] < m0:
                     m0 = lam[a]
                     a0 = a
@@ -85,12 +61,10 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
         lamp = [-radius] * n
         while True:
             u = [lam[a] + lamp[a] for a in range(n)]
-            for i in range(s):
-                lo, hi = boff[i], boff[i + 1]
-                a1 = bmem[lo]
+            for i, members in enumerate(t.blocks):
+                a1 = members[0]
                 m1 = lamp[a1]
-                for k in range(lo + 1, hi):
-                    a = bmem[k]
+                for a in members[1:]:
                     if lamp[a] < m1:
                         m1 = lamp[a]
                         a1 = a
@@ -112,34 +86,28 @@ def pair_witness_sweep(t, radius, start=0, stop=None):
 
 
 def _flags_for(lam, t, prpow):
-    n, l = t.n, t.l
+    n = t.n
     phi = _phi_of(lam, t)
     poly = 1 if min(phi) >= 0 else 0
     restricted = 1
-    for k in range(t.ns):
-        srow = k * n
+    for cov in t.coroots:
         val = 0
         for a in range(n):
-            c = t.coroots[srow + a]
-            if c:
-                val += c * lam[a]
+            if cov[a]:
+                val += cov[a] * lam[a]
         if val < 0 or val > prpow - 1:
             restricted = 0
             break
     inrange = 1
-    for j in range(l):
-        if phi[j] < 0 or phi[j] > prpow - 1:
+    for v in phi:
+        if v < 0 or v > prpow - 1:
             inrange = 0
             break
     literal = poly and restricted
     if literal:
-        shifted = list(lam)
-        for j in range(l):
-            drow = j * n
-            for a in range(n):
-                shifted[a] = lam[a] - prpow * t.dvecs[drow + a]
-            sphi = _phi_of(shifted, t)
-            if min(sphi) >= 0:
+        for d in t.dvecs:
+            shifted = [lam[a] - prpow * d[a] for a in range(n)]
+            if min(_phi_of(shifted, t)) >= 0:
                 literal = 0
                 break
     return poly | (restricted << 1) | (inrange << 2) | ((1 if literal else 0) << 3)
@@ -180,20 +148,18 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
 
     Returns (weights checked, tuple of at most max_failures (lam, count)).
     """
-    n, l, ns, rank = t.n, t.l, t.ns, t.rank
+    n, l, ns, rank = t.n, len(t.dvecs), len(t.coroots), len(t.coef)
     lam = [-radius] * n
     checked = 0
     failures = []
     while True:
         checked += 1
         coords = [0] * rank
-        for k in range(rank):
-            row = k * n
+        for k, row in enumerate(t.coef):
             v = 0
             for a in range(n):
-                c = t.coef[row + a]
-                if c:
-                    v += c * lam[a]
+                if row[a]:
+                    v += row[a] * lam[a]
             coords[k] = v
         digits = [0] * rank
         feasible = True
@@ -212,12 +178,10 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
         for k in range(ns, rank):
             digits[k] = coords[k] % prpow
         lam0p = [0] * n
-        for k in range(rank):
-            dig = digits[k]
+        for dig, vec in zip(digits, t.basis):
             if dig:
-                row = k * n
                 for a in range(n):
-                    lam0p[a] += dig * t.basis[row + a]
+                    lam0p[a] += dig * vec[a]
         phi0 = _phi_of(lam0p, t)
         window = 1 + max(abs(v) for v in phi0) // prpow
         astar = [phi0[j] // prpow for j in range(l)]
@@ -228,10 +192,9 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
         while True:
             for a in range(n):
                 v = lam0p[a]
-                for j in range(l):
-                    cj = shift[j]
+                for cj, d in zip(shift, t.dvecs):
                     if cj:
-                        v -= prpow * cj * t.dvecs[j * n + a]
+                        v -= prpow * cj * d[a]
                 cand[a] = v
             if _in_pr_literal(cand, t, prpow):
                 count += 1

@@ -15,7 +15,7 @@ from polyweight import _kernels as kernels
 from polyweight.errors import DomainError
 from polyweight.groups import GroupDatum, build_gl, build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
-from polyweight.phi import PhiData, check_assumption, phi_ambient, tables_for
+from polyweight.phi import PhiData, check_assumption, phi_ambient
 
 # the package re-exports the function ``phi`` under the module's name
 phi_module = importlib.import_module("polyweight.phi")
@@ -104,7 +104,7 @@ SHAPES = [
 def test_factored_report_equals_the_exhaustive_oracles(spec, radius):
     datum = parse_group_spec(spec)
     report = check_assumption(datum, 3, 1, box_radius=radius)
-    t = tables_for(datum)
+    t = kernels.tables_for(datum)
 
     pos = report.positivity
     assert (pos.ok, pos.checked, pos.witness) == positivity_of(
@@ -209,7 +209,7 @@ def test_positivity_failure_matches_the_exhaustive_sweep(spec, n_matrix):
     for radius in (1, 2):
         verdict = check_assumption(datum, 2, 1, box_radius=radius).positivity
         expected = positivity_of(
-            kernels.poly_consistency_sweep(tables_for(datum), radius)
+            kernels.poly_consistency_sweep(kernels.tables_for(datum), radius)
         )
         assert expected[0] is False
         assert (verdict.ok, verdict.checked, verdict.witness) == expected

@@ -149,6 +149,17 @@ class TestAssumptionCheck:
         ]
         assert all(prop["ok"] for prop in result["properties"])
 
+    def test_gsp16_certifies(self, capsys):
+        # a non-negative shift of the box point (-1, -1, -1, -1, 1, ..., 1,
+        # -1, -1, -1, -1) needs a kernel coefficient of 4: more than the
+        # spread plus the radius
+        payload = run_json(
+            capsys,
+            ["assumption-check", "--group", "gsp:16", "--p", "3", "--r", "1",
+             "--box-radius", "1"],
+        )
+        assert payload["result"]["all_ok"] is True
+
 
 class TestCounterexample:
     def test_prime_power_five(self, capsys):

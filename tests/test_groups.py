@@ -404,10 +404,14 @@ class TestFinalizeRaises:
         assert proc.stdout.startswith("debug False raised dual lift")
 
     def test_functional_must_vanish_on_kernel(self):
+        # the kernel vector b_0 - b_1 is block-constant but phi(b_0 - b_1)
+        # = (1, -1); that makes the d classes dependent, which (d) reports
         datum = build_levi([1, 1])
         fields = {name: getattr(datum, name) for name in GroupDatum._fields}
         fields["lattice"] = QuotientLattice(2, [(1, -1)])
-        with pytest.raises(AssertionError, match="vanish on the kernel"):
+        with pytest.raises(
+            AssertionError, match=r"\(d\): the d classes are linearly dependent"
+        ):
             _finalize(GroupDatum(**fields))
 
 

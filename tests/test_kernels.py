@@ -87,20 +87,9 @@ def test_certification_leaves_numpy_unloaded():
 class TestAgainstLoopReference:
     def test_pair_witness_sweep(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
-        total = (2 * radius + 1) ** t.n
-        ranges = (
-            (0, None),
-            (1, total // 2),
-            (total - 1, total + 3),
-            # ranges starting at or past the box end are empty
-            (total, total + 1),
-            (total + 2, total + 3),
-            (total, 3 * total),
-        )
-        for start, stop in ranges:
-            assert kernels.pair_witness_sweep(
-                t, radius, start, stop
-            ) == loop_kernels.pair_witness_sweep(t, radius, start, stop)
+        assert kernels.pair_witness_sweep(
+            t, radius
+        ) == loop_kernels.pair_witness_sweep(t, radius)
 
     def test_predicate_flags_box(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
@@ -116,30 +105,38 @@ class TestAgainstLoopReference:
             ) == loop_kernels.decompose_unique_sweep(t, p**r, radius, max_failures)
 
 
+def like(rows, flat):
+    """``flat`` cut into rows of the lengths of ``rows``."""
+    entries = iter(flat)
+    return tuple(tuple(next(entries) for _ in row) for row in rows)
+
+
 def test_corrupted_tables_match_loop_reference():
     # scrambled blocks, n-matrix, distinguished vectors and pairing
     # diagonals exercise failure reports the built-in data never reach;
     # an extra one-member block overlapping another breaks additivity
+    # (the draws follow the tables' rows, row after row)
     rng = random.Random(3)
     for datum in [GL2, GL3, GSP4, GO5, LEVI23] * 4:
         t = tables_of(datum, 2, 1)
-        members = list(t.bmem)
+        members = [a for blk in t.blocks for a in blk]
         rng.shuffle(members)
-        nmat = [rng.randint(-2, 2) for _ in t.nmat]
+        blocks = like(t.blocks, members)
+        nmat = like(
+            t.n_matrix, [rng.randint(-2, 2) for row in t.n_matrix for _ in row]
+        )
         if t.n <= 4:
             bad = t._replace(
-                s=t.s + 1,
-                boff=t.boff + (t.n + 1,),
-                bmem=tuple(members) + (rng.randrange(t.n),),
-                nmat=tuple(nmat) + tuple(rng.randint(1, 2) for _ in range(t.l)),
+                blocks=blocks + ((rng.randrange(t.n),),),
+                n_matrix=nmat + (tuple(rng.randint(1, 2) for _ in t.dvecs),),
             )
             assert kernels.pair_witness_sweep(
                 bad, 1
             ) == loop_kernels.pair_witness_sweep(bad, 1)
         bad = t._replace(
-            bmem=tuple(members),
-            nmat=tuple(abs(c) for c in nmat),
-            dvecs=tuple(rng.randint(-1, 2) for _ in t.dvecs),
+            blocks=blocks,
+            n_matrix=tuple(tuple(abs(c) for c in row) for row in nmat),
+            dvecs=tuple(tuple(rng.randint(-1, 2) for _ in d) for d in t.dvecs),
             diag=tuple(rng.randint(1, 3) for _ in t.diag),
         )
         for prpow in (2, 3, 4):
@@ -149,29 +146,6 @@ def test_corrupted_tables_match_loop_reference():
             assert kernels.predicate_flags_box(
                 bad, prpow, 1
             ) == loop_kernels.predicate_flags_box(bad, prpow, 1)
-
-
-class TestPartitionedSweep:
-    def test_partitions_cover_the_full_range(self):
-        t = tables_of(GL3, 2, 1)
-        radius = 1
-        total = (2 * radius + 1) ** t.n
-        full = kernels.pair_witness_sweep(t, radius)
-        cuts = [0, total // 3, 2 * total // 3, total]
-        checked = 0
-        for start, stop in zip(cuts, cuts[1:]):
-            part = kernels.pair_witness_sweep(t, radius, start, stop)
-            assert part[1] is None
-            checked += part[0]
-        assert checked == full[0]
-
-    def test_empty_partition(self):
-        t = tables_of(GL2, 2, 1)
-        assert kernels.pair_witness_sweep(t, 1, 5, 5) == (0, None)
-        assert kernels.pair_witness_sweep(t, 1, 9, 4) == (0, None)
-        # the box has 9 outer weights: a range past it sweeps nothing
-        assert kernels.pair_witness_sweep(t, 1, 9, 20) == (0, None)
-        assert kernels.pair_witness_sweep(t, 1, 11, 12) == (0, None)
 
 
 class TestAgainstPublicPredicates:
@@ -221,8 +195,8 @@ class TestFailureReporting:
         # corrupt the expansion matrix so the sign test and the shift
         # oracle disagree; the sweep reports the first such point
         t = tables_of(GL2, 2, 1)
-        assert t.krank == 0
-        bad = t._replace(nmat=(-1,))
+        assert t.kernel == ()
+        bad = t._replace(n_matrix=((-1,),))
         assert kernels.poly_consistency_sweep(bad, 1) == (
             1, ((-1, -1), True, False)
         )
@@ -260,33 +234,6 @@ class TestPairSweepAgainstScalar:
         t = tables_of(datum, 2, 1)
         assert kernels.pair_witness_sweep(t, radius) == (len(points) ** 2, None)
 
-    @pytest.mark.parametrize("datum,radius", SCALAR_CASES, ids=SCALAR_IDS)
-    def test_partitions_add_up(self, datum, radius):
-        t = tables_of(datum, 2, 1)
-        total = (2 * radius + 1) ** t.n
-        cuts = [0, 1, total // 3, total - 1, total]
-        parts = [
-            kernels.pair_witness_sweep(t, radius, a, b)
-            for a, b in zip(cuts, cuts[1:])
-        ]
-        assert [part[0] for part in parts] == [
-            (b - a) * total for a, b in zip(cuts, cuts[1:])
-        ]
-        assert all(part[1] is None for part in parts)
-        # a stop past the box end is clipped to the box
-        assert kernels.pair_witness_sweep(t, radius, total - 1, total + 9) == (
-            total, None
-        )
-        # so partitions whose last stop lies past the box add up to
-        # the full sweep, and a later one adds nothing
-        past = [0, total // 2, total + 7, 2 * total]
-        parts = [
-            kernels.pair_witness_sweep(t, radius, a, b)
-            for a, b in zip(past, past[1:])
-        ]
-        assert sum(part[0] for part in parts) == total * total
-        assert parts[-1] == (0, None)
-
     def test_corrupted_blocks_report_first_failure(self):
         # gl(3) with coordinate 1 listed in two blocks, {0, 1} and {1}.
         # In box order the first outer weight with lam[0] < lam[1] is
@@ -295,13 +242,9 @@ class TestPairSweepAgainstScalar:
         # u = (0, -2, -2) and phi(u) = -4, while phi(lam) + phi(lamp) =
         # -1 + -2 = -3.  Three full outer weights precede it: 3 * 27 + 10.
         t = tables_of(GL3, 2, 1)
-        bad = t._replace(s=2, boff=(0, 2, 3), bmem=(0, 1, 1), nmat=(1, 1))
+        bad = t._replace(blocks=((0, 1), (1,)), n_matrix=((1,), (1,)))
         failure = ((-1, 0, -1), (0, -1, -1))
         assert kernels.pair_witness_sweep(bad, 1) == (91, failure)
-        # the same pair, counted from a partition that starts at it
-        assert kernels.pair_witness_sweep(bad, 1, 3, 5) == (10, failure)
-        # a partition ending before it sees no failure
-        assert kernels.pair_witness_sweep(bad, 1, 0, 3) == (81, None)
 
 
 MODULI = [(2, 1), (3, 1), (2, 2)]
@@ -374,14 +317,12 @@ class TestSlabs:
         go5 = tables_of(GO5, 3, 1)
         whole = (
             kernels.pair_witness_sweep(gsp4, 1),
-            kernels.pair_witness_sweep(gsp4, 1, 5, 40),
             kernels.decompose_unique_sweep(go5, 3, 1, 10**6),
             kernels.predicate_flags_box(gsp4, 3, 2),
         )
         monkeypatch.setattr(kernels, "_SLAB_ROWS", rows)
         assert (
             kernels.pair_witness_sweep(gsp4, 1),
-            kernels.pair_witness_sweep(gsp4, 1, 5, 40),
             kernels.decompose_unique_sweep(go5, 3, 1, 10**6),
             kernels.predicate_flags_box(gsp4, 3, 2),
         ) == whole
@@ -446,7 +387,7 @@ class TestInt64Bound:
         # the n-matrix column sum is 2 + 2 + 1 = 5, so 2 * radius * 5 > 2^63
         radius = 2**63 // 10 + 1
         with pytest.raises(DomainError):
-            kernels.pair_witness_sweep(t, radius, 0, 1)
+            kernels.pair_witness_sweep(t, radius)
         with pytest.raises(DomainError):
             kernels.decompose_unique_sweep(t, 2, 2**63)
 

@@ -19,6 +19,8 @@ from polyweight.phi import (
     AssumptionReport,
     PhiData,
     PropertyVerdict,
+    _block_kernel,
+    _shift_exists,
     check_assumption,
     default_box_radius,
     find_witness_w,
@@ -246,6 +248,41 @@ class TestCheckAssumption:
         seq = check_assumption(GL2, 3, 1, box_radius=2, jobs=1)
         par = check_assumption(GL2, 3, 1, box_radius=2, jobs=3)
         assert seq == par
+
+
+class TestShiftOracle:
+    """The positivity oracle searches unbounded shift coefficients."""
+
+    def test_gsp16_needs_a_coefficient_past_the_window(self):
+        # the block minima of (-1, -1, -1, -1, 1, ..., 1, -1, -1, -1, -1):
+        # spread 2 plus radius 1 allows coefficients up to 3, and the
+        # shift (1, 2, 3, 4, 3, 2, 1) maps the weight to 0
+        cols = _block_kernel(build_gsp(16))
+        mins = (-1, -1, -1, -1, 1, 1, 1, 1)
+        assert _shift_exists(mins, cols)
+        shift = (1, 2, 3, 4, 3, 2, 1)
+        assert [
+            m + sum(c * col[b] for c, col in zip(shift, cols))
+            for b, m in enumerate(mins)
+        ] == [0] * 8
+
+    def test_no_shift(self):
+        # gsp(4): every shift keeps the sum of the two block minima
+        assert not _shift_exists((-1, 0), _block_kernel(GSP4))
+
+    @pytest.mark.parametrize(
+        "mins,cols",
+        [
+            # each block constraint holds two unbounded coefficients
+            ((-1, 1), [(1, -1), (-1, 1)]),
+            # c_1 >= 0, c_2 >= c_1 + 1 and c_1 >= c_2 + 1: narrowing the
+            # lower bounds in turn would never end
+            ((-1, -1, 0), [(1, -1, 1), (-1, 1, 0)]),
+        ],
+    )
+    def test_unbounded_ranges_are_a_domain_error(self, mins, cols):
+        with pytest.raises(DomainError, match="unbounded"):
+            _shift_exists(mins, cols)
 
 
 def test_default_box_radius():

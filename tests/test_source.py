@@ -51,3 +51,36 @@ def test_no_module_level_numpy_import():
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_phi_does_not_import_the_kernels():
+    # the sweeps build on the scalar functional, never the other way round
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE_DIR / "phi.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("_kernels" in name.split(".") for name in names):
+            found.append(node.lineno)
+    assert found == []
+
+
+def test_only_the_kernels_build_tables():
+    # ``_kernels.tables_for`` is the one place the sweep tables are made
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if name == "Tables":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
