@@ -154,7 +154,35 @@ class ClassificationContext(_CachedRecord):
 
 
 def is_polynomial(weight, ctx):
-    """Sign test: the class is polynomial iff the functional is >= 0."""
+    """Sign test: the class is polynomial iff the functional is >= 0.
+
+    Polynomial means some representative of the class is coordinatewise
+    non-negative.  The block-shift argument uses hypotheses (a), (b) and
+    (d), which the context checks, and kernel block-constancy: every
+    kernel vector k is constant on each block B, with value k_B there.
+    The built-in families have all four, as the construction ladder in
+    ``tests/test_groups.py`` checks.
+
+    * phi is constant on the class.  A kernel shift moves all
+      coordinates of a block by the same integer, so
+      min_B(v + k) = min_B(v) + k_B, and phi_j(v + k) = phi_j(v) +
+      phi_j(k).  By (a) and (b), k = sum_B k_B b_B, which by (d) is
+      congruent to sum_j phi_j(k) d_j.  k itself is congruent to 0, and
+      by (d) the d classes are independent modulo the kernel, so
+      phi(k) = 0.
+    * If some v + k is non-negative, every block minimum of it is, and
+      phi(v) = phi(v + k) >= 0 because the n_Bj are non-negative.
+    * If phi(v) >= 0, then v >= sum_B min_B(v) b_B coordinatewise, and
+      that sum is congruent to sum_j phi_j(v) d_j, because each b_B is
+      congruent to sum_j n_Bj d_j by (d).  So v is congruent to
+      sum_j phi_j(v) d_j + (v - sum_B min_B(v) b_B), a sum of two
+      non-negative vectors.
+
+    The test takes time linear in the ambient dimension, where a search
+    over kernel shifts grows exponentially with the kernel rank.
+    ``check_assumption``'s positivity property compares the same sign
+    test with such a search, once per vector of block minima in a box.
+    """
     return min(ctx.phi(weight)) >= 0
 
 

@@ -100,15 +100,8 @@ def _require_prime_power(value):
     raise RequestError(f"--prpower must be a prime power, got {value}")
 
 
-def _group_for(args):
-    try:
-        return parse_group_spec(args.group)
-    except ValueError as exc:
-        raise RequestError(str(exc)) from None
-
-
 def _context_for(args):
-    datum = _group_for(args)
+    datum = parse_group_spec(args.group)
     _require_prime(args.p)
     _require_positive(args.r, "r")
     return ClassificationContext(datum, args.p, args.r)
@@ -167,7 +160,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_validate(args):
-    datum = _group_for(args)
+    datum = parse_group_spec(args.group)
     report = validate_datum(datum)
     return datum, {
         "a": report.a,
@@ -181,7 +174,7 @@ def _cmd_validate(args):
 
 
 def _cmd_assumption(args):
-    datum = _group_for(args)
+    datum = parse_group_spec(args.group)
     _require_prime(args.p)
     _require_positive(args.r, "r")
     _require_positive(args.jobs, "--jobs")

@@ -1,10 +1,10 @@
 """Kernel-shift search reference for the polynomial-representative test.
 
-``polyweight.groups._finalize`` once decided whether a class has a
-coordinatewise non-negative representative by searching every kernel
-shift with coefficients in a window, at (2w + 1)^(kernel rank) shifts
-per vector.  The library now decides it with the sign of the
-block-minimum functional in linear time; the tests keep the search as
+The group builders once decided whether a class has a coordinatewise
+non-negative representative by searching every kernel shift with
+coefficients in a window, at (2w + 1)^(kernel rank) shifts per vector.
+The library decides it with the sign of the block-minimum functional in
+linear time (``classify.is_polynomial``); the tests keep the search as
 an oracle that never evaluates the functional and require the two to
 agree.
 """
@@ -29,8 +29,8 @@ def has_nonneg_rep(lattice, vec, window):
     return False
 
 
-def finalize_window(vec):
-    """The window ``_finalize`` searched for a basis lift."""
+def lift_window(vec):
+    """The window the builders searched for a basis lift."""
     return sum(abs(c) for c in vec) + 1
 
 

@@ -84,7 +84,7 @@ def positivity_of(sweep_result):
 
 
 def hand_built(datum, **changes):
-    """The datum with some fields replaced, without the builders' checks."""
+    """The datum with some fields replaced."""
     fields = {name: getattr(datum, name) for name in GroupDatum._fields}
     fields.update(changes)
     return GroupDatum(**fields)
@@ -94,7 +94,7 @@ SHAPES = [
     ("gl:1", 3), ("gl:2", 3), ("gl:3", 2), ("gl:4", 1),
     ("gsp:2", 3), ("gsp:4", 2), ("gsp:6", 1),
     ("go:3", 3), ("go:5", 1), ("go:7", 1),
-    ("levi:2,3", 1), ("levi:1,1,2", 2), ("levi:1,1,2,4", 1),
+    ("levi:2,3", 1), ("levi:1,1,2", 2), ("levi:1,2,4", 1),
 ]
 
 

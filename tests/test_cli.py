@@ -123,6 +123,17 @@ class TestValidate:
         assert all(result[key] for key in ("a", "b", "c_lower", "c_upper", "d"))
         assert result["witnesses"] == []
 
+    def test_gl128_answers_from_the_transposition_graph(self):
+        begin = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyweight", "validate", "--group", "gl:128"],
+            capture_output=True, text=True, timeout=20,
+        )
+        elapsed = time.perf_counter() - begin
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["result"]["all_ok"] is True
+        assert elapsed < 5, elapsed
+
     def test_even_orthogonal_fails_one_hypothesis(self, capsys):
         payload = run_json(capsys, ["validate", "--group", "go:8"])
         result = payload["result"]
@@ -291,6 +302,21 @@ class TestExitCodes:
         )
         assert code == EXIT_DOMAIN
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["gl:99999999999999999999", "gsp:99999999999999999998",
+         "go:99999999999999999999", "go:99999999999999999998",
+         "levi:9223372036854775807,1"],
+    )
+    def test_oversize_rank_is_a_domain_error(self, capsys, spec):
+        # each rank is past any index, so it is refused before anything
+        # is allocated
+        code, out, err = run(capsys, ["validate", "--group", spec])
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: unsupported rank: ambient dimension ")
+        assert err.count("\n") == 1
 
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,6 @@ from polyweight.errors import DomainError, HypothesisFailure
 from polyweight.groups import (
     GroupDatum,
     ValidationReport,
-    _finalize,
-    _has_polynomial_rep,
-    _normalisation_pairs,
     build_gl,
     build_go_even,
     build_go_odd,
@@ -29,8 +27,8 @@ from polyweight.groups import (
     x0_basis,
 )
 from polyweight.lattice import QuotientLattice, act, pair, transposition
-from polyweight.phi import PhiData
-from shift_oracle import box_window, finalize_window, has_nonneg_rep
+from polyweight.phi import PhiData, phi_ambient
+from shift_oracle import box_window, has_nonneg_rep, lift_window
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(polyweight.__file__)))
 
@@ -51,23 +49,6 @@ ALL_GOOD = [
 def test_validation_passes(datum):
     report = validate_datum(datum)
     assert report.all_ok, report.witnesses
-
-
-@pytest.mark.parametrize("datum", ALL_GOOD, ids=lambda d: d.spec_string)
-def test_coroots_annihilate_kernel_and_ds(datum):
-    lat = datum.lattice
-    for cov in datum.simple_coroots:
-        assert lat.annihilates(cov)
-        for d in datum.d_vectors:
-            assert pair(d, cov) == 0
-
-
-@pytest.mark.parametrize("datum", ALL_GOOD, ids=lambda d: d.spec_string)
-def test_generators_preserve_kernel(datum):
-    lat = datum.lattice
-    for g in datum.weyl_generators:
-        for k in lat.kernel_basis:
-            assert lat.contains(act(g, k))
 
 
 def test_weyl_group_orders():
@@ -100,6 +81,46 @@ def test_go_even_missing_transposition_is_within_block():
     assert transposition(4, 1, 2) not in group
 
 
+CLOSURE_SPECS = (
+    [f"gl:{n}" for n in range(1, 9)]
+    + [f"gsp:{n}" for n in range(2, 13, 2)]
+    + [f"go:{n}" for n in range(3, 14)]
+    + ["levi:1,2,3", "levi:2,2,3", "levi:1,1,2,4"]
+)
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_c_lower_agrees_with_the_weyl_closure(spec):
+    datum = parse_group_spec(spec)
+    report = validate_datum(datum)
+    # only the even orthogonal family has no transposition generators
+    assert ("weyl" in datum._cache) == (datum.family == "go_even")
+    n = datum.ambient_dim
+    closure = set(datum.weyl_group())
+    missing = [
+        f"(c-lower): transposition ({x}, {y}) within block {bi} "
+        "is not in the generated Weyl group"
+        for bi, blk in enumerate(datum.blocks)
+        for x, y in itertools.combinations(sorted(blk), 2)
+        if transposition(n, x, y) not in closure
+    ]
+    assert [w for w in report.witnesses if w.startswith("(c-lower)")] == missing
+    assert report.c_lower == (not missing)
+
+
+def test_c_lower_falls_back_to_the_closure():
+    # (0 1) joins only 0 and 1, but with the 3-cycle it generates S_3
+    datum = _replace(build_gl(3), weyl_generators=((1, 2, 0), (1, 0, 2)))
+    assert validate_datum(datum).c_lower
+    assert "weyl" in datum._cache
+    cyclic = _replace(build_gl(3), weyl_generators=((1, 2, 0),))
+    assert [w[:31] for w in validate_datum(cyclic).witnesses] == [
+        "(c-lower): transposition (0, 1)",
+        "(c-lower): transposition (0, 2)",
+        "(c-lower): transposition (1, 2)",
+    ]
+
+
 def test_blocks_partition_indices():
     for datum in ALL_GOOD + [build_go_even(8)]:
         flat = sorted(i for blk in datum.blocks for i in blk)
@@ -130,15 +151,6 @@ def test_x0_basis():
         (1, 1, 0, 0, 0),
         (0, 0, 1, 1, 1),
     )
-
-
-def test_weight_basis_spans_with_unit_coroot_pairings():
-    for datum in ALL_GOOD:
-        dual = datum.weight_basis[: len(datum.simple_coroots)]
-        for k, lift in enumerate(dual):
-            for j, cov in enumerate(datum.simple_coroots):
-                expected = datum.basis_pairing_diag[k] if j == k else 0
-                assert pair(lift, cov) == expected
 
 
 class TestParseGroupSpec:
@@ -213,24 +225,6 @@ class TestPermuteD:
 def test_builders_reject_bad_sizes(builder, bad):
     with pytest.raises(ValueError):
         builder(bad)
-
-
-def test_two_rho_pairs_to_two_with_simple_coroots():
-    for datum in ALL_GOOD:
-        for cov in datum.simple_coroots:
-            assert pair(datum.positive_root_sum_twice, cov) == 2
-
-
-def test_n_matrix_expands_b_over_d():
-    for datum in ALL_GOOD + [build_go_even(8)]:
-        lat = datum.lattice
-        for b_vec, row in zip(datum.b, datum.n_matrix):
-            combo = [0] * datum.ambient_dim
-            for coeff, d_vec in zip(row, datum.d_vectors):
-                for idx, dv in enumerate(d_vec):
-                    combo[idx] += coeff * dv
-            assert lat.equal_mod_kernel(b_vec, tuple(combo))
-            assert min(row) >= 0
 
 
 def test_weyl_group_cached_and_sorted():
@@ -308,9 +302,299 @@ class TestRecords:
             report.a = False
 
 
-# -- polynomial normalisation: block-minimum test against the shift search --
+def _replace(datum, **changes):
+    """The datum with some fields replaced."""
+    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
+    return GroupDatum(**dict(fields, **changes))
+
+
+def sign_test(vec, data):
+    """``classify.is_polynomial`` on a bare datum: the functional's sign."""
+    return min(phi_ambient(vec, data)) >= 0
+
+
+def normalisation_pairs(datum):
+    """Each dual lift of the weight basis with its reduced lift.
+
+    The reduced lift subtracts the distinguished weight of the block
+    holding the lift's last non-zero coordinate: the lift extends to the
+    torus closure, but dropping one block indicator ruins that.
+    """
+    d_vecs = datum.d_vectors
+    for lift in datum.weight_basis[: len(datum.simple_coroots)]:
+        if len(d_vecs) == 1:
+            d_for_block = d_vecs[0]
+        else:
+            blk = max(i for i, c in enumerate(lift) if c)
+            d_for_block = next(
+                dv for dv, blkidx in zip(d_vecs, datum.d_indices)
+                if blk in datum.blocks[blkidx]
+            )
+        yield lift, tuple(a - b for a, b in zip(lift, d_for_block))
+
+
+# -- the construction ladder: every fact the builders state, checked here --
+
+
+def cartan_reference(datum):
+    """The standard Cartan matrix of the datum's family and rank."""
+    m = len(datum.simple_roots)
+    mat = [[0] * m for _ in range(m)]
+
+    def chain(lo, hi):
+        for i in range(lo, hi):
+            mat[i][i] = 2
+            if i + 1 < hi:
+                mat[i][i + 1] = mat[i + 1][i] = -1
+
+    if datum.family in ("gl", "levi"):
+        pos = 0
+        for blk in datum.blocks:
+            chain(pos, pos + len(blk) - 1)
+            pos += len(blk) - 1
+    elif datum.family == "gsp":
+        chain(0, m)
+        if m >= 2:
+            mat[m - 1][m - 2] = -2
+    elif datum.family == "go_odd":
+        chain(0, m)
+        if m >= 2:
+            mat[m - 2][m - 1] = -2
+    elif datum.family == "go_even":
+        chain(0, m - 1)
+        mat[m - 1][m - 1] = 2
+        if m >= 3:
+            mat[m - 1][m - 3] = mat[m - 3][m - 1] = -1
+    else:
+        raise ValueError(datum.family)
+    return [tuple(row) for row in mat]
+
+
+def rational_rank(rows):
+    """The rank of integer rows over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def construction_faults(datum):
+    """Every construction fact the datum breaks, one message each.
+
+    The facts: hypotheses (a), (b), (c-upper) and (d); kernel
+    block-constancy; coroots that descend to the quotient and pair to 0
+    with every block indicator; twice the positive root sum pairing to 2
+    with every simple coroot; the family's Cartan matrix; generators that
+    preserve the kernel; and a weight basis that ends with the d vectors,
+    is dual to the coroots and is polynomially normalised.  The sign test
+    decides the normalisation only when the other facts hold, so it runs
+    last and only then.
+    """
+    n = datum.ambient_dim
+    lat = datum.lattice
+    kernel = lat.kernel_basis
+    d_vecs = datum.d_vectors
+    coroots = datum.simple_coroots
+    faults = []
+
+    for i, b_vec in enumerate(datum.b):
+        if not set(b_vec) <= {0, 1}:
+            faults.append(f"(a): b[{i}] is not a 0/1 vector")
+    supports = [tuple(k for k, c in enumerate(b_vec) if c) for b_vec in datum.b]
+    if supports != [tuple(sorted(blk)) for blk in datum.blocks]:
+        faults.append("(b): the supports of the b vectors are not the blocks")
+    if sorted(i for s in supports for i in s) != list(range(n)):
+        faults.append("(b): the supports do not partition the indices")
+    perms = [g for g in datum.weyl_generators if sorted(g) == list(range(n))]
+    if len(perms) != len(datum.weyl_generators):
+        faults.append("(c-upper): a generator is not a permutation")
+    rows = datum.n_matrix
+    if len(rows) != len(datum.b) or any(
+        len(row) != len(d_vecs) or min(row, default=0) < 0 for row in rows
+    ):
+        faults.append("(d): the n-matrix is not non-negative, blocks by d-list")
+    for i, (b_vec, row) in enumerate(zip(datum.b, rows)):
+        combo = tuple(
+            sum(c * d[k] for c, d in zip(row, d_vecs)) for k in range(n)
+        )
+        if not lat.equal_mod_kernel(b_vec, combo):
+            faults.append(f"(d): b[{i}] does not expand over the d classes")
+    if rational_rank(list(d_vecs) + list(kernel)) != len(d_vecs) + len(kernel):
+        faults.append("(d): the d classes are dependent modulo the kernel")
+
+    for k in kernel:
+        for bi, blk in enumerate(datum.blocks):
+            if len({k[i] for i in blk}) > 1:
+                faults.append(f"kernel vector {k} is not constant on block {bi}")
+    for j, cov in enumerate(coroots):
+        if not lat.annihilates(cov):
+            faults.append(f"coroot {j} does not descend to the quotient")
+        if any(pair(b_vec, cov) for b_vec in datum.b):
+            faults.append(f"coroot {j} pairs non-zero with a block indicator")
+        two_rho = pair(datum.positive_root_sum_twice, cov)
+        if two_rho != 2:
+            faults.append(
+                f"twice the positive root sum pairs to {two_rho} with coroot {j}"
+            )
+    cartan = [
+        tuple(pair(root, cov) for cov in coroots) for root in datum.simple_roots
+    ]
+    if cartan != cartan_reference(datum):
+        faults.append("the Cartan matrix is not the family's")
+    for g in perms:
+        if not all(lat.contains(act(g, k)) for k in kernel):
+            faults.append(f"generator {g} does not preserve the kernel")
+
+    basis = datum.weight_basis
+    if basis is not None:
+        if basis[len(coroots):] != d_vecs:
+            faults.append("the weight basis does not end with the d vectors")
+        for k, lift in enumerate(basis[: len(coroots)]):
+            want = [
+                datum.basis_pairing_diag[k] if j == k else 0
+                for j in range(len(coroots))
+            ]
+            if [pair(lift, cov) for cov in coroots] != want:
+                faults.append(f"dual lift {k} is not dual to the coroots")
+        if not faults:
+            data = PhiData.from_datum(datum)
+            for k, (lift, reduced) in enumerate(normalisation_pairs(datum)):
+                if not sign_test(lift, data):
+                    faults.append(
+                        f"dual lift {k} has no non-negative representative"
+                    )
+                if sign_test(reduced, data):
+                    faults.append(
+                        f"reduced lift {k} has a non-negative representative"
+                    )
+    return faults
+
+
+LEVI_SHAPES = ((1, 2, 3), (2, 2, 3), (1, 1, 2, 4), (2, 3), (1, 1, 2))
+
+LADDER = (
+    [(f"gl:{n}", None) for n in [*range(1, 13), 64]]
+    + [(f"gsp:{n}", None) for n in [*range(2, 21, 2), 40]]
+    + [(f"go:{n}", None) for n in [*range(3, 22), 40, 41]]
+    + [
+        ("levi:" + ",".join(map(str, shape)), order)
+        for shape in LEVI_SHAPES
+        for order in itertools.permutations(range(len(shape)))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    LADDER,
+    ids=[spec + ("" if order is None else f"@{''.join(map(str, order))}")
+         for spec, order in LADDER],
+)
+def test_construction_ladder(spec, order):
+    datum = parse_group_spec(spec)
+    if order is not None:
+        datum = permute_d(datum, order)
+    assert construction_faults(datum) == []
+    if datum.family != "go_even":
+        assert validate_datum(datum).all_ok
+
+
+LEVI23 = build_levi([2, 3])
+
+HYPOTHESIS_DEFECTS = [
+    ("a", build_gl(2), {"b": ((2, 2),)}),
+    ("b", LEVI23, {"blocks": ((2, 3, 4), (0, 1))}),
+    ("c_upper", build_levi([1, 1]), {"weyl_generators": ((0, 0),)}),
+    ("d", LEVI23, {"d_indices": (0, 0)}),
+]
+
+
+@pytest.mark.parametrize(
+    "hypothesis,datum,changes",
+    HYPOTHESIS_DEFECTS,
+    ids=[case[0] for case in HYPOTHESIS_DEFECTS],
+)
+def test_validation_reports_each_hypothesis_defect(hypothesis, datum, changes):
+    broken = _replace(datum, **changes)
+    report = validate_datum(broken)
+    assert not getattr(report, hypothesis) and report.c_lower
+    with pytest.raises(HypothesisFailure):
+        ClassificationContext(broken, 3, 1)
+
+
+def _shift_first_lift(datum, by):
+    """The datum with ``by`` added to its first dual lift."""
+    lift = tuple(a + b for a, b in zip(datum.weight_basis[0], by))
+    return _replace(datum, weight_basis=(lift,) + datum.weight_basis[1:])
+
+
+GSP4 = build_gsp(4)
+GL3 = build_gl(3)
+
+BROKEN = [
+    ("dropped-block-indicator",
+     _shift_first_lift(GSP4, tuple(-c for c in GSP4.d_vectors[0])),
+     "dual lift 0 has no non-negative representative"),
+    ("added-block-indicator", _shift_first_lift(GSP4, GSP4.d_vectors[0]),
+     "reduced lift 0 has a non-negative representative"),
+    # the kernel vector b_0 - b_1 is block-constant, but the functional
+    # does not vanish on it: the d classes are dependent modulo the kernel
+    ("kernel-meets-the-d-classes",
+     _replace(build_levi([1, 1]), lattice=QuotientLattice(2, [(1, -1)])),
+     "(d): the d classes are dependent modulo the kernel"),
+] + [
+    (f"hypothesis-{hypothesis}", _replace(datum, **changes),
+     "(" + hypothesis.replace("_", "-") + ")")
+    for hypothesis, datum, changes in HYPOTHESIS_DEFECTS
+] + [
+    ("kernel-not-block-constant",
+     _replace(GSP4, lattice=QuotientLattice(4, [(1, -1, 1, -1)])),
+     "is not constant on block 0"),
+    ("coroot-does-not-descend", _replace(GSP4, simple_coroots=GSP4.simple_roots),
+     "coroot 0 does not descend"),
+    ("coroot-meets-a-block-indicator",
+     _replace(GL3, simple_coroots=((1, 0, 0),) + GL3.simple_coroots[1:]),
+     "coroot 0 pairs non-zero with a block indicator"),
+    ("wrong-two-rho", _replace(GL3, positive_root_sum_twice=(1, 0, -1)),
+     "twice the positive root sum pairs to 1 with coroot 0"),
+    ("reversed-roots", _replace(GL3, simple_roots=GL3.simple_roots[::-1]),
+     "the Cartan matrix is not the family's"),
+    ("relabelled-family", _replace(GSP4, family="go_odd"),
+     "the Cartan matrix is not the family's"),
+    ("kernel-not-preserved",
+     _replace(
+         GSP4, weyl_generators=GSP4.weyl_generators + (transposition(4, 0, 1),)
+     ),
+     "does not preserve the kernel"),
+    ("weight-basis-tail",
+     _replace(LEVI23, weight_basis=LEVI23.weight_basis[:-2] + LEVI23.b[::-1]),
+     "the weight basis does not end with the d vectors"),
+    ("dual-lifts-swapped",
+     _replace(GL3, weight_basis=GL3.weight_basis[1::-1] + GL3.weight_basis[2:]),
+     "dual lift 0 is not dual to the coroots"),
+]
+
+
+@pytest.mark.parametrize(
+    "datum,fault", [case[1:] for case in BROKEN], ids=[case[0] for case in BROKEN]
+)
+def test_construction_checker_flags_each_broken_datum(datum, fault):
+    faults = construction_faults(datum)
+    assert any(fault in found for found in faults), faults
+
+
+# -- polynomial normalisation: the sign test against the shift search --
 
 NORMALISED_SPECS = (
+
     [f"gsp:{n}" for n in range(4, 11, 2)]
     + [f"go:{n}" for n in range(5, 10, 2)]
     + [f"gl:{n}" for n in range(2, 9)]
@@ -323,13 +607,13 @@ def test_normalisation_agrees_with_shift_search(spec):
     datum = parse_group_spec(spec)
     data = PhiData.from_datum(datum)
     lat = datum.lattice
-    pairs = list(_normalisation_pairs(datum))
+    pairs = list(normalisation_pairs(datum))
     assert len(pairs) == len(datum.simple_coroots)
     for lift, reduced in pairs:
-        assert _has_polynomial_rep(lift, data)
-        assert has_nonneg_rep(lat, lift, finalize_window(lift))
-        assert not _has_polynomial_rep(reduced, data)
-        assert not has_nonneg_rep(lat, reduced, finalize_window(reduced))
+        assert sign_test(lift, data)
+        assert has_nonneg_rep(lat, lift, lift_window(lift))
+        assert not sign_test(reduced, data)
+        assert not has_nonneg_rep(lat, reduced, lift_window(reduced))
 
 
 @pytest.mark.parametrize("spec", NORMALISED_SPECS + ["gsp:40", "go:41"])
@@ -361,67 +645,11 @@ def test_block_minimum_test_agrees_with_shift_search_on_box(spec, radius):
     counts = {True: 0, False: 0}
     rng = range(-radius, radius + 1)
     for vec in itertools.product(rng, repeat=datum.ambient_dim):
-        got = _has_polynomial_rep(vec, data)
+        got = sign_test(vec, data)
         assert got == has_nonneg_rep(lat, vec, box_window(vec, radius)), vec
         counts[got] += 1
     assert counts[True] and counts[False]
 
-
-def _drop_block_indicator(datum):
-    """The datum with its first dual lift replaced by the reduced lift."""
-    _, reduced = next(_normalisation_pairs(datum))
-    basis = (reduced,) + datum.weight_basis[1:]
-    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
-    return GroupDatum(**dict(fields, weight_basis=basis))
-
-
-DROPPED_INDICATOR_SCRIPT = """
-from polyweight.groups import GroupDatum, _finalize, _normalisation_pairs, build_gsp
-datum = build_gsp(4)
-_, reduced = next(_normalisation_pairs(datum))
-fields = {name: getattr(datum, name) for name in GroupDatum._fields}
-broken = GroupDatum(**dict(fields, weight_basis=(reduced,) + datum.weight_basis[1:]))
-try:
-    _finalize(broken)
-except AssertionError as exc:
-    print("debug", __debug__, "raised", exc)
-"""
-
-
-class TestFinalizeRaises:
-    def test_dropped_block_indicator(self):
-        broken = _drop_block_indicator(build_gsp(4))
-        with pytest.raises(AssertionError, match="no non-negative representative"):
-            _finalize(broken)
-
-    def test_dropped_block_indicator_under_optimize(self):
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", DROPPED_INDICATOR_SCRIPT],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("debug False raised dual lift")
-
-    def test_functional_must_vanish_on_kernel(self):
-        # the kernel vector b_0 - b_1 is block-constant but phi(b_0 - b_1)
-        # = (1, -1); that makes the d classes dependent, which (d) reports
-        datum = build_levi([1, 1])
-        fields = {name: getattr(datum, name) for name in GroupDatum._fields}
-        fields["lattice"] = QuotientLattice(2, [(1, -1)])
-        with pytest.raises(
-            AssertionError, match=r"\(d\): the d classes are linearly dependent"
-        ):
-            _finalize(GroupDatum(**fields))
-
-
-def _replace(datum, **changes):
-    """The datum with some fields replaced, built without ``_finalize``."""
-    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
-    return GroupDatum(**dict(fields, **changes))
-
-
-LEVI23 = build_levi([2, 3])
 
 SHAPE_GAPS = [
     ("missing-n-matrix-row", "d", {"n_matrix": LEVI23.n_matrix[:1]},
@@ -446,30 +674,6 @@ def test_validation_rejects_shape_gaps(hypothesis, changes, witness):
     assert failing == [hypothesis]
     with pytest.raises(HypothesisFailure):
         ClassificationContext(broken, 3, 1)
-
-
-FINALIZE_DEFECTS = [
-    ("a", build_gl(2), {"b": ((2, 2),)}),
-    ("b", LEVI23, {"blocks": ((2, 3, 4), (0, 1))}),
-    ("c_upper", build_levi([1, 1]), {"weyl_generators": ((0, 0),)}),
-    ("d", LEVI23, {"d_indices": (0, 0)}),
-]
-
-
-@pytest.mark.parametrize(
-    "hypothesis,datum,changes",
-    FINALIZE_DEFECTS,
-    ids=[case[0] for case in FINALIZE_DEFECTS],
-)
-def test_finalize_raises_the_validation_witnesses(hypothesis, datum, changes):
-    broken = _replace(datum, **changes)
-    report = validate_datum(broken)
-    assert not getattr(report, hypothesis) and report.c_lower
-    with pytest.raises(AssertionError) as err:
-        _finalize(broken)
-    assert str(err.value) == "construction hypotheses fail: " + "; ".join(
-        report.witnesses
-    )
 
 
 @pytest.mark.parametrize("builder,size", [(build_gsp, 40), (build_go_odd, 41)])

@@ -84,3 +84,31 @@ def test_only_the_kernels_build_tables():
             if name == "Tables":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_groups_imports_only_the_lattice_and_errors():
+    # the group data sit below the functional: the builders state facts
+    # the tests check, and need nothing from ``phi`` or above
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE_DIR / "groups.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "polyweight":
+                    continue
+                module = module.partition(".")[2]
+            targets = [module] if module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [
+                a.name.partition(".")[2] or a.name
+                for a in node.names
+                if a.name.split(".")[0] == "polyweight"
+            ]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {target}"
+            for target in targets
+            if target.split(".")[0] not in ("lattice", "errors")
+        ]
+    assert found == []
