@@ -12,36 +12,17 @@ dot-action with orbit and shift-bijection checks.
 
 Hot sweep loops live in :mod:`polyweight._kernels`, one implementation
 in Python and numpy; ``kernel_backend_name`` names it.
+
+Importing the package loads only this module and :mod:`polyweight.errors`.
+Every other public name is looked up in ``_LAZY`` on first access
+(PEP 562), which imports the submodule defining it, so a caller loads,
+and without cached bytecode compiles, only the modules it uses.
 """
 
-from ._kernels import BACKEND_NAME as kernel_backend_name
-from .affine import (
-    AffineElement,
-    OrbitSlice,
-    ShiftCheckResult,
-    affine_element,
-    check_shift_bijection,
-    compose_affine,
-    dot_act,
-    orbit_in_box,
-    shift_bound_a,
-)
-from .classify import (
-    ClassificationContext,
-    CounterexampleReport,
-    Decomposition,
-    decompose,
-    enumerate_Pr,
-    go_even_counterexample,
-    in_Pr,
-    in_x0,
-    is_polynomial,
-    is_restricted,
-    is_simple_polynomial,
-    pr_box_oracle,
-    simple_membership,
-    weyl_orbit_witness_nonpolynomial,
-)
+import importlib
+import sys
+import types
+
 from .errors import (
     CapExceeded,
     DecompositionUnavailable,
@@ -52,33 +33,58 @@ from .errors import (
     PreconditionError,
     ShiftRangeError,
 )
-from .groups import (
-    GroupDatum,
-    ValidationReport,
-    build_gl,
-    build_go_even,
-    build_go_odd,
-    build_gsp,
-    build_levi,
-    parse_group_spec,
-    permute_d,
-    validate_datum,
-    x0_basis,
-)
-from .lattice import QuotientLattice
-from .phi import (
-    AssumptionReport,
-    PhiData,
-    PropertyVerdict,
-    check_assumption,
-    default_box_radius,
-    find_witness_w,
-    kernel_block_constancy,
-    phi,
-    phi_ambient,
-)
 
 __version__ = "0.1.0"
+
+# Every public name not bound above, and the submodule defining it
+# (``module:attribute`` where the public name differs).
+_LAZY = {
+    "AffineElement": "affine",
+    "OrbitSlice": "affine",
+    "ShiftCheckResult": "affine",
+    "affine_element": "affine",
+    "check_shift_bijection": "affine",
+    "compose_affine": "affine",
+    "dot_act": "affine",
+    "orbit_in_box": "affine",
+    "shift_bound_a": "affine",
+    "ClassificationContext": "classify",
+    "CounterexampleReport": "classify",
+    "Decomposition": "classify",
+    "decompose": "classify",
+    "enumerate_Pr": "classify",
+    "go_even_counterexample": "classify",
+    "in_Pr": "classify",
+    "in_x0": "classify",
+    "is_polynomial": "classify",
+    "is_restricted": "classify",
+    "is_simple_polynomial": "classify",
+    "pr_box_oracle": "classify",
+    "simple_membership": "classify",
+    "weyl_orbit_witness_nonpolynomial": "classify",
+    "GroupDatum": "groups",
+    "ValidationReport": "groups",
+    "build_gl": "groups",
+    "build_go_even": "groups",
+    "build_go_odd": "groups",
+    "build_gsp": "groups",
+    "build_levi": "groups",
+    "parse_group_spec": "groups",
+    "permute_d": "groups",
+    "validate_datum": "groups",
+    "x0_basis": "groups",
+    "kernel_backend_name": "_kernels:BACKEND_NAME",
+    "QuotientLattice": "lattice",
+    "AssumptionReport": "phi",
+    "PhiData": "phi",
+    "PropertyVerdict": "phi",
+    "check_assumption": "phi",
+    "default_box_radius": "phi",
+    "find_witness_w": "phi",
+    "kernel_block_constancy": "phi",
+    "phi": "phi",
+    "phi_ambient": "phi",
+}
 
 __all__ = [
     "AffineElement",
@@ -136,3 +142,42 @@ __all__ = [
     "x0_basis",
     "__version__",
 ]
+
+
+def _resolve(name):
+    module, _, attribute = _LAZY[name].partition(":")
+    owner = importlib.import_module(f".{module}", __name__)
+    return getattr(owner, attribute or name)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _resolve(name)
+    return value
+
+
+def __dir__():
+    return __all__
+
+
+class _Package(types.ModuleType):
+    """The package module: ``phi`` is the functional, not its submodule.
+
+    Loading ``polyweight.phi``, from any caller, makes the import system
+    bind the submodule as the package attribute ``phi``; the setter drops
+    that binding, so ``polyweight.phi`` and ``from polyweight import phi``
+    give the function whatever was imported first.  The submodule stays
+    reachable as ``sys.modules["polyweight.phi"]``.
+    """
+
+    @property
+    def phi(self):
+        return _resolve("phi")
+
+    @phi.setter
+    def phi(self, value):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package

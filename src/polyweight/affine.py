@@ -9,8 +9,6 @@ section-style shift bound a and the bijection check cover the rank-one
 distinguished case.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

@@ -10,13 +10,12 @@ construction hypothesis, and precomputes exact integer coordinates for
 the weight-basis expansion used by the decomposition.
 """
 
-from __future__ import annotations
-
 import itertools
+import math
 from collections import namedtuple
 
-from ._kernels import tables_for
 from .errors import (
+    CapExceeded,
     DecompositionUnavailable,
     DomainError,
     HypothesisFailure,
@@ -34,6 +33,9 @@ from .lattice import (
     vec_sub,
 )
 from .phi import PhiData, phi_ambient
+
+# Most candidates ``enumerate_Pr`` builds and tests in one call.
+ENUMERATE_CAP = 1_000_000
 
 
 def _failed_hypotheses(report):
@@ -146,6 +148,8 @@ class ClassificationContext(_CachedRecord):
     def tables(self):
         """The sweep kernels' tables of the datum and its coordinate rows."""
         if "tables" not in self._cache:
+            from ._kernels import tables_for
+
             self._cache["tables"] = tables_for(self.datum, self._coef)
         return self._cache["tables"]
 
@@ -312,13 +316,23 @@ def enumerate_Pr(ctx):
     Iterates the dual digits over their admissible ranges and the
     functional target over [0, p^r - 1]^l, reconstructs each candidate
     from the weight basis, and keeps those passing the literal predicate.
+    Raises CapExceeded, before building any candidate, when there are
+    more than ``ENUMERATE_CAP`` of them.
     """
     step = ctx.prpow
     datum = ctx.datum
     ns = ctx.dual_count
     l = datum.x0_rank
     diag = datum.basis_pairing_diag
-    digit_ranges = [range((step - 1) // diag[k] + 1) for k in range(ns)]
+    sizes = [(step - 1) // diag[k] + 1 for k in range(ns)]
+    candidates = math.prod(sizes) * step ** l
+    if candidates > ENUMERATE_CAP:
+        # the count itself can have more digits than str() converts
+        raise CapExceeded(
+            f"enumeration at p^r = {ctx.p}^{ctx.r} has more than "
+            f"{ENUMERATE_CAP} candidates"
+        )
+    digit_ranges = [range(size) for size in sizes]
     out = set()
     for digs in itertools.product(*digit_ranges):
         base = ctx.from_coordinates(list(digs) + [0] * l)

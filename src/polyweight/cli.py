@@ -8,8 +8,6 @@ output.  Exit codes: 0 success, 2 malformed request, 3 domain error,
 4 precondition violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -25,8 +25,6 @@ family is twice a primitive covector, so its pairings with integer
 characters are always even.
 """
 
-from __future__ import annotations
-
 import itertools
 import sys
 from collections import namedtuple

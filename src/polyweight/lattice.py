@@ -11,8 +11,6 @@ Weyl group elements are index permutations stored as tuples p with p[i]
 the image of i, acting on weights by ``act(p, w)[p[i]] == w[i]``.
 """
 
-from __future__ import annotations
-
 from .errors import CapExceeded, DimensionMismatch, DomainError
 
 Weight = tuple  # tuple[int, ...]

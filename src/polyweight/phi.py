@@ -9,8 +9,6 @@ block minima so that phi adds exactly.  ``check_assumption`` certifies
 these facts on coordinate boxes, exactly, one block size at a time.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyweight import classify
 from polyweight.classify import (
     ClassificationContext,
     CounterexampleReport,
@@ -25,6 +26,7 @@ from polyweight.classify import (
     weyl_orbit_witness_nonpolynomial,
 )
 from polyweight.errors import (
+    CapExceeded,
     DecompositionUnavailable,
     DomainError,
     HypothesisFailure,
@@ -277,6 +279,16 @@ class TestEnumerate:
 
     def test_gl1_digits(self):
         assert enumerate_Pr(ctx(build_gl(1), 3, 1)) == ((0,), (1,), (2,))
+
+    def test_candidate_cap_is_checked_before_enumerating(self, monkeypatch):
+        # gl(1) at p^r = 3 has 3 candidates: no digit range (no simple
+        # coroot) times 3 functional targets
+        c = ctx(build_gl(1), 3, 1)
+        monkeypatch.setattr(classify, "ENUMERATE_CAP", 3)
+        assert enumerate_Pr(c) == ((0,), (1,), (2,))
+        monkeypatch.setattr(classify, "ENUMERATE_CAP", 2)
+        with pytest.raises(CapExceeded, match=r"p\^r = 3\^1 has more than 2 cand"):
+            enumerate_Pr(c)
 
     @pytest.mark.parametrize(
         "n,p,r", [(1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]

@@ -114,6 +114,21 @@ class TestEnumerate:
             [0, 0], [1, 0], [1, 1], [2, 1],
         ]
 
+    @pytest.mark.parametrize("r", ["30", "100", "5000"])
+    def test_candidate_count_past_the_cap_is_a_domain_error(self, capsys, r):
+        # (3^r)^3 candidates: counted before any range is built, then
+        # refused; at r = 5000 the count has more digits than str() converts
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["enumerate-pr", "--group", "gl:3", "--p", "3", "--r", r]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == (
+            f"error: enumeration at p^r = 3^{r} has more than 1000000 candidates\n"
+        )
+
 
 class TestValidate:
     def test_good_datum(self, capsys):

@@ -1,0 +1,147 @@
+"""The package namespace: what each entry point loads, and what each name is.
+
+``import polyweight`` loads only the package and its errors; every other
+public name imports its submodule on first access.  The loading checks
+run in fresh interpreters, where nothing else has imported a submodule.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import polyweight
+
+
+def loaded_after(code):
+    """The polyweight modules loaded once ``code`` has run in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys, json; print(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'polyweight')))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_fresh(code):
+    """The last stdout line of ``code`` run in a fresh process, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_package_and_errors():
+    assert loaded_after("import polyweight") == ["polyweight", "polyweight.errors"]
+
+
+def test_certifying_loads_no_classification_sweep_or_affine_module():
+    code = (
+        "from polyweight import check_assumption, parse_group_spec, validate_datum\n"
+        "datum = parse_group_spec('gsp:4')\n"
+        "assert validate_datum(datum).all_ok\n"
+        "assert check_assumption(datum, 3, 1).all_ok"
+    )
+    assert loaded_after(code) == [
+        "polyweight",
+        "polyweight.errors",
+        "polyweight.groups",
+        "polyweight.lattice",
+        "polyweight.phi",
+    ]
+
+
+def test_a_context_loads_the_kernels_only_for_its_tables():
+    code = (
+        "from polyweight import ClassificationContext, build_gsp\n"
+        "ctx = ClassificationContext(build_gsp(4), 3, 1)"
+    )
+    assert "polyweight._kernels" not in loaded_after(code)
+    assert "polyweight._kernels" in loaded_after(code + "\nctx.tables()")
+
+
+def test_every_public_name_is_its_defining_modules_own_object():
+    # each name resolves in a fresh process, through the lazy table
+    code = (
+        "import importlib, json, polyweight\n"
+        "wrong = []\n"
+        "for name in polyweight.__all__:\n"
+        "    if name == '__version__':\n"
+        "        continue\n"
+        "    value = getattr(polyweight, name)\n"
+        "    module, _, attr = polyweight._LAZY.get(name, 'errors').partition(':')\n"
+        "    owner = importlib.import_module('polyweight.' + module)\n"
+        "    defined_in = getattr(value, '__module__', owner.__name__)\n"
+        "    if value is not getattr(owner, attr or name) or (\n"
+        "            defined_in != owner.__name__):\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps(wrong))"
+    )
+    assert run_fresh(code) == []
+
+
+def test_lazy_table_and_all_agree():
+    # a public name is bound at import (the errors and the version) or
+    # listed in the lazy table, never both and never neither
+    code = (
+        "import json, polyweight\n"
+        "bound = [n for n in polyweight.__all__ if n in vars(polyweight)]\n"
+        "print(json.dumps([sorted(bound), sorted(polyweight._LAZY),"
+        " sorted(polyweight.__all__)]))"
+    )
+    eager, lazy, public = run_fresh(code)
+    assert len(public) == len(set(public))
+    assert set(eager).isdisjoint(lazy)
+    assert sorted(eager + lazy) == public
+    assert "__version__" in eager
+
+
+def test_star_import_binds_all_public_names():
+    code = (
+        "import json\n"
+        "namespace = {}\n"
+        "exec('from polyweight import *', namespace)\n"
+        "import polyweight\n"
+        "print(json.dumps([n for n in polyweight.__all__ if n not in namespace]))"
+    )
+    assert run_fresh(code) == []
+
+
+def test_dir_lists_the_public_names():
+    assert dir(polyweight) == sorted(polyweight.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        polyweight.no_such_name
+    with pytest.raises(ImportError):
+        from polyweight import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import polyweight.classify",
+        "import importlib; importlib.import_module('polyweight.phi')",
+        "import polyweight._kernels",
+        "from polyweight.phi import phi_ambient",
+        "",
+    ],
+    ids=["classify", "import-module-phi", "kernels", "from-phi-module", "none"],
+)
+def test_phi_is_the_function_whatever_was_imported_first(first):
+    # loading the submodule ``polyweight.phi`` binds it on the package; the
+    # package keeps the name for the functional
+    code = (
+        first + "\n"
+        "import importlib, json, sys, polyweight\n"
+        "from polyweight import phi\n"
+        "module = importlib.import_module('polyweight.phi')\n"
+        "print(json.dumps([polyweight.phi is module.phi, phi is module.phi,"
+        " sys.modules['polyweight.phi'] is module]))"
+    )
+    assert run_fresh(code) == [True, True, True]
