@@ -11,12 +11,14 @@ hypotheses, the even orthogonal rank-8 failure scenario, and the affine
 dot-action with orbit and shift-bijection checks.
 
 Hot sweep loops live in :mod:`polyweight._kernels`, one implementation
-in Python and numpy; ``kernel_backend_name`` names it.
+in Python and numpy; the constant ``kernel_backend_name`` names it.
 
 Importing the package loads only this module and :mod:`polyweight.errors`.
-Every other public name is looked up in ``_LAZY`` on first access
-(PEP 562), which imports the submodule defining it, so a caller loads,
-and without cached bytecode compiles, only the modules it uses.
+The exception types, ``__version__`` and ``kernel_backend_name`` are
+bound at import.  Every other public name is looked up in ``_LAZY`` on
+first access (PEP 562), which imports the submodule defining it, so a
+caller loads, and without cached bytecode compiles, only the modules it
+uses.
 """
 
 import importlib
@@ -35,6 +37,10 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+# The one sweep implementation; the CLI echoes it as the "backend" JSON
+# key, so CLI output depends on this value.
+kernel_backend_name = "pure"
 
 # Every public name not bound above, and the submodule defining it
 # (``module:attribute`` where the public name differs).
@@ -73,7 +79,6 @@ _LAZY = {
     "permute_d": "groups",
     "validate_datum": "groups",
     "x0_basis": "groups",
-    "kernel_backend_name": "_kernels:BACKEND_NAME",
     "QuotientLattice": "lattice",
     "AssumptionReport": "phi",
     "PhiData": "phi",

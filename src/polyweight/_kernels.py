@@ -23,6 +23,10 @@ inside those functions only, so importing the package does not load it.
 Every kernel takes a ``Tables`` bundle of the datum's own rows, built
 by ``tables_for``; the scalar functional inside the sweeps is
 ``phi.phi_ambient`` evaluated on it.
+
+Within the package, only ``ClassificationContext.tables()`` imports this
+module, inside its body, so neither the package namespace nor the CLI
+loads it; ``polyweight.kernel_backend_name`` is a package constant.
 """
 
 from collections import namedtuple
@@ -30,10 +34,6 @@ from itertools import product
 
 from .errors import DomainError
 from .phi import _box, phi_ambient
-
-# Public as ``polyweight.kernel_backend_name`` and as the CLI's "backend"
-# JSON key, so CLI output depends on this value.
-BACKEND_NAME = "pure"
 
 
 class Tables(

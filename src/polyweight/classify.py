@@ -26,8 +26,8 @@ from .lattice import (
     _echelonize,
     act,
     check_dim,
-    is_prime,
     pair,
+    prime_power,
     vec_add,
     vec_scale,
     vec_sub,
@@ -82,7 +82,9 @@ class ClassificationContext(_CachedRecord):
 
     Only data satisfying every construction hypothesis are accepted;
     in particular the even orthogonal family is rejected here and served
-    solely by the ambient counterexample entry points.
+    solely by the ambient counterexample entry points.  The modulus
+    ``prpow`` = p^r is formed once, by ``lattice.prime_power``, which
+    refuses a p^r past ``lattice.PRPOW_BIT_LIMIT`` bits.
     """
 
     _fields = ("datum", "p", "r")
@@ -92,13 +94,10 @@ class ClassificationContext(_CachedRecord):
         self.p = p
         self.r = r
         self._cache = {} if _cache is None else _cache
+        self.prpow = prime_power(p, r)
         self.__post_init__()
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"p must be prime, got {self.p}")
-        if self.r < 1:
-            raise DomainError(f"r must be a positive integer, got {self.r}")
         report = self.datum.validation()
         if not report.all_ok:
             raise HypothesisFailure(
@@ -111,10 +110,6 @@ class ClassificationContext(_CachedRecord):
         )
         inverse_rows = _exact_inverse_rows(stacked, n)
         self._coef = tuple(inverse_rows[: len(self.datum.weight_basis)])
-
-    @property
-    def prpow(self):
-        return self.p ** self.r
 
     @property
     def rank(self):

@@ -13,8 +13,7 @@ import json
 import os
 import sys
 
-from . import __version__
-from ._kernels import BACKEND_NAME
+from . import __version__, kernel_backend_name
 from .affine import check_shift_bijection, shift_bound_a
 from .classify import (
     ClassificationContext,
@@ -248,7 +247,7 @@ def _metadata(args, target):
     meta = {
         "command": args.command,
         "version": __version__,
-        "backend": BACKEND_NAME,
+        "backend": kernel_backend_name,
     }
     if target is None:
         return meta

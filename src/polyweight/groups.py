@@ -36,6 +36,7 @@ from .lattice import (
     compose,
     generate_group,
     identity_perm,
+    is_even_perm,
     is_perm,
     transposition,
     vec_scale,
@@ -456,9 +457,11 @@ def validate_datum(datum, cap=WEYL_CAP):
     v_k = y, (v_0 v_(i+1)) = (v_i v_(i+1)) (v_0 v_i) (v_i v_(i+1)), so by
     induction (x y) is a product of the generators.  Hence (x y) lies in
     W whenever x and y are connected.  A pair the graph leaves apart may
-    still lie in W through generators that are not transpositions; only
-    such a pair falls back to the Weyl closure, as for the even
-    orthogonal family.
+    still lie in W through generators that are not transpositions.  When
+    every generator is an even permutation, as for the even orthogonal
+    family, W lies in the alternating group and holds no transposition,
+    so each such pair is a witness at once.  Only when some generator is
+    odd does such a pair fall back to the Weyl closure.
     """
     n = datum.ambient_dim
     wit_a, wit_b, wit_c_upper, wit_c_lower, wit_d = [], [], [], [], []
@@ -489,10 +492,13 @@ def validate_datum(datum, cap=WEYL_CAP):
             i = parent[i]
         return i
 
+    all_even = True
     for g in datum.weyl_generators:
         if len(g) != n or not is_perm(g):
             wit_c_upper.append(f"(c-upper): generator {g} is not a permutation")
+            all_even = False
             continue
+        all_even = all_even and is_even_perm(g)
         moved = [i for i, v in enumerate(g) if v != i]
         if len(moved) == 2:
             parent[root(moved[0])] = root(moved[1])
@@ -502,9 +508,9 @@ def validate_datum(datum, cap=WEYL_CAP):
         for x, y in itertools.combinations(sorted(blk), 2):
             if root(x) == root(y):
                 continue
-            if closure is None:
+            if closure is None and not all_even:
                 closure = set(datum.weyl_group(cap))
-            if transposition(n, x, y) not in closure:
+            if all_even or transposition(n, x, y) not in closure:
                 wit_c_lower.append(
                     f"(c-lower): transposition ({x}, {y}) within block {bi} "
                     "is not in the generated Weyl group"

@@ -73,6 +73,35 @@ def is_prime(m):
     return True
 
 
+# Largest modulus p^r, in bits, that ``prime_power`` forms.  The check is
+# on p.bit_length() * r, an upper bound on the bit length of p^r, so it
+# runs before the power exists (3^(10^7) alone takes seconds to form).
+# Answers carry coordinates of about p^r's size, and CLI output must
+# write them in decimal: Python converts at most 4,300 digits (about
+# 14,284 bits) by default, so the bound leaves room for the small factors
+# a coordinate adds.
+PRPOW_BIT_LIMIT = 12_288
+
+
+def prime_power(p, r):
+    """The modulus p^r, for a prime p and an exponent r >= 1.
+
+    Raises ``DomainError`` when p is not prime, r < 1, or
+    p.bit_length() * r exceeds ``PRPOW_BIT_LIMIT``.
+    """
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+    if r < 1:
+        raise DomainError(f"r must be a positive integer, got {r}")
+    bits = p.bit_length() * r
+    if bits > PRPOW_BIT_LIMIT:
+        raise DomainError(
+            f"modulus p^r = {p}^{r} is refused: bit_length(p) * r = {bits} "
+            f"exceeds {PRPOW_BIT_LIMIT}"
+        )
+    return p**r
+
+
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -256,6 +285,24 @@ def identity_perm(n):
 
 def is_perm(p):
     return sorted(p) == list(range(len(p)))
+
+
+def is_even_perm(p):
+    """Whether p is a product of an even number of transpositions.
+
+    A permutation of n points with c cycles (fixed points included) is a
+    product of n - c transpositions.
+    """
+    seen = [False] * len(p)
+    cycles = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = p[i]
+    return (len(p) - cycles) % 2 == 0
 
 
 def transposition(n, i, j):

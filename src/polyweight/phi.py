@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, HypothesisFailure, PreconditionError
-from .lattice import act, check_dim, is_prime, vec_add, vec_scale
+from .lattice import act, check_dim, prime_power, vec_add, vec_scale
 
 
 class PhiData(namedtuple("PhiData", "blocks n_matrix target_rank")):
@@ -496,17 +496,13 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
     exhaustive sweeps of properties 3 and 1; the test suite checks that
     they report the same verdicts, counts and witnesses on small boxes.
     """
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if r < 1:
-        raise DomainError(f"r must be a positive integer, got {r}")
+    prpow = prime_power(p, r)
     n = datum.ambient_dim
     radius = default_box_radius(n) if box_radius is None else int(box_radius)
     if radius < 1:
         raise DomainError("box radius must be at least 1")
     cols = _block_kernel(datum)
     data = PhiData.from_datum(datum)
-    prpow = p ** r
     live = [blk for blk, row in zip(datum.blocks, datum.n_matrix) if any(row)]
 
     checked, evaluated, fail = _positivity(datum, data, radius, cols)

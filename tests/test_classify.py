@@ -62,6 +62,12 @@ class TestContext:
         with pytest.raises(DomainError):
             ctx(GL2, 2, 0)
 
+    def test_modulus_is_formed_once_and_bounded(self):
+        c = ctx(GL2, 3, 2)
+        assert vars(c)["prpow"] == 9
+        with pytest.raises(DomainError, match="bit_length"):
+            ctx(GL2, 3, 10**7)
+
     def test_rejects_go_even(self):
         with pytest.raises(HypothesisFailure) as err:
             ctx(build_go_even(8), 5, 1)

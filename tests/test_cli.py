@@ -55,6 +55,22 @@ class TestClassify:
             "note": "",
         }
 
+    def test_huge_exponent_is_refused_before_the_power(self, capsys):
+        # 3^(10^7) would have 1.6e7 bits; the bound is checked first
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["classify", "--group", "gl:3", "--p", "3", "--r", "10000000",
+             "--weight", "1,0,0"],
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == (
+            "error: modulus p^r = 3^10000000 is refused: "
+            "bit_length(p) * r = 20000000 exceeds 12288\n"
+        )
+
     def test_negative_coordinates_use_equals_syntax(self, capsys):
         payload = run_json(
             capsys,
@@ -148,6 +164,31 @@ class TestValidate:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["result"]["all_ok"] is True
         assert elapsed < 5, elapsed
+
+    @pytest.mark.parametrize("n", range(14, 41, 2))
+    def test_even_orthogonal_answers_by_parity(self, capsys, n):
+        # every go_even generator is even, so no within-block
+        # transposition is in W, and no closure is built
+        start = time.perf_counter()
+        result = run_json(capsys, ["validate", "--group", f"go:{n}"])["result"]
+        assert time.perf_counter() - start < 1
+        assert result["c_lower"] is False
+        assert result["witnesses"] == [
+            f"(c-lower): transposition ({i}, {n - 1 - i}) within block {i} "
+            "is not in the generated Weyl group"
+            for i in range(n // 2)
+        ]
+
+    def test_even_orthogonal_rank_40_end_to_end(self):
+        begin = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyweight", "validate", "--group", "go:40"],
+            capture_output=True, text=True, timeout=20,
+        )
+        elapsed = time.perf_counter() - begin
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["result"]["c_lower"] is False
+        assert elapsed < 1, elapsed
 
     def test_even_orthogonal_fails_one_hypothesis(self, capsys):
         payload = run_json(capsys, ["validate", "--group", "go:8"])

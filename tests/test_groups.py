@@ -93,8 +93,9 @@ CLOSURE_SPECS = (
 def test_c_lower_agrees_with_the_weyl_closure(spec):
     datum = parse_group_spec(spec)
     report = validate_datum(datum)
-    # only the even orthogonal family has no transposition generators
-    assert ("weyl" in datum._cache) == (datum.family == "go_even")
+    # no built-in datum needs the closure: the even orthogonal family,
+    # the one without transposition generators, has only even ones
+    assert "weyl" not in datum._cache
     n = datum.ambient_dim
     closure = set(datum.weyl_group())
     missing = [
@@ -113,12 +114,14 @@ def test_c_lower_falls_back_to_the_closure():
     datum = _replace(build_gl(3), weyl_generators=((1, 2, 0), (1, 0, 2)))
     assert validate_datum(datum).c_lower
     assert "weyl" in datum._cache
+    # a 3-cycle alone is even, so no transposition lies in its group
     cyclic = _replace(build_gl(3), weyl_generators=((1, 2, 0),))
     assert [w[:31] for w in validate_datum(cyclic).witnesses] == [
         "(c-lower): transposition (0, 1)",
         "(c-lower): transposition (0, 2)",
         "(c-lower): transposition (1, 2)",
     ]
+    assert "weyl" not in cyclic._cache
 
 
 def test_blocks_partition_indices():

@@ -1,5 +1,7 @@
 """Quotient-lattice arithmetic and permutation helpers."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from polyweight.errors import CapExceeded, DimensionMismatch, DomainError
 from polyweight.lattice import (
     PRIME_TEST_LIMIT,
+    PRPOW_BIT_LIMIT,
     QuotientLattice,
     act,
     act_covector,
@@ -14,9 +17,11 @@ from polyweight.lattice import (
     generate_group,
     identity_perm,
     inverse,
+    is_even_perm,
     is_perm,
     is_prime,
     pair,
+    prime_power,
     transposition,
     vec_add,
     vec_scale,
@@ -142,6 +147,14 @@ class TestPermutations:
         assert identity_perm(3) in group
         assert all(is_perm(g) for g in group)
 
+    def test_parity_counts_inversions(self):
+        for p in itertools.permutations(range(5)):
+            inversions = sum(
+                p[i] > p[j] for i, j in itertools.combinations(range(5), 2)
+            )
+            assert is_even_perm(p) == (inversions % 2 == 0)
+        assert is_even_perm(())
+
     def test_generate_group_cap(self):
         gens = (transposition(3, 0, 1), transposition(3, 1, 2))
         with pytest.raises(CapExceeded):
@@ -187,3 +200,17 @@ def test_is_prime_large_values():
         is_prime(PRIME_TEST_LIMIT)
     with pytest.raises(DomainError):
         is_prime(2**89 - 1)
+
+
+def test_prime_power_checks_its_modulus():
+    assert prime_power(3, 4) == 81
+    # 2 has two bits, so 2^r passes exactly up to r = PRPOW_BIT_LIMIT / 2
+    assert prime_power(2, PRPOW_BIT_LIMIT // 2) == 2 ** (PRPOW_BIT_LIMIT // 2)
+    with pytest.raises(DomainError, match="bit_length"):
+        prime_power(2, PRPOW_BIT_LIMIT // 2 + 1)
+    with pytest.raises(DomainError, match="bit_length"):
+        prime_power(3, 10**30)  # refused before the power is formed
+    with pytest.raises(DomainError, match="prime"):
+        prime_power(4, 1)
+    with pytest.raises(DomainError, match="positive"):
+        prime_power(3, 0)

@@ -64,13 +64,44 @@ def test_a_context_loads_the_kernels_only_for_its_tables():
     assert "polyweight._kernels" in loaded_after(code + "\nctx.tables()")
 
 
+def test_reading_the_backend_name_loads_only_the_package_and_errors():
+    assert loaded_after("import polyweight\npolyweight.kernel_backend_name") == [
+        "polyweight",
+        "polyweight.errors",
+    ]
+
+
+def test_the_cli_never_loads_the_kernels():
+    # ``-X importtime`` lists every module the ``python -m polyweight``
+    # child imports, on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "polyweight",
+         "validate", "--group", "gl:3"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["all_ok"] is True
+    loaded = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "polyweight.cli" in loaded
+    assert "polyweight._kernels" not in loaded
+
+
+EAGER_CONSTANTS = {"__version__": "0.1.0", "kernel_backend_name": "pure"}
+
+
 def test_every_public_name_is_its_defining_modules_own_object():
-    # each name resolves in a fresh process, through the lazy table
+    # the constants are bound at import; every other name resolves in a
+    # fresh process, through the lazy table or from the errors
     code = (
         "import importlib, json, polyweight\n"
+        f"constants = {{n: vars(polyweight).get(n) for n in {sorted(EAGER_CONSTANTS)}}}\n"
         "wrong = []\n"
         "for name in polyweight.__all__:\n"
-        "    if name == '__version__':\n"
+        "    if name in constants:\n"
         "        continue\n"
         "    value = getattr(polyweight, name)\n"
         "    module, _, attr = polyweight._LAZY.get(name, 'errors').partition(':')\n"
@@ -79,13 +110,13 @@ def test_every_public_name_is_its_defining_modules_own_object():
         "    if value is not getattr(owner, attr or name) or (\n"
         "            defined_in != owner.__name__):\n"
         "        wrong.append(name)\n"
-        "print(json.dumps(wrong))"
+        "print(json.dumps([constants, wrong]))"
     )
-    assert run_fresh(code) == []
+    assert run_fresh(code) == [EAGER_CONSTANTS, []]
 
 
 def test_lazy_table_and_all_agree():
-    # a public name is bound at import (the errors and the version) or
+    # a public name is bound at import (the errors and the constants) or
     # listed in the lazy table, never both and never neither
     code = (
         "import json, polyweight\n"
@@ -97,7 +128,7 @@ def test_lazy_table_and_all_agree():
     assert len(public) == len(set(public))
     assert set(eager).isdisjoint(lazy)
     assert sorted(eager + lazy) == public
-    assert "__version__" in eager
+    assert set(EAGER_CONSTANTS) <= set(eager)
 
 
 def test_star_import_binds_all_public_names():

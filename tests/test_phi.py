@@ -243,6 +243,13 @@ class TestCheckAssumption:
         assert all(v.ok for v in others)
         assert report.all_ok  # skipped entries do not block the verdict
 
+    @pytest.mark.parametrize(
+        "p,r,message", [(4, 1, "prime"), (3, 0, "positive"), (3, 10**7, "bit_length")]
+    )
+    def test_rejects_a_bad_modulus(self, p, r, message):
+        with pytest.raises(DomainError, match=message):
+            check_assumption(GL2, p, r, box_radius=1)
+
     def test_jobs_do_not_change_the_report(self):
         # jobs is accepted and ignored
         seq = check_assumption(GL2, 3, 1, box_radius=2, jobs=1)

@@ -68,6 +68,40 @@ def test_phi_does_not_import_the_kernels():
     assert found == []
 
 
+def _kernels_imports(node, function=None):
+    """(enclosing function, line) of each import under ``node`` naming ``_kernels``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [f"{child.module or ''}.{alias.name}" for alias in child.names]
+        else:
+            names = []
+        if any("_kernels" in name.split(".") for name in names):
+            yield function, child.lineno
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        inner = child.name if isinstance(child, functions) else function
+        yield from _kernels_imports(child, inner)
+
+
+def test_only_the_context_tables_import_the_kernels():
+    # the package namespace and the CLI never compile the sweeps: the one
+    # import of ``_kernels`` is inside ``ClassificationContext.tables()``
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{line} in {function}"
+            for function, line in _kernels_imports(tree)
+            if (path.name, function) != ("classify.py", "tables")
+        ]
+    assert found == []
+    assert not any(
+        target.partition(":")[0] == "_kernels"
+        for target in polyweight._LAZY.values()
+    )
+
+
 def test_only_the_kernels_build_tables():
     # ``_kernels.tables_for`` is the one place the sweep tables are made
     found = []
