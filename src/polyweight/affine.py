@@ -92,15 +92,12 @@ def _rho_shift(w, datum):
     if w not in cache:
         two_rho = datum.positive_root_sum_twice
         moved = vec_sub(act(w, two_rho), two_rho)
-        if all(c % 2 == 0 for c in moved):
-            cache[w] = tuple(c // 2 for c in moved)
-        else:
-            try:
-                cache[w] = datum.lattice.halve_class(moved)
-            except ValueError as exc:
-                raise DomainError(
-                    "rho shift class is not divisible; datum is inconsistent"
-                ) from exc
+        try:
+            cache[w] = datum.lattice.halve_class(moved)
+        except ValueError as exc:
+            raise DomainError(
+                "rho shift class is not divisible; datum is inconsistent"
+            ) from exc
     return cache[w]
 
 

@@ -33,7 +33,6 @@ from .errors import DomainError
 from .lattice import (
     QuotientLattice,
     _echelonize,
-    compose,
     generate_group,
     identity_perm,
     is_even_perm,
@@ -120,11 +119,13 @@ class GroupDatum(_CachedRecord):
     def d_vectors(self):
         return tuple(self.b[i] for i in self.d_indices)
 
-    def weyl_group(self, cap=WEYL_CAP):
-        """All Weyl elements, sorted; cached after the first call."""
+    def weyl_group(self):
+        """All Weyl elements, sorted and cached; CapExceeded above WEYL_CAP."""
         if "weyl" not in self._cache:
             if self.weyl_generators:
-                self._cache["weyl"] = tuple(generate_group(self.weyl_generators, cap))
+                self._cache["weyl"] = tuple(
+                    generate_group(self.weyl_generators, WEYL_CAP)
+                )
             else:
                 self._cache["weyl"] = (identity_perm(self.ambient_dim),)
         return self._cache["weyl"]
@@ -170,13 +171,18 @@ def _indicator(n, support):
     return tuple(1 if k in s else 0 for k in range(n))
 
 
-def _prefix(n, k):
-    return tuple(1 if i < k else 0 for i in range(n))
+def _root_sum(n, pairs):
+    """The ambient vector sum of e_i - e_j over the index pairs (i, j)."""
+    out = [0] * n
+    for i, j in pairs:
+        out[i] += 1
+        out[j] -= 1
+    return tuple(out)
 
 
 def _root(n, i, j):
     """The ambient vector e_i - e_j."""
-    return tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
+    return _root_sum(n, ((i, j),))
 
 
 def _block_swap(n, i, j, ip, jp):
@@ -186,49 +192,12 @@ def _block_swap(n, i, j, ip, jp):
     return tuple(p)
 
 
-def build_gl(n):
-    """General linear group of rank n."""
-    if n < 1:
-        raise ValueError("gl needs n >= 1")
-    _require_index(n)
-    ones = (1,) * n
-    roots = tuple(_root(n, i, i + 1) for i in range(n - 1))
-    two_rho = tuple(n - 1 - 2 * i for i in range(n))
-    basis = tuple(_prefix(n, k) for k in range(1, n)) + (ones,)
-    return GroupDatum(
-        family="gl",
-        spec_string=f"gl:{n}",
-        ambient_dim=n,
-        lattice=QuotientLattice(n),
-        blocks=(tuple(range(n)),),
-        b=(ones,),
-        d_indices=(0,),
-        n_matrix=((1,),),
-        simple_roots=roots,
-        simple_coroots=roots,
-        weyl_generators=tuple(transposition(n, i, i + 1) for i in range(n - 1)),
-        positive_root_sum_twice=two_rho,
-        weight_basis=basis,
-        basis_pairing_diag=(1,) * (n - 1),
-    )
-
-
-def build_levi(parts):
-    """Block-diagonal Levi subgroup of GL_n with the given block sizes."""
-    parts = tuple(int(x) for x in parts)
-    if not parts or min(parts) < 1:
-        raise ValueError("levi needs a non-empty list of positive part sizes")
+def _block_diagonal(parts, family, spec_string):
+    """The datum of the block-diagonal Levi subgroup with these block sizes."""
     n = sum(parts)
-    _require_index(n)
-    offsets = [0]
-    for size in parts:
-        offsets.append(offsets[-1] + size)
-    blocks = tuple(tuple(range(offsets[i], offsets[i + 1])) for i in range(len(parts)))
+    ends = itertools.accumulate(parts)
+    blocks = tuple(tuple(range(end - size, end)) for size, end in zip(parts, ends))
     b = tuple(_indicator(n, blk) for blk in blocks)
-    eye = tuple(
-        tuple(1 if i == j else 0 for j in range(len(parts)))
-        for i in range(len(parts))
-    )
     roots = []
     gens = []
     dual = []
@@ -243,14 +212,14 @@ def build_levi(parts):
         for a in range(size):
             two_rho[blk[a]] = size - 1 - 2 * a
     return GroupDatum(
-        family="levi",
-        spec_string="levi:" + ",".join(str(x) for x in parts),
+        family=family,
+        spec_string=spec_string,
         ambient_dim=n,
         lattice=QuotientLattice(n),
         blocks=blocks,
         b=b,
         d_indices=tuple(range(len(parts))),
-        n_matrix=eye,
+        n_matrix=tuple(_indicator(len(parts), (i,)) for i in range(len(parts))),
         simple_roots=tuple(roots),
         simple_coroots=tuple(roots),
         weyl_generators=tuple(gens),
@@ -260,14 +229,50 @@ def build_levi(parts):
     )
 
 
-def _paired_coroot(n, j):
-    """Covector e_j - e_{j+1} - e_{j'} + e_{(j+1)'} for mirrored index pairs."""
-    out = [0] * n
-    out[j] += 1
-    out[j + 1] -= 1
-    out[n - 1 - j] -= 1
-    out[n - 2 - j] += 1
-    return tuple(out)
+def build_gl(n):
+    """General linear group of rank n: the Levi subgroup with one block."""
+    if n < 1:
+        raise ValueError("gl needs n >= 1")
+    _require_index(n)
+    return _block_diagonal((n,), "gl", f"gl:{n}")
+
+
+def build_levi(parts):
+    """Block-diagonal Levi subgroup of GL_n with the given block sizes."""
+    parts = tuple(int(x) for x in parts)
+    if not parts or min(parts) < 1:
+        raise ValueError("levi needs a non-empty list of positive part sizes")
+    _require_index(sum(parts))
+    return _block_diagonal(parts, "levi", "levi:" + ",".join(map(str, parts)))
+
+
+_Mirrored = namedtuple("_Mirrored", "blocks b roots coroots swaps positive_pairs")
+
+
+def _mirrored(n, l):
+    """What the symplectic and orthogonal families share.
+
+    The l mirrored blocks (i, i') with their indicators; the first l - 1
+    simple roots e_j - e_(j+1), their paired coroots
+    e_j - e_(j+1) - e_j' + e_(j+1)' and the block swaps that realize them;
+    and the index pairs (i, j) of the positive roots e_i - e_j that the
+    three families share, (a, c) and (a, c') for a < c < l.
+    """
+    blocks = tuple((i, n - 1 - i) for i in range(l))
+    pairs = [(a, c) for a in range(l) for c in range(a + 1, l)]
+    pairs += [(a, n - 1 - c) for a in range(l) for c in range(a + 1, l)]
+    return _Mirrored(
+        blocks=blocks,
+        b=tuple(_indicator(n, blk) for blk in blocks),
+        roots=tuple(_root(n, j, j + 1) for j in range(l - 1)),
+        coroots=tuple(
+            _root_sum(n, ((j, j + 1), (n - 2 - j, n - 1 - j))) for j in range(l - 1)
+        ),
+        swaps=tuple(
+            _block_swap(n, i, i + 1, n - 1 - i, n - 2 - i) for i in range(l - 1)
+        ),
+        positive_pairs=pairs,
+    )
 
 
 def build_gsp(two_l):
@@ -277,34 +282,28 @@ def build_gsp(two_l):
     _require_index(two_l)
     n = two_l
     l = n // 2
-    blocks = tuple((i, n - 1 - i) for i in range(l))
-    b = tuple(_indicator(n, blk) for blk in blocks)
-    kernel = tuple(vec_sub(b[i], b[i + 1]) for i in range(l - 1))
-    roots = tuple(_root(n, j, j + 1) for j in range(l))
-    coroots = tuple(_paired_coroot(n, j) for j in range(l - 1)) + (_root(n, l - 1, l),)
-    gens = [_block_swap(n, i, i + 1, n - 1 - i, n - 2 - i) for i in range(l - 1)]
-    gens += [transposition(n, i, n - 1 - i) for i in range(l)]
-    positives = (
-        [_root(n, a, b_) for a in range(l) for b_ in range(a + 1, l)]
-        + [_root(n, a, n - 1 - b_) for a in range(l) for b_ in range(a + 1, l)]
-        + [_root(n, a, n - 1 - a) for a in range(l)]
-    )
-    two_rho = tuple(sum(col) for col in zip(*positives))
-    basis = tuple(_prefix(n, k) for k in range(1, l + 1)) + (b[0],)
+    m = _mirrored(n, l)
+    last = _root(n, l - 1, l)
     return GroupDatum(
         family="gsp",
         spec_string=f"gsp:{n}",
         ambient_dim=n,
-        lattice=QuotientLattice(n, kernel),
-        blocks=blocks,
-        b=b,
+        lattice=QuotientLattice(
+            n, tuple(vec_sub(m.b[i], m.b[i + 1]) for i in range(l - 1))
+        ),
+        blocks=m.blocks,
+        b=m.b,
         d_indices=(0,),
         n_matrix=((1,),) * l,
-        simple_roots=roots,
-        simple_coroots=coroots,
-        weyl_generators=tuple(gens),
-        positive_root_sum_twice=two_rho,
-        weight_basis=basis,
+        simple_roots=m.roots + (last,),
+        simple_coroots=m.coroots + (last,),
+        weyl_generators=m.swaps
+        + tuple(transposition(n, i, n - 1 - i) for i in range(l)),
+        positive_root_sum_twice=_root_sum(
+            n, m.positive_pairs + [(a, n - 1 - a) for a in range(l)]
+        ),
+        weight_basis=tuple(_indicator(n, range(k)) for k in range(1, l + 1))
+        + (m.b[0],),
         basis_pairing_diag=(1,) * l,
     )
 
@@ -315,37 +314,29 @@ def build_go_odd(odd_n):
         raise ValueError("go_odd needs an odd ambient dimension >= 3")
     _require_index(odd_n)
     n = odd_n
-    l = n // 2
-    mid = l
-    blocks = tuple((i, n - 1 - i) for i in range(l)) + ((mid,),)
-    b = tuple(_indicator(n, blk) for blk in blocks)
-    kernel = tuple(vec_sub(b[i], vec_scale(2, b[l])) for i in range(l))
-    roots = tuple(_root(n, j, j + 1) for j in range(l))
-    coroots = tuple(_paired_coroot(n, j) for j in range(l - 1))
-    coroots += (vec_scale(2, _root(n, l - 1, l + 1)),)
-    gens = [_block_swap(n, i, i + 1, n - 1 - i, n - 2 - i) for i in range(l - 1)]
-    gens += [transposition(n, i, n - 1 - i) for i in range(l)]
-    positives = (
-        [_root(n, a, b_) for a in range(l) for b_ in range(a + 1, l)]
-        + [_root(n, a, n - 1 - b_) for a in range(l) for b_ in range(a + 1, l)]
-        + [_root(n, a, mid) for a in range(l)]
-    )
-    two_rho = tuple(sum(col) for col in zip(*positives))
-    basis = tuple(_prefix(n, k) for k in range(1, l + 1)) + (b[l],)
+    l = mid = n // 2
+    m = _mirrored(n, l)
+    b = m.b + (_indicator(n, (mid,)),)
     return GroupDatum(
         family="go_odd",
         spec_string=f"go:{n}",
         ambient_dim=n,
-        lattice=QuotientLattice(n, kernel),
-        blocks=blocks,
+        lattice=QuotientLattice(
+            n, tuple(vec_sub(b[i], vec_scale(2, b[l])) for i in range(l))
+        ),
+        blocks=m.blocks + ((mid,),),
         b=b,
         d_indices=(l,),
         n_matrix=((2,),) * l + ((1,),),
-        simple_roots=roots,
-        simple_coroots=coroots,
-        weyl_generators=tuple(gens),
-        positive_root_sum_twice=two_rho,
-        weight_basis=basis,
+        simple_roots=m.roots + (_root(n, l - 1, mid),),
+        simple_coroots=m.coroots + (vec_scale(2, _root(n, l - 1, l + 1)),),
+        weyl_generators=m.swaps
+        + tuple(transposition(n, i, n - 1 - i) for i in range(l)),
+        positive_root_sum_twice=_root_sum(
+            n, m.positive_pairs + [(a, mid) for a in range(l)]
+        ),
+        weight_basis=tuple(_indicator(n, range(k)) for k in range(1, l + 1))
+        + (b[l],),
         basis_pairing_diag=(1,) * (l - 1) + (2,),
     )
 
@@ -363,40 +354,24 @@ def build_go_even(two_l):
     _require_index(two_l)
     n = two_l
     l = n // 2
-    blocks = tuple((i, n - 1 - i) for i in range(l))
-    b = tuple(_indicator(n, blk) for blk in blocks)
-    kernel = tuple(vec_sub(b[i], b[i + 1]) for i in range(l - 1))
-    roots = tuple(_root(n, j, j + 1) for j in range(l - 1)) + (_root(n, l - 2, l),)
-    coroots = tuple(_paired_coroot(n, j) for j in range(l - 1))
-    last = [0] * n
-    last[l - 2] += 1
-    last[n - 1 - (l - 2)] -= 1
-    last[l - 1] += 1
-    last[l] -= 1
-    coroots += (tuple(last),)
-    gens = [_block_swap(n, i, i + 1, n - 1 - i, n - 2 - i) for i in range(l - 1)]
-    gens += [
-        compose(transposition(n, i, n - 1 - i), transposition(n, i + 1, n - 2 - i))
-        for i in range(l - 1)
-    ]
-    positives = (
-        [_root(n, a, b_) for a in range(l) for b_ in range(a + 1, l)]
-        + [_root(n, a, n - 1 - b_) for a in range(l) for b_ in range(a + 1, l)]
-    )
-    two_rho = tuple(sum(col) for col in zip(*positives))
+    m = _mirrored(n, l)
     return GroupDatum(
         family="go_even",
         spec_string=f"go:{n}",
         ambient_dim=n,
-        lattice=QuotientLattice(n, kernel),
-        blocks=blocks,
-        b=b,
+        lattice=QuotientLattice(
+            n, tuple(vec_sub(m.b[i], m.b[i + 1]) for i in range(l - 1))
+        ),
+        blocks=m.blocks,
+        b=m.b,
         d_indices=(0,),
         n_matrix=((1,),) * l,
-        simple_roots=roots,
-        simple_coroots=coroots,
-        weyl_generators=tuple(gens),
-        positive_root_sum_twice=two_rho,
+        simple_roots=m.roots + (_root(n, l - 2, l),),
+        simple_coroots=m.coroots + (_root_sum(n, ((l - 2, n + 1 - l), (l - 1, l))),),
+        weyl_generators=m.swaps + tuple(
+            _block_swap(n, i, n - 1 - i, i + 1, n - 2 - i) for i in range(l - 1)
+        ),
+        positive_root_sum_twice=_root_sum(n, m.positive_pairs),
         weight_basis=None,
         basis_pairing_diag=None,
     )
@@ -444,7 +419,7 @@ def permute_d(datum, order):
     )
 
 
-def validate_datum(datum, cap=WEYL_CAP):
+def validate_datum(datum):
     """Check the construction hypotheses and report per-item verdicts.
 
     (b) and (d) pair ``b``, ``blocks`` and the n-matrix rows by position,
@@ -509,7 +484,7 @@ def validate_datum(datum, cap=WEYL_CAP):
             if root(x) == root(y):
                 continue
             if closure is None and not all_even:
-                closure = set(datum.weyl_group(cap))
+                closure = set(datum.weyl_group())
             if all_even or transposition(n, x, y) not in closure:
                 wit_c_lower.append(
                     f"(c-lower): transposition ({x}, {y}) within block {bi} "

@@ -122,8 +122,11 @@ def _echelonize(vectors, n):
     """Integer row echelon form of the span of ``vectors``.
 
     Returns rows sorted by pivot column, with positive pivots and with the
-    entries above each pivot reduced into [0, pivot).  The row count equals
-    the rank of the span.
+    entries above each pivot reduced into [0, pivot): the Hermite normal
+    form, which the span determines.  The row count equals the rank of the
+    span.  Back-substitution runs from the last row up: each row is
+    reduced in one pass against rows that are already final, touching
+    only their non-zero entries.
     """
     rows = {}  # pivot column -> row (list)
     for vec in vectors:
@@ -150,12 +153,15 @@ def _echelonize(vectors, n):
         if row[col] < 0:
             rows[col] = [-a for a in row]
     cols = sorted(rows)
-    for i, col in enumerate(cols):
-        for upper in cols[:i]:
-            u = rows[upper]
-            q = u[col] // rows[col][col]
+    support = {}  # pivot column -> non-zero columns of its final row
+    for i in reversed(range(len(cols))):
+        row = rows[cols[i]]
+        for lower in cols[i + 1:]:
+            q = row[lower] // rows[lower][lower]
             if q:
-                rows[upper] = [a - q * b for a, b in zip(u, rows[col])]
+                for k in support[lower]:
+                    row[k] -= q * rows[lower][k]
+        support[cols[i]] = [k for k, a in enumerate(row) if a]
     return [tuple(rows[c]) for c in cols], cols
 
 
@@ -165,6 +171,8 @@ class QuotientLattice:
     The kernel basis is echelonized once at construction; canonical coset
     representatives come from reducing each pivot coordinate into
     [0, pivot).  A zero-kernel instance is a plain ambient lattice.
+    Equality, hash and repr read the dimension and the kernel basis as
+    given, so equal instances also share their echelon rows.
     """
 
     def __init__(self, ambient_dim, kernel_basis=()):
@@ -178,6 +186,20 @@ class QuotientLattice:
         self._rows = rows
         self._pivot_cols = cols
         self._parity = None
+
+    def _key(self):
+        return self.ambient_dim, self.kernel_basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"QuotientLattice({self.ambient_dim}, {self.kernel_basis!r})"
 
     @property
     def kernel_rank(self):
@@ -245,7 +267,8 @@ class QuotientLattice:
         """Exact division of the coset of ``vec`` by 2.
 
         Finds a kernel shift making the vector coordinatewise even and
-        halves it; raises ValueError if the coset is not divisible.
+        halves it (an all-even vector is halved as it stands); raises
+        ValueError if the coset is not divisible.
         """
         check_dim(vec, self.ambient_dim)
         par = [c & 1 for c in vec]

@@ -1,6 +1,7 @@
 """Quotient-lattice arithmetic and permutation helpers."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from polyweight.lattice import (
     PRIME_TEST_LIMIT,
     PRPOW_BIT_LIMIT,
     QuotientLattice,
+    _echelonize,
     act,
     act_covector,
     compose,
@@ -47,6 +49,17 @@ class TestQuotientLattice:
         lat = QuotientLattice(3)
         assert lat.canonical_rep((5, -2, 7)) == (5, -2, 7)
         assert lat.kernel_rank == 0 and lat.rank == 3
+
+    def test_equality_hash_and_repr_read_the_basis(self):
+        lat = QuotientLattice(4, GSP4_KERNEL)
+        same = QuotientLattice(4, [list(k) for k in GSP4_KERNEL])
+        assert lat is not same
+        assert lat == same and hash(lat) == hash(same)
+        assert repr(lat) == repr(same) == "QuotientLattice(4, ((1, -1, -1, 1),))"
+        assert repr(QuotientLattice(2)) == "QuotientLattice(2, ())"
+        assert lat != QuotientLattice(4)
+        assert lat != QuotientLattice(4, ((-1, 1, 1, -1),))
+        assert lat != GSP4_KERNEL
 
     def test_dependent_kernel_vectors_are_rejected(self):
         with pytest.raises(ValueError):
@@ -102,6 +115,55 @@ class TestQuotientLattice:
         assert lat.halve_class((1, 1, 1, 1)) is not None
         with pytest.raises(ValueError):
             lat.halve_class((1, 0, 0, 0))
+
+
+def _det(rows):
+    """The determinant of a square integer matrix, by the Leibniz formula."""
+    return sum(
+        (1 if is_even_perm(s) else -1)
+        * math.prod(row[j] for row, j in zip(rows, s))
+        for s in itertools.permutations(range(len(rows)))
+    )
+
+
+def _minor_gcd(rows, k):
+    """The gcd of the k x k minors: the same for every basis of a lattice."""
+    n = len(rows[0]) if rows else 0
+    return math.gcd(*(
+        _det([[rows[i][j] for j in cols] for i in picked])
+        for picked in itertools.combinations(range(len(rows)), k)
+        for cols in itertools.combinations(range(n), k)
+    ))
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-6, 6)] * n), max_size=5)
+        .map(lambda vecs: (n, vecs))
+    )
+)
+def test_echelonize_is_the_hermite_form_of_the_span(case):
+    n, vectors = case
+    rows, cols = _echelonize(vectors, n)
+    assert len(rows) == len(cols)
+    assert cols == sorted(set(cols))
+    for row, col in zip(rows, cols):
+        assert len(row) == n
+        assert not any(row[:col]) and row[col] > 0
+        for other in rows:
+            if other is not row:
+                assert 0 <= other[col] < row[col]
+    # every input reduces to zero against the rows, so the rows span at
+    # least the input lattice; equal gcds of maximal minors (Cauchy-Binet)
+    # then leave index 1, and a rank mismatch would make one gcd 0
+    for vec in vectors:
+        v = list(vec)
+        for row, col in zip(rows, cols):
+            q, rest = divmod(v[col], row[col])
+            assert rest == 0
+            v = [a - q * b for a, b in zip(v, row)]
+        assert not any(v)
+    assert _minor_gcd(vectors, len(rows)) == _minor_gcd(rows, len(rows))
 
 
 class TestPairing:
