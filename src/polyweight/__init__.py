@@ -79,14 +79,14 @@ _LAZY = {
     "permute_d": "groups",
     "validate_datum": "groups",
     "x0_basis": "groups",
+    "AssumptionReport": "certify",
+    "PropertyVerdict": "certify",
+    "check_assumption": "certify",
+    "default_box_radius": "certify",
+    "find_witness_w": "certify",
+    "kernel_block_constancy": "certify",
     "QuotientLattice": "lattice",
-    "AssumptionReport": "phi",
     "PhiData": "phi",
-    "PropertyVerdict": "phi",
-    "check_assumption": "phi",
-    "default_box_radius": "phi",
-    "find_witness_w": "phi",
-    "kernel_block_constancy": "phi",
     "phi": "phi",
     "phi_ambient": "phi",
 }

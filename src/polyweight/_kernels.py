@@ -8,7 +8,7 @@ them against the scalar library and against the plain loops in
 ``tests/loop_kernels.py``.
 
 ``pair_witness_sweep`` and ``poly_consistency_sweep`` visit every point
-of a box.  ``phi.check_assumption`` certifies the same properties one
+of a box.  ``certify.check_assumption`` certifies the same properties one
 block size at a time without them; they are the exhaustive oracles the
 test suite compares it with.
 
@@ -20,70 +20,16 @@ the radius, the modulus and the table entries, and raise DomainError
 when the bound does not fit in 64 bits, so no value wraps.  numpy is imported
 inside those functions only, so importing the package does not load it.
 
-Every kernel takes a ``Tables`` bundle of the datum's own rows, built
-by ``tables_for``; the scalar functional inside the sweeps is
-``phi.phi_ambient`` evaluated on it.
-
-Within the package, only ``ClassificationContext.tables()`` imports this
-module, inside its body, so neither the package namespace nor the CLI
-loads it; ``polyweight.kernel_backend_name`` is a package constant.
+Every kernel reads a ``classify.Tables`` bundle of the datum's own rows
+(``ClassificationContext.tables()``) by attribute, and evaluates the
+scalar functional with ``phi.phi_ambient`` on it.  No package module
+imports this one: a caller of a sweep imports it.
 """
 
-from collections import namedtuple
 from itertools import product
 
 from .errors import DomainError
 from .phi import _box, phi_ambient
-
-
-class Tables(
-    namedtuple(
-        "Tables",
-        [
-            "n",         # ambient dimension
-            "blocks",    # the block partition, one tuple of indices per block
-            "n_matrix",  # one expansion row per block
-            "coroots",   # simple coroots, as ambient covectors
-            "dvecs",     # ambient coordinates of the d weights
-            "coef",      # coordinate functionals w.r.t. the basis
-            "basis",     # ambient basis vectors (dual part, then d part)
-            "diag",      # pairing values of dual basis elements (1 or 2)
-            "kernel",    # kernel basis vectors
-        ],
-    )
-):
-    """The rows a sweep reads; ``phi.phi_ambient`` evaluates on them."""
-
-    __slots__ = ()
-
-    @property
-    def ambient_dim(self):
-        return self.n
-
-    @property
-    def target_rank(self):
-        return len(self.dvecs)
-
-
-def tables_for(datum, coef=()):
-    """The sweep tables of a datum.
-
-    ``coef`` holds a ``ClassificationContext``'s coordinate rows.  Only
-    the decomposition sweep reads them, with the weight basis and its
-    pairing diagonal, which data without a weight basis leave empty.
-    """
-    return Tables(
-        n=datum.ambient_dim,
-        blocks=datum.blocks,
-        n_matrix=datum.n_matrix,
-        coroots=datum.simple_coroots,
-        dvecs=datum.d_vectors,
-        coef=tuple(coef),
-        basis=datum.weight_basis or (),
-        diag=datum.basis_pairing_diag or (),
-        kernel=datum.lattice.kernel_basis,
-    )
-
 
 _INT64_MAX = 2**63 - 1
 
@@ -221,7 +167,7 @@ def poly_consistency_sweep(t, radius):
     the kernel is a chain of seven block differences, the box point
     (-1, -1, -1, -1, 1, ..., 1, -1, -1, -1, -1) of radius 1 needs the
     coefficient 4 against a window of 3, so the oracle wrongly answers
-    no.  ``phi.check_assumption`` searches unbounded ranges instead.
+    no.  ``certify.check_assumption`` searches unbounded ranges instead.
     """
     checked = 0
     for lam in _box(t.n, radius):

@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .classify import simple_membership
-from .errors import DomainError, PreconditionError, ShiftRangeError
+from .errors import CapExceeded, DomainError, PreconditionError, ShiftRangeError
 from .lattice import (
     QuotientLattice,
     _echelonize,
@@ -24,6 +24,9 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
+
+# Most box points ``orbit_in_box`` scans in one call.
+ORBIT_BOX_CAP = 1_000_000
 
 
 def _span_lattice(n, vectors):
@@ -130,10 +133,16 @@ def orbit_in_box(weight, p, box_radius, datum):
     point is reduced to its canonical form modulo that translation span
     and matched against the twisted base forms.  The resulting element
     sets are cached per orbit, since every weight of one orbit produces
-    the same slice.
+    the same slice.  Raises CapExceeded, before scanning, when the box
+    has more than ``ORBIT_BOX_CAP`` points.
     """
     n = datum.ambient_dim
     check_dim(weight, n)
+    if (2 * box_radius + 1) ** n > ORBIT_BOX_CAP:
+        raise CapExceeded(
+            f"orbit scan of the box of radius {box_radius} in dimension {n} "
+            f"has more than {ORBIT_BOX_CAP} points"
+        )
     membership = _orbit_lattice(datum, p)
     base_forms = {
         membership.canonical_rep(vec_add(act(w, weight), _rho_shift(w, datum)))

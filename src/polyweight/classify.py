@@ -7,7 +7,8 @@ both with distinguished shifts, the unique base-plus-multiple
 decomposition, and enumeration of the full digit set.  A context object
 fixes the group datum and the modulus p^r, rejects data failing a
 construction hypothesis, and precomputes exact integer coordinates for
-the weight-basis expansion used by the decomposition.
+the weight-basis expansion used by the decomposition.  It owns the rows
+the sweeps read (``Tables``), so it never loads ``_kernels``.
 """
 
 import itertools
@@ -77,6 +78,55 @@ def _exact_inverse_rows(columns, n):
     return [row[n:] for row in rows]
 
 
+class Tables(
+    namedtuple(
+        "Tables",
+        [
+            "n",         # ambient dimension
+            "blocks",    # the block partition, one tuple of indices per block
+            "n_matrix",  # one expansion row per block
+            "coroots",   # simple coroots, as ambient covectors
+            "dvecs",     # ambient coordinates of the d weights
+            "coef",      # coordinate functionals w.r.t. the basis
+            "basis",     # ambient basis vectors (dual part, then d part)
+            "diag",      # pairing values of dual basis elements (1 or 2)
+            "kernel",    # kernel basis vectors
+        ],
+    )
+):
+    """The rows a sweep reads; ``phi.phi_ambient`` evaluates on them."""
+
+    __slots__ = ()
+
+    @property
+    def ambient_dim(self):
+        return self.n
+
+    @property
+    def target_rank(self):
+        return len(self.dvecs)
+
+
+def tables_for(datum, coef=()):
+    """The sweep tables of a datum.
+
+    ``coef`` holds a ``ClassificationContext``'s coordinate rows.  Only
+    the decomposition sweep reads them, with the weight basis and its
+    pairing diagonal, which data without a weight basis leave empty.
+    """
+    return Tables(
+        n=datum.ambient_dim,
+        blocks=datum.blocks,
+        n_matrix=datum.n_matrix,
+        coroots=datum.simple_coroots,
+        dvecs=datum.d_vectors,
+        coef=tuple(coef),
+        basis=datum.weight_basis or (),
+        diag=datum.basis_pairing_diag or (),
+        kernel=datum.lattice.kernel_basis,
+    )
+
+
 class ClassificationContext(_CachedRecord):
     """Group datum plus modulus, with exact coordinate machinery.
 
@@ -143,8 +193,6 @@ class ClassificationContext(_CachedRecord):
     def tables(self):
         """The sweep kernels' tables of the datum and its coordinate rows."""
         if "tables" not in self._cache:
-            from ._kernels import tables_for
-
             self._cache["tables"] = tables_for(self.datum, self._coef)
         return self._cache["tables"]
 
@@ -185,12 +233,23 @@ def is_polynomial(weight, ctx):
     return min(ctx.phi(weight)) >= 0
 
 
+def _coroots(datum):
+    """The simple coroots, checked once per datum to descend to the
+    quotient (a pairing is defined on classes only then)."""
+    cache = datum._cache
+    if "coroots" not in cache:
+        for cov in datum.simple_coroots:
+            if not datum.lattice.annihilates(cov):
+                raise ValueError("covector is not kernel-annihilating")
+        cache["coroots"] = datum.simple_coroots
+    return cache["coroots"]
+
+
 def is_restricted(weight, ctx):
     """All simple-coroot pairings lie in [0, p^r - 1]."""
     bound = ctx.prpow - 1
-    lat = ctx.datum.lattice
-    for cov in ctx.datum.simple_coroots:
-        val = pair(weight, cov, lat)
+    for cov in _coroots(ctx.datum):
+        val = pair(weight, cov)
         if val < 0 or val > bound:
             return False
     return True
@@ -198,8 +257,7 @@ def is_restricted(weight, ctx):
 
 def in_x0(weight, ctx):
     """All simple-coroot pairings vanish."""
-    lat = ctx.datum.lattice
-    return all(pair(weight, cov, lat) == 0 for cov in ctx.datum.simple_coroots)
+    return all(pair(weight, cov) == 0 for cov in _coroots(ctx.datum))
 
 
 def in_Pr(weight, ctx):
@@ -219,9 +277,8 @@ def _in_pr(weight, datum, prpow):
     data = PhiData.from_datum(datum)
     if min(phi_ambient(weight, data)) < 0:
         return False
-    lat = datum.lattice
-    for cov in datum.simple_coroots:
-        val = pair(weight, cov, lat)
+    for cov in _coroots(datum):
+        val = pair(weight, cov)
         if val < 0 or val > prpow - 1:
             return False
     for d in datum.d_vectors:

@@ -15,6 +15,7 @@ import sys
 
 from . import __version__, kernel_backend_name
 from .affine import check_shift_bijection, shift_bound_a
+from .certify import check_assumption
 from .classify import (
     ClassificationContext,
     decompose,
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .groups import parse_group_spec, validate_datum
 from .lattice import is_prime
-from .phi import check_assumption
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -242,7 +242,8 @@ class QuotientLattice:
     def annihilates(self, covector):
         """Whether the covector kills every kernel vector (i.e. descends)."""
         check_dim(covector, self.ambient_dim)
-        return all(dot(covector, k) == 0 for k in self.kernel_basis)
+        live = [(i, c) for i, c in enumerate(covector) if c]
+        return not any(sum(c * k[i] for i, c in live) for k in self.kernel_basis)
 
     def _parity_rows(self):
         # GF(2) echelon of the kernel basis, each row carrying an integer
@@ -282,20 +283,13 @@ class QuotientLattice:
         return tuple(c // 2 for c in shifted)
 
 
-def pair(weight, covector, lattice=None):
-    """Integer pairing of a weight with a covector.
-
-    When ``lattice`` is given the weight is read as a coset and the
-    covector must descend to the quotient.
-    """
+def pair(weight, covector):
+    """Integer pairing of a weight with a covector; it is defined on
+    classes when ``QuotientLattice.annihilates`` the covector."""
     if len(weight) != len(covector):
         raise DimensionMismatch(
             f"weight length {len(weight)} vs covector length {len(covector)}"
         )
-    if lattice is not None:
-        check_dim(weight, lattice.ambient_dim)
-        if not lattice.annihilates(covector):
-            raise ValueError("covector is not kernel-annihilating")
     return dot(weight, covector)
 
 

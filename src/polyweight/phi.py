@@ -1,19 +1,16 @@
-"""The blockwise-minimum weight functional and its certification.
+"""The blockwise-minimum weight functional.
 
 The functional phi maps an ambient weight to an integer vector of length
 l by taking the minimum coordinate over each block and expanding through
-the non-negative n-matrix.  It is constant on kernel classes, detects
-membership in the polynomial cone through its sign, and is additive in a
-Weyl-twisted sense: for any two weights some group element aligns the
-block minima so that phi adds exactly.  ``check_assumption`` certifies
-these facts on coordinate boxes, exactly, one block size at a time.
+the non-negative n-matrix.  It is constant on kernel classes and detects
+membership in the polynomial cone through its sign.  ``_box`` walks the
+boxes of ``certify`` and ``_kernels``, which both build on this module.
 """
 
-import math
 from collections import namedtuple
 
-from .errors import DomainError, HypothesisFailure, PreconditionError
-from .lattice import act, check_dim, prime_power, vec_add, vec_scale
+from .errors import DomainError, HypothesisFailure
+from .lattice import check_dim
 
 
 class PhiData(namedtuple("PhiData", "blocks n_matrix target_rank")):
@@ -79,101 +76,6 @@ def phi(weight, datum, ambient=False):
     return phi_ambient(weight, PhiData.from_datum(datum))
 
 
-def find_witness_w(lam, lam_prime, datum):
-    """A Weyl element making the functional add on the given pair.
-
-    The constructive choice transposes, within every block, the position
-    of ``lam``'s block minimum onto a position where ``lam_prime``
-    attains its block minimum; each such transposition lies in the Weyl
-    group by the lower group hypothesis.  It always works: on every
-    block B the two minima then sit at one position, so
-    min_B(w.lam + lam_prime) = min_B(lam) + min_B(lam_prime), and phi
-    adds blockwise.  The additivity postcondition is checked anyway and
-    raises ``AssertionError`` on a miss, also under ``python -O``.
-    """
-    report = datum.validation()
-    if not report.c_lower:
-        raise HypothesisFailure(
-            f"datum {datum.spec_string} fails the lower Weyl-group hypothesis; "
-            "no witness construction is available"
-        )
-    n = datum.ambient_dim
-    check_dim(lam, n)
-    check_dim(lam_prime, n)
-    data = PhiData.from_datum(datum)
-    target = vec_add(phi_ambient(lam, data), phi_ambient(lam_prime, data))
-
-    w = tuple(range(n))
-    for blk in datum.blocks:
-        a0 = min(blk, key=lambda a: (lam[a], a))
-        m1 = min(lam_prime[a] for a in blk)
-        if lam_prime[a0] == m1:
-            continue
-        a1 = min(a for a in blk if lam_prime[a] == m1)
-        if a0 != a1:
-            w = tuple(
-                a1 if x == a0 else a0 if x == a1 else x for x in w
-            )
-    if phi_ambient(vec_add(act(w, lam), lam_prime), data) != target:
-        raise AssertionError("the canonical witness does not restore additivity")
-    return w
-
-
-def kernel_block_constancy(mu, datum):
-    """Whether a kernel element is constant on every block."""
-    check_dim(mu, datum.ambient_dim)
-    if not datum.lattice.contains(mu):
-        raise PreconditionError("weight is not in the kernel sublattice")
-    for blk in datum.blocks:
-        first = mu[blk[0]]
-        if any(mu[a] != first for a in blk[1:]):
-            return False
-    return True
-
-
-class PropertyVerdict(
-    namedtuple(
-        "PropertyVerdict",
-        "name ok checked witness skipped evaluated",
-        defaults=("", False, 0),
-    )
-):
-    """One certified property: verdict, box points or pairs covered, first
-    witness, and the number of points or pairs actually evaluated."""
-
-    __slots__ = ()
-
-
-class AssumptionReport(
-    namedtuple(
-        "AssumptionReport",
-        "group p r box_radius positivity homogeneity additivity_witness "
-        "x0_bijection",
-    )
-):
-    """Outcome of the box certification of the four properties."""
-
-    __slots__ = ()
-
-    @property
-    def properties(self):
-        return (
-            self.positivity,
-            self.homogeneity,
-            self.additivity_witness,
-            self.x0_bijection,
-        )
-
-    @property
-    def all_ok(self):
-        return all(v.ok for v in self.properties if not v.skipped)
-
-
-def default_box_radius(ambient_dim):
-    """Box radius keeping the exhaustive suites fast: 2 beyond dimension 4."""
-    return 2 if ambient_dim >= 5 else 3
-
-
 def _box(dim, radius):
     """The points of [-radius, radius]^dim in box order, made one at a time.
 
@@ -191,392 +93,3 @@ def _box(dim, radius):
         if i < 0:
             return
         point[i] += 1
-
-
-def _points_through(point, radius):
-    """How many box points come up to and including ``point`` in box order."""
-    index = 0
-    for v in point:
-        index = index * (2 * radius + 1) + v + radius
-    return index + 1
-
-
-def _witness_swap(a, b):
-    """The two positions the canonical witness transposes on one block.
-
-    ``a`` and ``b`` are the first positions, in block order, where lam
-    and lam' attain their minima on the block.  Moving lam's minimum onto
-    ``b`` lines the two minima up.  This is the rule of
-    ``_kernels.pair_witness_sweep``, and the one ``check_assumption``
-    certifies.
-    """
-    return a, b
-
-
-def _block_classes(k, radius):
-    """Split [-radius, radius]^k by first minimum position and minimum.
-
-    Yields (a, m, least, greatest).  The points whose minimum m is first
-    attained at position a form the box least <= x <= greatest: ``least``
-    is m + 1 before a and m from a on, ``greatest`` is m at a and radius
-    elsewhere.  The empty classes (m = radius with a > 0) are left out.
-    """
-    for a in range(k):
-        for m in range(-radius, radius + 1 if a == 0 else radius):
-            least = (m + 1,) * a + (m,) * (k - a)
-            greatest = (radius,) * a + (m,) + (radius,) * (k - a - 1)
-            yield a, m, least, greatest
-
-
-def _additivity_cells(k, radius):
-    """Class pairs of one block size, as boxes over (lam|B, lam'|B).
-
-    The witness is fixed on a pair of classes, so min_B(w.lam + lam') is
-    non-decreasing there, and the target min_B(lam) + min_B(lam') is
-    the constant m + m'.
-    """
-    for a, m, least, greatest in _block_classes(k, radius):
-        for b, m2, least2, greatest2 in _block_classes(k, radius):
-            i, j = _witness_swap(a, b)
-            src = list(range(k))
-            src[i], src[j] = j, i
-
-            def value(x, src=src):
-                return min(x[s] + x[k + t] for t, s in enumerate(src))
-
-            yield least + least2, greatest + greatest2, value, m + m2
-
-
-def _homogeneity_cells(k, radius, prpow):
-    """The classes of one block size, checking min(p^r x) = p^r min(x)."""
-
-    def value(x):
-        return min(prpow * v for v in x)
-
-    for _, m, least, greatest in _block_classes(k, radius):
-        yield least, greatest, value, prpow * m
-
-
-def _first_miss(least, greatest, value, target, order):
-    """The first point of a box holding a miss, comparing coordinates in
-    ``order``; returns it with the number of evaluations spent.
-
-    ``value`` is non-decreasing on the box, so a sub-box holds a point
-    where it differs from ``target`` iff its least or its greatest point
-    is one.  Each coordinate in turn is fixed to the least value whose
-    sub-box still holds a miss.
-    """
-    lo, hi = list(least), list(greatest)
-    spent = 0
-    for c in order:
-        for v in range(lo[c], hi[c] + 1):
-            lo[c] = hi[c] = v
-            spent += 2
-            if value(lo) != target or value(hi) != target:
-                break
-    return tuple(lo), spent
-
-
-def _certify_blocks(blocks, n, radius, copies, cells):
-    """Certify a blockwise property on the box [-radius, radius]^(copies*n).
-
-    A box point is ``copies`` weights laid end to end.  It passes iff its
-    restriction to every given block passes, and a restriction passes iff
-    it passes on the cell holding it: ``cells(k)`` covers
-    [-radius, radius]^(copies*k) with boxes (least, greatest, value,
-    target), ``value`` non-decreasing on each, and a point passes iff
-    value equals target there.  A cell passes as a whole iff its least
-    and its greatest point do, so each block size costs two evaluations
-    per cell.
-
-    A failing restriction extends to a failing box point with every other
-    coordinate at -radius, so the first failing box point is the least of
-    those extensions.  Returns (checked, evaluated, first failing point
-    or None); ``checked`` counts the box points up to and including the
-    failure, in box order.
-    """
-    evaluated = 0
-    misses = {}
-    for k in sorted({len(blk) for blk in blocks}):
-        found = []
-        for cell in cells(k):
-            least, greatest, value, target = cell
-            evaluated += 2
-            if value(least) != target or value(greatest) != target:
-                found.append(cell)
-        if found:
-            misses[k] = found
-    if not misses:
-        return (2 * radius + 1) ** (copies * n), evaluated, None
-    first = None
-    for blk in blocks:
-        where = [c * n + a for c in range(copies) for a in blk]
-        order = sorted(range(len(where)), key=where.__getitem__)
-        for least, greatest, value, target in misses.get(len(blk), ()):
-            local, spent = _first_miss(least, greatest, value, target, order)
-            evaluated += spent
-            point = [-radius] * (copies * n)
-            for at, v in zip(where, local):
-                point[at] = v
-            if first is None or point < first:
-                first = point
-    return _points_through(first, radius), evaluated, tuple(first)
-
-
-def _block_kernel(datum):
-    """Each kernel basis vector's value on each block, as columns."""
-    cols = []
-    for vec in datum.lattice.kernel_basis:
-        if not kernel_block_constancy(vec, datum):
-            raise DomainError(
-                f"kernel vector {vec} of {datum.spec_string} is not constant "
-                "on every block; the box certificate needs block-constant "
-                "kernel vectors"
-            )
-        cols.append(tuple(vec[blk[0]] for blk in datum.blocks))
-    return cols
-
-
-def _shift_exists(mins, cols):
-    """Whether some kernel shift makes every block minimum non-negative.
-
-    ``cols[k][B]`` is kernel vector k's value on block B, so the question
-    is whether some integer vector c has mins[B] + sum_k c_k cols[k][B]
-    >= 0 on every block B.
-
-    Every coefficient starts unbounded, and its range is narrowed to the
-    values each block constraint still allows given the other ranges.  A
-    narrowing keeps every solution, so a depth-first search of the
-    narrowed ranges is exact; it fixes the coefficients in turn and
-    abandons a branch as soon as some block can no longer reach 0.
-
-    The narrowing ends.  While some bound is infinite, only infinite
-    bounds are narrowed, and each of the 2 * krank bounds turns finite at
-    most once; after that, every narrowing shrinks a finite integer
-    range.  (Narrowing a finite bound while its opposite is infinite
-    could raise it step by step forever when no solution exists.)  If a
-    bound is still infinite at the end, no finite search decides the
-    question, and ``DomainError`` is raised.
-    """
-    krank = len(cols)
-    lo = [-math.inf] * krank
-    hi = [math.inf] * krank
-    # each block's constraint, as its (k, cols[k][B]) with a non-zero value
-    terms = [
-        [(k, col[b]) for k, col in enumerate(cols) if col[b]]
-        for b in range(len(mins))
-    ]
-
-    def reach(k, x):
-        # the most c_k * x can be: an int or +inf
-        return x * (hi[k] if x > 0 else lo[k])
-
-    def bounded():
-        return math.inf not in hi and -math.inf not in lo
-
-    changed = True
-    while changed:
-        changed = False
-        settled = bounded()
-        for mb, row in zip(mins, terms):
-            if mb + sum(reach(k, x) for k, x in row) < 0:
-                return False
-            for k, x in row:
-                rest = mb + sum(reach(i, y) for i, y in row if i != k)
-                if rest == math.inf:
-                    continue
-                if x > 0 and -(rest // x) > lo[k]:
-                    if settled or lo[k] == -math.inf:
-                        lo[k] = -(rest // x)
-                        changed = True
-                elif x < 0 and rest // -x < hi[k]:
-                    if settled or hi[k] == math.inf:
-                        hi[k] = rest // -x
-                        changed = True
-                if lo[k] > hi[k]:
-                    return False
-    if not bounded():
-        raise DomainError(
-            f"kernel shift coefficients stay unbounded at block minima "
-            f"{tuple(mins)}; the positivity oracle cannot decide them"
-        )
-
-    # slack[k][b]: the most that coefficients k, k+1, ... can add to block b
-    slack = [[0] * len(mins)]
-    for k in range(krank - 1, -1, -1):
-        slack.insert(0, [s + reach(k, x) for s, x in zip(slack[0], cols[k])])
-
-    def search(k, partial):
-        if k == krank:
-            return True
-        col, after = cols[k], slack[k + 1]
-        for c in range(lo[k], hi[k] + 1):
-            moved = [v + c * x for v, x in zip(partial, col)]
-            if all(v + s >= 0 for v, s in zip(moved, after)) and search(
-                k + 1, moved
-            ):
-                return True
-        return False
-
-    return search(0, list(mins))
-
-
-def _positivity(datum, data, radius, cols):
-    """The sign test against the kernel-shift oracle, per vector of block
-    minima; returns (checked, evaluated, first failure or None)."""
-    n, blocks = datum.ambient_dim, datum.blocks
-    block_of = [0] * n
-    for i, blk in enumerate(blocks):
-        for a in blk:
-            block_of[a] = i
-    # box order of the block-constant representatives is lexicographic
-    # order of the minima, blocks taken by their least member
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    evaluated = 0
-    mins = [0] * len(blocks)
-    for values in _box(len(blocks), radius):
-        for i, v in zip(order, values):
-            mins[i] = v
-        evaluated += 1
-        rep = tuple(mins[block_of[a]] for a in range(n))
-        ok_phi = min(phi_ambient(rep, data)) >= 0
-        ok_oracle = _shift_exists(mins, cols)
-        if ok_phi != ok_oracle:
-            failure = (rep, ok_phi, ok_oracle)
-            return _points_through(rep, radius), evaluated, failure
-    return (2 * radius + 1) ** n, evaluated, None
-
-
-def check_assumption(datum, p, r, box_radius=None, jobs=1):
-    """Certify the four functional properties on a coordinate box.
-
-    Property 1 (positivity) compares the sign test against a kernel-shift
-    oracle that never evaluates the functional.  Property 2 is exact
-    p^r-homogeneity.  Property 3 certifies the canonical additivity
-    witness for every ordered pair of box weights, and is skipped with an
-    explicit marker for data failing the lower Weyl-group hypothesis.
-    Property 4 checks that the functional inverts the distinguished
-    combinations c |-> sum c_j d_j.  Each verdict's ``checked`` counts
-    the box points or pairs it covers, up to and including the first
-    failure in box order, and ``evaluated`` the points or pairs it
-    actually evaluated.  Failures are reported with the first failing
-    point in box order, never raised.  ``jobs`` is accepted and ignored.
-
-    The certificate is exact but evaluates each block size, not each box
-    point.  The functional is phi(v) = sum_B min_B(v) n_B with
-    non-negative rows n_B; only blocks with a non-zero row affect it.
-
-    * Additivity.  The witness transposes, within each block B, the
-      first position a of lam's minimum with the first position b of
-      the minimum of lam'.  A permutation within B keeps min_B, so
-      min_B(w.lam + lam') >= min_B(lam) + min_B(lam'), and phi adds iff
-      equality holds on every block.  Equality on B depends only on
-      lam|B and lam'|B.  Split [-R, R]^|B| into classes by first-argmin
-      position and minimum m: each class is a product of intervals
-      ([m+1, R] before a, m at a, [m, R] after a).  On a pair of classes
-      the witness is fixed, so min_B(w.lam + lam') is coordinatewise
-      non-decreasing, and the target m + m' is constant.  It equals the
-      target on the whole pair iff it does at the least and at the
-      greatest pair.  That is two evaluations per class pair and block
-      size.
-    * Homogeneity.  min_B(p^r lam) = p^r min_B(lam) is checked on the
-      same classes, two evaluations per class.
-    * Positivity.  Every kernel vector must be constant on each block
-      (``DomainError`` otherwise).  Then a kernel shift moves all of a
-      block by one amount, so whether some shift of lam is non-negative
-      depends only on the vector m of block minima, and so does phi.
-      Both are evaluated once per m in [-R, R]^s, at the block-constant
-      representative, which is the first box point with those minima.
-      The oracle narrows each shift coefficient's range from unbounded
-      by the block constraints and searches what remains, so it is exact;
-      ``DomainError`` is raised where a range stays unbounded.
-    * x0 bijection.  The (2R+1)^l coefficient vectors, one at a time.
-
-    ``_kernels.pair_witness_sweep`` and ``poly_consistency_sweep`` are the
-    exhaustive sweeps of properties 3 and 1; the test suite checks that
-    they report the same verdicts, counts and witnesses on small boxes.
-    """
-    prpow = prime_power(p, r)
-    n = datum.ambient_dim
-    radius = default_box_radius(n) if box_radius is None else int(box_radius)
-    if radius < 1:
-        raise DomainError("box radius must be at least 1")
-    cols = _block_kernel(datum)
-    data = PhiData.from_datum(datum)
-    live = [blk for blk, row in zip(datum.blocks, datum.n_matrix) if any(row)]
-
-    checked, evaluated, fail = _positivity(datum, data, radius, cols)
-    positivity = PropertyVerdict(
-        name="positivity",
-        ok=fail is None,
-        checked=checked,
-        witness=(
-            ""
-            if fail is None
-            else f"weight {fail[0]}: sign test {fail[1]}, shift oracle {fail[2]}"
-        ),
-        evaluated=evaluated,
-    )
-
-    checked, evaluated, fail = _certify_blocks(
-        live, n, radius, 1, lambda k: _homogeneity_cells(k, radius, prpow)
-    )
-    homogeneity = PropertyVerdict(
-        name="homogeneity",
-        ok=fail is None,
-        checked=checked,
-        witness="" if fail is None else f"weight {fail}",
-        evaluated=evaluated,
-    )
-
-    if not datum.validation().c_lower:
-        additivity = PropertyVerdict(
-            name="additivity_witness",
-            ok=False,
-            checked=0,
-            witness="hypothesis (c-lower) fails; witness construction unavailable",
-            skipped=True,
-        )
-    else:
-        checked, evaluated, fail = _certify_blocks(
-            live, n, radius, 2, lambda k: _additivity_cells(k, radius)
-        )
-        additivity = PropertyVerdict(
-            name="additivity_witness",
-            ok=fail is None,
-            checked=checked,
-            witness="" if fail is None else f"pair {fail[:n]}, {fail[n:]}",
-            evaluated=evaluated,
-        )
-
-    l = datum.x0_rank
-    d_vecs = datum.d_vectors
-    x0_checked = 0
-    x0_witness = ""
-    for coeffs in _box(l, radius):
-        combo = (0,) * n
-        for c, d in zip(coeffs, d_vecs):
-            if c:
-                combo = vec_add(combo, vec_scale(c, d))
-        x0_checked += 1
-        if phi_ambient(combo, data) != coeffs:
-            x0_witness = f"coefficients {coeffs}"
-            break
-    x0_bijection = PropertyVerdict(
-        name="x0_bijection",
-        ok=not x0_witness,
-        checked=x0_checked,
-        witness=x0_witness,
-        evaluated=x0_checked,
-    )
-
-    return AssumptionReport(
-        group=datum.spec_string,
-        p=p,
-        r=r,
-        box_radius=radius,
-        positivity=positivity,
-        homogeneity=homogeneity,
-        additivity_witness=additivity,
-        x0_bijection=x0_bijection,
-    )

@@ -135,12 +135,11 @@ def half_pairings(datum, radius):
     So a class is reachable only if each half pairing <lam, coroot> / 2
     has a residue mod p^r of at most (p^r - 1) / 2.
     """
-    lat = datum.lattice
     even = [
         cov for cov in datum.simple_coroots if all(c % 2 == 0 for c in cov)
     ]
     return [
-        (lam, [pair(lam, cov, lat) // 2 for cov in even])
+        (lam, [pair(lam, cov) // 2 for cov in even])
         for lam in box(datum.ambient_dim, radius)
     ]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyweight import affine
 from polyweight.affine import (
     AffineElement,
     OrbitSlice,
@@ -21,7 +22,12 @@ from polyweight.affine import (
     shift_bound_a,
 )
 from polyweight.classify import ClassificationContext, simple_membership
-from polyweight.errors import DomainError, PreconditionError, ShiftRangeError
+from polyweight.errors import (
+    CapExceeded,
+    DomainError,
+    PreconditionError,
+    ShiftRangeError,
+)
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
 from polyweight.lattice import act, identity_perm, vec_add, vec_sub
 
@@ -232,6 +238,13 @@ class TestOrbitInBox:
             moved = vec_add(act(w, lam), _rho_shift(w, GL2))
             if max(abs(c) for c in moved) <= 6:
                 assert GL2.lattice.canonical_rep(moved) in elements
+
+    def test_box_past_the_cap_is_refused_before_the_scan(self, monkeypatch):
+        # gl(3) boxes of radius 1 and 2 hold 27 and 125 points
+        monkeypatch.setattr(affine, "ORBIT_BOX_CAP", 27)
+        assert orbit_in_box((1, 0, 1), 2, 1, GL3).elements
+        with pytest.raises(CapExceeded, match="more than 27 points"):
+            orbit_in_box((1, 0, 1), 2, 2, GL3)
 
 
 class TestShiftBound:

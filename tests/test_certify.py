@@ -6,19 +6,18 @@ and with plain loops over whole boxes: on every family shape at small
 radius, with deliberately broken witness rules, and on hand-built data.
 """
 
-import importlib
 import itertools
 
 import pytest
 
 from polyweight import _kernels as kernels
+from polyweight import certify
+from polyweight.certify import check_assumption
+from polyweight.classify import tables_for
 from polyweight.errors import DomainError
 from polyweight.groups import GroupDatum, build_gl, build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
-from polyweight.phi import PhiData, check_assumption, phi_ambient
-
-# the package re-exports the function ``phi`` under the module's name
-phi_module = importlib.import_module("polyweight.phi")
+from polyweight.phi import PhiData, phi_ambient
 
 
 def box(n, radius):
@@ -104,7 +103,7 @@ SHAPES = [
 def test_factored_report_equals_the_exhaustive_oracles(spec, radius):
     datum = parse_group_spec(spec)
     report = check_assumption(datum, 3, 1, box_radius=radius)
-    t = kernels.tables_for(datum)
+    t = tables_for(datum)
 
     pos = report.positivity
     assert (pos.ok, pos.checked, pos.witness) == positivity_of(
@@ -165,7 +164,7 @@ def test_broken_rule_is_flagged_when_the_block_loop_flags_it(
     flagged = block_loop_flags(k, radius, rule)
     # both rules transpose the wrong positions as soon as a block has two
     assert flagged == (k > 1)
-    monkeypatch.setattr(phi_module, "_witness_swap", rule)
+    monkeypatch.setattr(certify, "_witness_swap", rule)
     report = check_assumption(build_gl(k), 3, 1, box_radius=radius)
     assert report.additivity_witness.ok is not flagged
 
@@ -180,7 +179,7 @@ def test_broken_rule_reports_the_first_failing_pair(
 ):
     datum = parse_group_spec(spec)
     expected = exhaustive_additivity(datum, radius, rule)
-    monkeypatch.setattr(phi_module, "_witness_swap", rule)
+    monkeypatch.setattr(certify, "_witness_swap", rule)
     verdict = check_assumption(datum, 3, 1, box_radius=radius).additivity_witness
     assert (verdict.ok, verdict.checked, verdict.witness) == (False, *expected)
 
@@ -209,7 +208,7 @@ def test_positivity_failure_matches_the_exhaustive_sweep(spec, n_matrix):
     for radius in (1, 2):
         verdict = check_assumption(datum, 2, 1, box_radius=radius).positivity
         expected = positivity_of(
-            kernels.poly_consistency_sweep(kernels.tables_for(datum), radius)
+            kernels.poly_consistency_sweep(tables_for(datum), radius)
         )
         assert expected[0] is False
         assert (verdict.ok, verdict.checked, verdict.witness) == expected

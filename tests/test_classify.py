@@ -166,6 +166,36 @@ class TestRestricted:
         assert not in_x0((1, 0, 0), ctx(GL3, 2, 1))
 
 
+class TestCorootDescent:
+    def test_a_coroot_that_does_not_descend_is_rejected(self):
+        # gsp(4)'s simple roots pair non-trivially with its kernel, and
+        # validation does not look at the coroots
+        fields = {name: getattr(GSP4, name) for name in GroupDatum._fields}
+        broken = GroupDatum(**dict(fields, simple_coroots=GSP4.simple_roots))
+        c = ctx(broken, 3, 1)
+        for predicate in (is_restricted, in_x0, in_Pr):
+            with pytest.raises(ValueError, match="not kernel-annihilating"):
+                predicate((0, 0, 0, 0), c)
+
+    def test_descent_is_checked_once_per_datum(self, monkeypatch):
+        datum = build_gsp(4)
+        lattice_type = type(datum.lattice)
+        original = lattice_type.annihilates
+        checked = []
+
+        def annihilates(lattice, covector):
+            checked.append(covector)
+            return original(lattice, covector)
+
+        monkeypatch.setattr(lattice_type, "annihilates", annihilates)
+        c = ctx(datum, 3, 1)
+        for weight in itertools.product(range(3), repeat=4):
+            is_restricted(weight, c)
+            in_x0(weight, c)
+            in_Pr(weight, c)
+        assert checked == list(datum.simple_coroots)
+
+
 class TestInPr:
     def test_gl2_frozen(self):
         c = ctx(GL2, 2, 1)

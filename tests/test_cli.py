@@ -307,6 +307,23 @@ class TestOrbitShift:
         assert code == EXIT_PRECONDITION
         assert "error:" in err
 
+    def test_box_past_the_cap_is_a_domain_error(self, capsys):
+        # (2R+1)^3 box points are counted before the scan builds a range
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["orbit-shift", "--group", "gl:3", "--p", "3", "--r", "1",
+             "--weight", "1,0,0", "--shift-i", "1",
+             "--box-radius", "3037000500"],
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == (
+            "error: orbit scan of the box of radius 3037000500 in dimension 3 "
+            "has more than 1000000 points\n"
+        )
+
     def test_rank_two_distinguished_part_rejected(self, capsys):
         code, _, err = run(
             capsys,

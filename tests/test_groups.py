@@ -752,6 +752,17 @@ def test_high_rank_builds_and_validates(builder, size):
     assert elapsed < 1.0, f"{datum.spec_string}: {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("spec", ["gl:256", "gsp:400", "go:401"])
+def test_high_rank_context_inverse(spec):
+    datum = parse_group_spec(spec)
+    begin = time.perf_counter()
+    ClassificationContext(datum, 3, 1)
+    elapsed = time.perf_counter() - begin
+    # the bottom-up echelon form keeps the inverse at a fraction of a
+    # second here; a dense back-reduction took a second on gl:256 alone
+    assert elapsed < 1.0, f"{spec}: {elapsed:.2f} s"
+
+
 def test_cli_validates_gsp30():
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     begin = time.perf_counter()

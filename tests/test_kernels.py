@@ -17,8 +17,10 @@ import pytest
 
 from polyweight import kernel_backend_name
 from polyweight import _kernels as kernels
+from polyweight.certify import find_witness_w
 from polyweight.classify import (
     ClassificationContext,
+    Tables,
     decompose,
     in_Pr,
     is_polynomial,
@@ -27,7 +29,7 @@ from polyweight.classify import (
 from polyweight.errors import DecompositionUnavailable, DomainError
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
 from polyweight.lattice import act, vec_add, vec_scale, vec_sub
-from polyweight.phi import find_witness_w, phi
+from polyweight.phi import phi
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)
@@ -204,7 +206,7 @@ class TestFailureReporting:
 
 def test_tables_replace_roundtrip():
     t = tables_of(GL2, 2, 1)
-    assert isinstance(t, kernels.Tables)
+    assert isinstance(t, Tables)
     assert t._replace() == t
 
 

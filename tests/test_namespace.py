@@ -48,6 +48,7 @@ def test_certifying_loads_no_classification_sweep_or_affine_module():
     )
     assert loaded_after(code) == [
         "polyweight",
+        "polyweight.certify",
         "polyweight.errors",
         "polyweight.groups",
         "polyweight.lattice",
@@ -55,13 +56,22 @@ def test_certifying_loads_no_classification_sweep_or_affine_module():
     ]
 
 
-def test_a_context_loads_the_kernels_only_for_its_tables():
+def test_a_context_and_its_tables_load_only_what_they_run():
+    # the context owns its rows, so neither the certificate nor the
+    # sweeps are compiled for a context or its tables
     code = (
         "from polyweight import ClassificationContext, build_gsp\n"
-        "ctx = ClassificationContext(build_gsp(4), 3, 1)"
+        "ctx = ClassificationContext(build_gsp(4), 3, 1)\n"
+        "ctx.tables()"
     )
-    assert "polyweight._kernels" not in loaded_after(code)
-    assert "polyweight._kernels" in loaded_after(code + "\nctx.tables()")
+    assert loaded_after(code) == [
+        "polyweight",
+        "polyweight.classify",
+        "polyweight.errors",
+        "polyweight.groups",
+        "polyweight.lattice",
+        "polyweight.phi",
+    ]
 
 
 def test_reading_the_backend_name_loads_only_the_package_and_errors():
@@ -159,10 +169,12 @@ def test_unknown_attribute_raises_attribute_error():
         "import polyweight.classify",
         "import importlib; importlib.import_module('polyweight.phi')",
         "import polyweight._kernels",
+        "import polyweight.certify",
         "from polyweight.phi import phi_ambient",
         "",
     ],
-    ids=["classify", "import-module-phi", "kernels", "from-phi-module", "none"],
+    ids=["classify", "import-module-phi", "kernels", "certify", "from-phi-module",
+         "none"],
 )
 def test_phi_is_the_function_whatever_was_imported_first(first):
     # loading the submodule ``polyweight.phi`` binds it on the package; the

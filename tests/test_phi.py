@@ -1,4 +1,5 @@
-"""The block-minimum functional and its structural properties."""
+"""The block-minimum functional, its structural properties, and the box
+certificate of ``polyweight.certify``."""
 
 import itertools
 
@@ -6,6 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyweight.certify import (
+    AssumptionReport,
+    PropertyVerdict,
+    _block_kernel,
+    _shift_exists,
+    check_assumption,
+    default_box_radius,
+    find_witness_w,
+    kernel_block_constancy,
+)
 from polyweight.errors import DomainError, HypothesisFailure, PreconditionError
 from polyweight.groups import (
     build_gl,
@@ -15,19 +26,7 @@ from polyweight.groups import (
     build_levi,
 )
 from polyweight.lattice import act, vec_add, vec_scale
-from polyweight.phi import (
-    AssumptionReport,
-    PhiData,
-    PropertyVerdict,
-    _block_kernel,
-    _shift_exists,
-    check_assumption,
-    default_box_radius,
-    find_witness_w,
-    kernel_block_constancy,
-    phi,
-    phi_ambient,
-)
+from polyweight.phi import PhiData, phi, phi_ambient
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)

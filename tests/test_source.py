@@ -53,78 +53,9 @@ def test_no_module_level_numpy_import():
     assert found == []
 
 
-def test_phi_does_not_import_the_kernels():
-    # the sweeps build on the scalar functional, never the other way round
-    found = []
-    for node in ast.walk(ast.parse((PACKAGE_DIR / "phi.py").read_text())):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        if any("_kernels" in name.split(".") for name in names):
-            found.append(node.lineno)
-    assert found == []
-
-
-def _kernels_imports(node, function=None):
-    """(enclosing function, line) of each import under ``node`` naming ``_kernels``."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [f"{child.module or ''}.{alias.name}" for alias in child.names]
-        else:
-            names = []
-        if any("_kernels" in name.split(".") for name in names):
-            yield function, child.lineno
-        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-        inner = child.name if isinstance(child, functions) else function
-        yield from _kernels_imports(child, inner)
-
-
-def test_only_the_context_tables_import_the_kernels():
-    # the package namespace and the CLI never compile the sweeps: the one
-    # import of ``_kernels`` is inside ``ClassificationContext.tables()``
-    found = []
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [
-            f"{path.name}:{line} in {function}"
-            for function, line in _kernels_imports(tree)
-            if (path.name, function) != ("classify.py", "tables")
-        ]
-    assert found == []
-    assert not any(
-        target.partition(":")[0] == "_kernels"
-        for target in polyweight._LAZY.values()
-    )
-
-
-def test_only_the_kernels_build_tables():
-    # ``_kernels.tables_for`` is the one place the sweep tables are made
-    found = []
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        if path.name == "_kernels.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(
-                func, "id", None
-            )
-            if name == "Tables":
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
-
-
-def test_groups_imports_only_the_lattice_and_errors():
-    # the group data sit below the functional: the builders state facts
-    # the tests check, and need nothing from ``phi`` or above
-    found = []
-    for node in ast.walk(ast.parse((PACKAGE_DIR / "groups.py").read_text())):
+def _package_imports(path):
+    """(line, submodule) of every import of a polyweight module in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if not node.level:
@@ -140,9 +71,75 @@ def test_groups_imports_only_the_lattice_and_errors():
             ]
         else:
             continue
+        for target in targets:
+            yield node.lineno, target.split(".")[0]
+
+
+def test_no_package_module_imports_the_kernels():
+    # a context, its tables, the package namespace and the CLI never
+    # compile the sweeps; callers of a sweep import ``_kernels`` themselves
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for line, target in _package_imports(path)
+        if target == "_kernels"
+    ]
+    assert found == []
+    assert not any(
+        target.partition(":")[0] == "_kernels"
+        for target in polyweight._LAZY.values()
+    )
+
+
+def _calls_named(tree, name):
+    """The call nodes under ``tree`` whose callee is called ``name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if callee == name:
+                yield node
+
+
+def test_only_tables_for_builds_tables():
+    # ``classify.tables_for`` is the one place the sweep tables are made
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "classify.py":
+            definition = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "tables_for"
+            )
+            allowed = set(_calls_named(definition, "Tables"))
         found += [
-            f"{node.lineno}: {target}"
-            for target in targets
-            if target.split(".")[0] not in ("lattice", "errors")
+            f"{path.name}:{node.lineno}"
+            for node in _calls_named(tree, "Tables")
+            if node not in allowed
         ]
+    assert found == []
+
+
+def test_groups_imports_only_the_lattice_and_errors():
+    # the group data sit below the functional: the builders state facts
+    # the tests check, and need nothing from ``phi`` or above
+    found = [
+        f"{line}: {target}"
+        for line, target in _package_imports(PACKAGE_DIR / "groups.py")
+        if target not in ("lattice", "errors")
+    ]
+    assert found == []
+
+
+def test_phi_imports_only_the_lattice_and_errors():
+    # the certificate and the sweeps build on the functional, so a
+    # context compiles the functional without either of them
+    found = [
+        f"{line}: {target}"
+        for line, target in _package_imports(PACKAGE_DIR / "phi.py")
+        if target not in ("lattice", "errors")
+    ]
     assert found == []
