@@ -69,7 +69,7 @@ _LAZY = {
     "simple_membership": "classify",
     "weyl_orbit_witness_nonpolynomial": "classify",
     "GroupDatum": "groups",
-    "ValidationReport": "groups",
+    "ValidationReport": "weyl",
     "build_gl": "groups",
     "build_go_even": "groups",
     "build_go_odd": "groups",
@@ -91,62 +91,14 @@ _LAZY = {
     "phi_ambient": "phi",
 }
 
+# The public names: the exception types and constants bound above, then
+# the lazy ones.  Only exception types are taken from the namespace, so
+# no other name bound above becomes public unlisted.
 __all__ = [
-    "AffineElement",
-    "AssumptionReport",
-    "CapExceeded",
-    "ClassificationContext",
-    "CounterexampleReport",
-    "Decomposition",
-    "DecompositionUnavailable",
-    "DimensionMismatch",
-    "DomainError",
-    "GroupDatum",
-    "HypothesisFailure",
-    "OrbitSlice",
-    "PhiData",
-    "PolyweightError",
-    "PreconditionError",
-    "PropertyVerdict",
-    "QuotientLattice",
-    "ShiftCheckResult",
-    "ShiftRangeError",
-    "ValidationReport",
-    "affine_element",
-    "build_gl",
-    "build_go_even",
-    "build_go_odd",
-    "build_gsp",
-    "build_levi",
-    "check_assumption",
-    "check_shift_bijection",
-    "compose_affine",
-    "decompose",
-    "default_box_radius",
-    "dot_act",
-    "enumerate_Pr",
-    "find_witness_w",
-    "go_even_counterexample",
-    "in_Pr",
-    "in_x0",
-    "is_polynomial",
-    "is_restricted",
-    "is_simple_polynomial",
-    "kernel_backend_name",
-    "kernel_block_constancy",
-    "orbit_in_box",
-    "parse_group_spec",
-    "permute_d",
-    "phi",
-    "phi_ambient",
-    "pr_box_oracle",
-    "simple_membership",
-    "shift_bound_a",
-    "validate_datum",
-    "weyl_orbit_witness_nonpolynomial",
-    "x0_basis",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if isinstance(value, type) and issubclass(value, PolyweightError)
+] + ["__version__", "kernel_backend_name", *_LAZY]
 
 
 def _resolve(name):

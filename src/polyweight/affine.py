@@ -17,13 +17,12 @@ from .errors import CapExceeded, DomainError, PreconditionError, ShiftRangeError
 from .lattice import (
     QuotientLattice,
     _echelonize,
-    act,
     check_dim,
-    compose,
     vec_add,
     vec_scale,
     vec_sub,
 )
+from .weyl import act, compose
 
 # Most box points ``orbit_in_box`` scans in one call.
 ORBIT_BOX_CAP = 1_000_000
@@ -83,6 +82,49 @@ def compose_affine(g, h, datum, p):
     )
 
 
+def _parity_rows(datum):
+    """GF(2) echelon of the kernel's echelon rows, cached per datum.
+
+    Each row carries an integer lift so that solutions can be pulled
+    back to Z.
+    """
+    cache = datum._cache
+    if "parity-rows" not in cache:
+        rows = []
+        for k in datum.lattice._rows:
+            par = [c & 1 for c in k]
+            lift = list(k)
+            for pcol, prow, plift in rows:
+                if par[pcol]:
+                    par = [a ^ b for a, b in zip(par, prow)]
+                    lift = [a + b for a, b in zip(lift, plift)]
+            piv = next((i for i, c in enumerate(par) if c), None)
+            if piv is not None:
+                rows.append((piv, par, lift))
+        rows.sort()
+        cache["parity-rows"] = rows
+    return cache["parity-rows"]
+
+
+def halve_class(vec, datum):
+    """Exact division of the class of ``vec`` by 2.
+
+    Finds a kernel shift making the vector coordinatewise even and
+    halves it (an all-even vector is halved as it stands); raises
+    ValueError if the class is not divisible.
+    """
+    check_dim(vec, datum.ambient_dim)
+    par = [c & 1 for c in vec]
+    shifted = list(vec)
+    for pcol, prow, plift in _parity_rows(datum):
+        if par[pcol]:
+            par = [a ^ b for a, b in zip(par, prow)]
+            shifted = [a + b for a, b in zip(shifted, plift)]
+    if any(par):
+        raise ValueError("coset is not divisible by 2")
+    return tuple(c // 2 for c in shifted)
+
+
 def _rho_shift(w, datum):
     """A representative of half the class of w(2 rho) - 2 rho.
 
@@ -96,7 +138,7 @@ def _rho_shift(w, datum):
         two_rho = datum.positive_root_sum_twice
         moved = vec_sub(act(w, two_rho), two_rho)
         try:
-            cache[w] = datum.lattice.halve_class(moved)
+            cache[w] = halve_class(moved, datum)
         except ValueError as exc:
             raise DomainError(
                 "rho shift class is not divisible; datum is inconsistent"

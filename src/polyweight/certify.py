@@ -9,9 +9,13 @@ facts on coordinate boxes, exactly, one block size at a time.
 import math
 from collections import namedtuple
 
-from .errors import DomainError, HypothesisFailure, PreconditionError
-from .lattice import act, check_dim, prime_power, vec_add, vec_scale
+from .errors import CapExceeded, DomainError, HypothesisFailure, PreconditionError
+from .lattice import check_dim, prime_power, vec_add, vec_scale
 from .phi import PhiData, _box, phi_ambient
+from .weyl import act
+
+# Most classes ``check_assumption`` walks in one call, counted before it walks.
+CERTIFY_CLASS_CAP = 1_000_000
 
 
 def find_witness_w(lam, lam_prime, datum):
@@ -408,6 +412,11 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
       ``DomainError`` is raised where a range stays unbounded.
     * x0 bijection.  The (2R+1)^l coefficient vectors, one at a time.
 
+    Before any walk the classes are counted in closed form: (2R+1)^s
+    vectors of block minima, (2kR+1)^2 additivity and 2kR+1 homogeneity
+    cells per block size k, and (2R+1)^l coefficient vectors.  Above
+    ``CERTIFY_CLASS_CAP`` in all, ``CapExceeded`` is raised.
+
     ``_kernels.pair_witness_sweep`` and ``poly_consistency_sweep`` are the
     exhaustive sweeps of properties 3 and 1; the test suite checks that
     they report the same verdicts, counts and witnesses on small boxes.
@@ -417,9 +426,21 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
     radius = default_box_radius(n) if box_radius is None else int(box_radius)
     if radius < 1:
         raise DomainError("box radius must be at least 1")
+    live = [blk for blk, row in zip(datum.blocks, datum.n_matrix) if any(row)]
+    side = 2 * radius + 1
+    cells = [2 * k * radius + 1 for k in {len(blk) for blk in live}]
+    classes = (
+        side ** len(datum.blocks)
+        + sum(c * c + c for c in cells)
+        + side**datum.x0_rank
+    )
+    if classes > CERTIFY_CLASS_CAP:
+        raise CapExceeded(
+            f"box certification of {datum.spec_string} at radius {radius} "
+            f"walks more than {CERTIFY_CLASS_CAP} classes"
+        )
     cols = _block_kernel(datum)
     data = PhiData.from_datum(datum)
-    live = [blk for blk, row in zip(datum.blocks, datum.n_matrix) if any(row)]
 
     checked, evaluated, fail = _positivity(datum, data, radius, cols)
     positivity = PropertyVerdict(

@@ -25,7 +25,6 @@ from .errors import (
 from .groups import _CachedRecord
 from .lattice import (
     _echelonize,
-    act,
     check_dim,
     pair,
     prime_power,
@@ -34,6 +33,7 @@ from .lattice import (
     vec_sub,
 )
 from .phi import PhiData, phi_ambient
+from .weyl import act, coroot_faults
 
 # Most candidates ``enumerate_Pr`` builds and tests in one call.
 ENUMERATE_CAP = 1_000_000
@@ -234,15 +234,11 @@ def is_polynomial(weight, ctx):
 
 
 def _coroots(datum):
-    """The simple coroots, checked once per datum to descend to the
-    quotient (a pairing is defined on classes only then)."""
-    cache = datum._cache
-    if "coroots" not in cache:
-        for cov in datum.simple_coroots:
-            if not datum.lattice.annihilates(cov):
-                raise ValueError("covector is not kernel-annihilating")
-        cache["coroots"] = datum.simple_coroots
-    return cache["coroots"]
+    """The simple coroots, once ``weyl.coroot_faults`` finds that they
+    descend to the quotient (a pairing is defined on classes only then)."""
+    if coroot_faults(datum):
+        raise ValueError("covector is not kernel-annihilating")
+    return datum.simple_coroots
 
 
 def is_restricted(weight, ctx):

@@ -23,6 +23,11 @@ family's type, and they pair to zero with every ``d_j``.  This pins them
 down uniquely; in particular the short-root coroot of the odd orthogonal
 family is twice a primitive covector, so its pairings with integer
 characters are always even.
+
+This module holds construction only.  The hypotheses a datum must meet
+and its Weyl group live in :mod:`polyweight.weyl`, which ``validate_datum``
+and ``GroupDatum.weyl_group`` load on their first call, so building a
+datum loads this module, ``lattice`` and ``errors`` and nothing else.
 """
 
 import itertools
@@ -30,17 +35,7 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError
-from .lattice import (
-    QuotientLattice,
-    _echelonize,
-    generate_group,
-    identity_perm,
-    is_even_perm,
-    is_perm,
-    transposition,
-    vec_scale,
-    vec_sub,
-)
+from .lattice import QuotientLattice, vec_scale, vec_sub
 
 WEYL_CAP = 100_000
 
@@ -122,6 +117,8 @@ class GroupDatum(_CachedRecord):
     def weyl_group(self):
         """All Weyl elements, sorted and cached; CapExceeded above WEYL_CAP."""
         if "weyl" not in self._cache:
+            from .weyl import generate_group, identity_perm
+
             if self.weyl_generators:
                 self._cache["weyl"] = tuple(
                     generate_group(self.weyl_generators, WEYL_CAP)
@@ -134,28 +131,6 @@ class GroupDatum(_CachedRecord):
         if "validation" not in self._cache:
             self._cache["validation"] = validate_datum(self)
         return self._cache["validation"]
-
-
-class ValidationReport(
-    namedtuple("ValidationReport", "a b c_lower c_upper d witnesses")
-):
-    """Boolean verdicts for the construction hypotheses, with witnesses.
-
-    (a)  every ``b_i`` has 0/1 coordinates;
-    (b)  the supports of the ``b_i`` partition the ambient indices and
-         equal the declared blocks;
-    (c-lower)  every transposition of two indices within one block lies in
-         the generated Weyl group;
-    (c-upper)  every Weyl generator is a permutation;
-    (d)  the ``d_j`` classes are independent and each ``b_i`` class expands
-         over them with the declared non-negative coefficients.
-    """
-
-    __slots__ = ()
-
-    @property
-    def all_ok(self):
-        return self.a and self.b and self.c_lower and self.c_upper and self.d
 
 
 def _require_index(n):
@@ -180,16 +155,17 @@ def _root_sum(n, pairs):
     return tuple(out)
 
 
+def _swaps(n, pairs):
+    """The permutation of range(n) swapping each index pair (i, j) in turn."""
+    p = list(range(n))
+    for i, j in pairs:
+        p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
 def _root(n, i, j):
     """The ambient vector e_i - e_j."""
     return _root_sum(n, ((i, j),))
-
-
-def _block_swap(n, i, j, ip, jp):
-    p = list(range(n))
-    p[i], p[j] = p[j], p[i]
-    p[ip], p[jp] = p[jp], p[ip]
-    return tuple(p)
 
 
 def _block_diagonal(parts, family, spec_string):
@@ -207,7 +183,7 @@ def _block_diagonal(parts, family, spec_string):
         for a in range(size - 1):
             i = blk[a]
             roots.append(_root(n, i, i + 1))
-            gens.append(transposition(n, i, i + 1))
+            gens.append(_swaps(n, ((i, i + 1),)))
             dual.append(_indicator(n, blk[: a + 1]))
         for a in range(size):
             two_rho[blk[a]] = size - 1 - 2 * a
@@ -269,7 +245,7 @@ def _mirrored(n, l):
             _root_sum(n, ((j, j + 1), (n - 2 - j, n - 1 - j))) for j in range(l - 1)
         ),
         swaps=tuple(
-            _block_swap(n, i, i + 1, n - 1 - i, n - 2 - i) for i in range(l - 1)
+            _swaps(n, ((i, i + 1), (n - 1 - i, n - 2 - i))) for i in range(l - 1)
         ),
         positive_pairs=pairs,
     )
@@ -298,7 +274,7 @@ def build_gsp(two_l):
         simple_roots=m.roots + (last,),
         simple_coroots=m.coroots + (last,),
         weyl_generators=m.swaps
-        + tuple(transposition(n, i, n - 1 - i) for i in range(l)),
+        + tuple(_swaps(n, ((i, n - 1 - i),)) for i in range(l)),
         positive_root_sum_twice=_root_sum(
             n, m.positive_pairs + [(a, n - 1 - a) for a in range(l)]
         ),
@@ -331,7 +307,7 @@ def build_go_odd(odd_n):
         simple_roots=m.roots + (_root(n, l - 1, mid),),
         simple_coroots=m.coroots + (vec_scale(2, _root(n, l - 1, l + 1)),),
         weyl_generators=m.swaps
-        + tuple(transposition(n, i, n - 1 - i) for i in range(l)),
+        + tuple(_swaps(n, ((i, n - 1 - i),)) for i in range(l)),
         positive_root_sum_twice=_root_sum(
             n, m.positive_pairs + [(a, mid) for a in range(l)]
         ),
@@ -369,7 +345,7 @@ def build_go_even(two_l):
         simple_roots=m.roots + (_root(n, l - 2, l),),
         simple_coroots=m.coroots + (_root_sum(n, ((l - 2, n + 1 - l), (l - 1, l))),),
         weyl_generators=m.swaps + tuple(
-            _block_swap(n, i, n - 1 - i, i + 1, n - 2 - i) for i in range(l - 1)
+            _swaps(n, ((i, n - 1 - i), (i + 1, n - 2 - i))) for i in range(l - 1)
         ),
         positive_root_sum_twice=_root_sum(n, m.positive_pairs),
         weight_basis=None,
@@ -420,109 +396,11 @@ def permute_d(datum, order):
 
 
 def validate_datum(datum):
-    """Check the construction hypotheses and report per-item verdicts.
+    """Check the construction hypotheses: ``weyl.check_hypotheses``."""
+    from .weyl import check_hypotheses
 
-    (b) and (d) pair ``b``, ``blocks`` and the n-matrix rows by position,
-    so their counts and the row lengths are checked too.
+    return check_hypotheses(datum)
 
-    (c-lower) is decided on the transposition graph: its vertices are the
-    ambient indices, and every generator that is a transposition joins
-    its two points.  Transpositions whose graph is connected generate the
-    full symmetric group on its vertices: along a path x = v_0, v_1, ...,
-    v_k = y, (v_0 v_(i+1)) = (v_i v_(i+1)) (v_0 v_i) (v_i v_(i+1)), so by
-    induction (x y) is a product of the generators.  Hence (x y) lies in
-    W whenever x and y are connected.  A pair the graph leaves apart may
-    still lie in W through generators that are not transpositions.  When
-    every generator is an even permutation, as for the even orthogonal
-    family, W lies in the alternating group and holds no transposition,
-    so each such pair is a witness at once.  Only when some generator is
-    odd does such a pair fall back to the Weyl closure.
-    """
-    n = datum.ambient_dim
-    wit_a, wit_b, wit_c_upper, wit_c_lower, wit_d = [], [], [], [], []
-
-    for i, b_vec in enumerate(datum.b):
-        if not set(b_vec) <= {0, 1}:
-            wit_a.append(f"(a): b[{i}] has a coordinate outside 0/1")
-
-    if len(datum.b) != len(datum.blocks):
-        wit_b.append(
-            f"(b): block indicator count {len(datum.b)} differs from block "
-            f"count {len(datum.blocks)}"
-        )
-    seen = []
-    for i, (b_vec, blk) in enumerate(zip(datum.b, datum.blocks)):
-        support = tuple(k for k, c in enumerate(b_vec) if c)
-        if support != tuple(sorted(blk)):
-            wit_b.append(f"(b): support of b[{i}] differs from block {i}")
-        seen.extend(support)
-    if sorted(seen) != list(range(n)):
-        wit_b.append("(b): block supports do not partition the indices")
-
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    all_even = True
-    for g in datum.weyl_generators:
-        if len(g) != n or not is_perm(g):
-            wit_c_upper.append(f"(c-upper): generator {g} is not a permutation")
-            all_even = False
-            continue
-        all_even = all_even and is_even_perm(g)
-        moved = [i for i, v in enumerate(g) if v != i]
-        if len(moved) == 2:
-            parent[root(moved[0])] = root(moved[1])
-
-    closure = None
-    for bi, blk in enumerate(datum.blocks):
-        for x, y in itertools.combinations(sorted(blk), 2):
-            if root(x) == root(y):
-                continue
-            if closure is None and not all_even:
-                closure = set(datum.weyl_group())
-            if all_even or transposition(n, x, y) not in closure:
-                wit_c_lower.append(
-                    f"(c-lower): transposition ({x}, {y}) within block {bi} "
-                    "is not in the generated Weyl group"
-                )
-
-    d_vecs = datum.d_vectors
-    stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
-    rows, _ = _echelonize(stacked, n)
-    if len(rows) != len(stacked):
-        wit_d.append("(d): the d classes are linearly dependent")
-    if len(datum.n_matrix) != len(datum.blocks):
-        wit_d.append(
-            f"(d): n-matrix row count {len(datum.n_matrix)} differs from "
-            f"block count {len(datum.blocks)}"
-        )
-    for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
-        if len(row) != len(d_vecs):
-            wit_d.append(
-                f"(d): expansion of b[{i}] has length {len(row)}, not the "
-                f"d-list length {len(d_vecs)}"
-            )
-            continue
-        if min(row, default=0) < 0:
-            wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
-            continue
-        combo = [0] * n
-        for coeff, d_vec in zip(row, d_vecs):
-            for idx, dv in enumerate(d_vec):
-                combo[idx] += coeff * dv
-        if not datum.lattice.equal_mod_kernel(b_vec, tuple(combo)):
-            wit_d.append(f"(d): b[{i}] does not expand over the d classes")
-
-    return ValidationReport(
-        a=not wit_a, b=not wit_b, c_lower=not wit_c_lower,
-        c_upper=not wit_c_upper, d=not wit_d,
-        witnesses=tuple(wit_a + wit_b + wit_c_upper + wit_c_lower + wit_d),
-    )
 
 def x0_basis(datum):
     """Ambient lifts of the basis of the coroot-orthogonal characters."""

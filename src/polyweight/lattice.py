@@ -7,15 +7,14 @@ explicit kernel sublattice; two ambient vectors name the same character of
 the subtorus exactly when their difference lies in the kernel.  Everything
 is computed in exact integer arithmetic.
 
-Weyl group elements are index permutations stored as tuples p with p[i]
-the image of i, acting on weights by ``act(p, w)[p[i]] == w[i]``.
+Weyl elements, which permute the coordinates, live in
+:mod:`polyweight.weyl`.
 """
 
-from .errors import CapExceeded, DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError
 
 Weight = tuple  # tuple[int, ...]
 Covector = tuple  # tuple[int, ...], paired with weights by the dot product
-Perm = tuple  # tuple[int, ...]
 
 
 def _xgcd(a, b):
@@ -185,7 +184,6 @@ class QuotientLattice:
             raise ValueError("kernel basis vectors are linearly dependent")
         self._rows = rows
         self._pivot_cols = cols
-        self._parity = None
 
     def _key(self):
         return self.ambient_dim, self.kernel_basis
@@ -245,43 +243,6 @@ class QuotientLattice:
         live = [(i, c) for i, c in enumerate(covector) if c]
         return not any(sum(c * k[i] for i, c in live) for k in self.kernel_basis)
 
-    def _parity_rows(self):
-        # GF(2) echelon of the kernel basis, each row carrying an integer
-        # lift so that solutions can be pulled back to Z.
-        if self._parity is None:
-            rows = []
-            for k in self._rows:
-                par = [c & 1 for c in k]
-                lift = list(k)
-                for pcol, prow, plift in rows:
-                    if par[pcol]:
-                        par = [a ^ b for a, b in zip(par, prow)]
-                        lift = [a + b for a, b in zip(lift, plift)]
-                piv = next((i for i, c in enumerate(par) if c), None)
-                if piv is not None:
-                    rows.append((piv, par, lift))
-            rows.sort()
-            self._parity = rows
-        return self._parity
-
-    def halve_class(self, vec):
-        """Exact division of the coset of ``vec`` by 2.
-
-        Finds a kernel shift making the vector coordinatewise even and
-        halves it (an all-even vector is halved as it stands); raises
-        ValueError if the coset is not divisible.
-        """
-        check_dim(vec, self.ambient_dim)
-        par = [c & 1 for c in vec]
-        shifted = list(vec)
-        for pcol, prow, plift in self._parity_rows():
-            if par[pcol]:
-                par = [a ^ b for a, b in zip(par, prow)]
-                shifted = [a + b for a, b in zip(shifted, plift)]
-        if any(par):
-            raise ValueError("coset is not divisible by 2")
-        return tuple(c // 2 for c in shifted)
-
 
 def pair(weight, covector):
     """Integer pairing of a weight with a covector; it is defined on
@@ -291,95 +252,3 @@ def pair(weight, covector):
             f"weight length {len(weight)} vs covector length {len(covector)}"
         )
     return dot(weight, covector)
-
-
-# -- permutations ------------------------------------------------------------
-
-
-def identity_perm(n):
-    return tuple(range(n))
-
-
-def is_perm(p):
-    return sorted(p) == list(range(len(p)))
-
-
-def is_even_perm(p):
-    """Whether p is a product of an even number of transpositions.
-
-    A permutation of n points with c cycles (fixed points included) is a
-    product of n - c transpositions.
-    """
-    seen = [False] * len(p)
-    cycles = 0
-    for start in range(len(p)):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = p[i]
-    return (len(p) - cycles) % 2 == 0
-
-
-def transposition(n, i, j):
-    p = list(range(n))
-    p[i], p[j] = p[j], p[i]
-    return tuple(p)
-
-
-def compose(p, q):
-    """The permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
-
-
-def act(p, weight):
-    """Permutation action on weights: position p[i] receives weight[i]."""
-    check_dim(weight, len(p))
-    out = [0] * len(p)
-    for i, pi in enumerate(p):
-        out[pi] = weight[i]
-    return tuple(out)
-
-
-def act_covector(p, covector):
-    """Adjoint action so that pair(act(p, w), c) == pair(w, act_covector(p, c))."""
-    check_dim(covector, len(p))
-    return tuple(covector[p[i]] for i in range(len(p)))
-
-
-def generate_group(generators, cap=100_000):
-    """The full closure of a generating set of permutations, sorted.
-
-    Raises CapExceeded when the group has more than ``cap`` elements.
-    """
-    gens = [tuple(g) for g in generators]
-    for g in gens:
-        if not is_perm(g):
-            raise ValueError(f"not a permutation: {g}")
-    n = len(gens[0]) if gens else 0
-    for g in gens:
-        check_dim(g, n)
-    seen = {identity_perm(n)} if n else {()}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = compose(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            f"group closure exceeded cap of {cap} elements"
-                        )
-        frontier = nxt
-    return sorted(seen)

@@ -29,7 +29,8 @@ from polyweight.errors import (
     ShiftRangeError,
 )
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
-from polyweight.lattice import act, identity_perm, vec_add, vec_sub
+from polyweight.lattice import vec_add, vec_sub
+from polyweight.weyl import act, identity_perm
 
 GL1 = build_gl(1)
 GL2 = build_gl(2)

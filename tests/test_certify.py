@@ -14,7 +14,7 @@ from polyweight import _kernels as kernels
 from polyweight import certify
 from polyweight.certify import check_assumption
 from polyweight.classify import tables_for
-from polyweight.errors import DomainError
+from polyweight.errors import CapExceeded, DomainError
 from polyweight.groups import GroupDatum, build_gl, build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
 from polyweight.phi import PhiData, phi_ambient
@@ -224,3 +224,39 @@ def test_rank_six_and_eight_certify(spec, radius):
     assert report.additivity_witness.checked == (2 * radius + 1) ** (
         2 * datum.ambient_dim
     )
+
+
+@pytest.mark.parametrize("spec,radius", [("gl:3", 3000), ("go:41", None)])
+def test_an_unbounded_box_is_refused_before_any_walk(spec, radius):
+    with pytest.raises(CapExceeded, match="walks more than 1000000 classes"):
+        check_assumption(parse_group_spec(spec), 3, 1, box_radius=radius)
+
+
+@pytest.mark.parametrize(
+    "spec,radius,classes",
+    # gl:3 at R=2: 5 minima vectors, 13^2 + 13 cells, 5 x0 vectors;
+    # levi:1,2 at R=1: 3^2 minima vectors, 3^2 + 3 and 5^2 + 5 cells, 3^2
+    # x0 vectors
+    [("gl:3", 2, 192), ("levi:1,2", 1, 60)],
+)
+def test_the_class_count_is_the_closed_form(spec, radius, classes, monkeypatch):
+    datum = parse_group_spec(spec)
+    monkeypatch.setattr(certify, "CERTIFY_CLASS_CAP", classes - 1)
+    with pytest.raises(CapExceeded):
+        check_assumption(datum, 3, 1, box_radius=radius)
+    monkeypatch.setattr(certify, "CERTIFY_CLASS_CAP", classes)
+    assert check_assumption(datum, 3, 1, box_radius=radius).all_ok
+
+
+class _Walked(Exception):
+    """Raised by the first step after the class count."""
+
+
+@pytest.mark.parametrize("spec", ["gsp:12", "go:13", "gsp:16"])
+def test_the_class_cap_admits_these_data_at_radius_two(spec, monkeypatch):
+    def first_step(datum):
+        raise _Walked
+
+    monkeypatch.setattr(certify, "_block_kernel", first_step)
+    with pytest.raises(_Walked):
+        check_assumption(parse_group_spec(spec), 3, 1, box_radius=2)

@@ -168,14 +168,15 @@ class TestRestricted:
 
 class TestCorootDescent:
     def test_a_coroot_that_does_not_descend_is_rejected(self):
-        # gsp(4)'s simple roots pair non-trivially with its kernel, and
-        # validation does not look at the coroots
+        # gsp(4)'s simple roots pair non-trivially with its kernel: a
+        # context refuses the datum under (d), and a bare datum at its
+        # first pairing
         fields = {name: getattr(GSP4, name) for name in GroupDatum._fields}
         broken = GroupDatum(**dict(fields, simple_coroots=GSP4.simple_roots))
-        c = ctx(broken, 3, 1)
-        for predicate in (is_restricted, in_x0, in_Pr):
-            with pytest.raises(ValueError, match="not kernel-annihilating"):
-                predicate((0, 0, 0, 0), c)
+        with pytest.raises(HypothesisFailure, match=r"hypotheses \(d\)$"):
+            ctx(broken, 3, 1)
+        with pytest.raises(ValueError, match="not kernel-annihilating"):
+            weyl_orbit_witness_nonpolynomial((0,) * 4, (0,) * 4, broken, 3)
 
     def test_descent_is_checked_once_per_datum(self, monkeypatch):
         datum = build_gsp(4)

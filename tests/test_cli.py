@@ -227,6 +227,22 @@ class TestAssumptionCheck:
         )
         assert payload["result"]["all_ok"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--group", "gl:3", "--box-radius", "3000"], ["--group", "go:41"]],
+        ids=["huge-radius", "many-blocks"],
+    )
+    def test_an_unbounded_box_is_a_domain_error(self, capsys, argv):
+        # 324 million additivity cells, and 5^21 vectors of block minima
+        begin = time.perf_counter()
+        code, out, err = run(
+            capsys, ["assumption-check", "--p", "3", "--r", "1"] + argv
+        )
+        assert time.perf_counter() - begin < 1.0
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: box certification of ")
+
 
 class TestCounterexample:
     def test_prime_power_five(self, capsys):

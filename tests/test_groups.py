@@ -15,7 +15,6 @@ from polyweight.classify import ClassificationContext
 from polyweight.errors import DomainError, HypothesisFailure
 from polyweight.groups import (
     GroupDatum,
-    ValidationReport,
     build_gl,
     build_go_even,
     build_go_odd,
@@ -26,8 +25,9 @@ from polyweight.groups import (
     validate_datum,
     x0_basis,
 )
-from polyweight.lattice import QuotientLattice, act, pair, transposition
+from polyweight.lattice import QuotientLattice, pair
 from polyweight.phi import PhiData, phi_ambient
+from polyweight.weyl import ValidationReport, act, transposition
 from shift_oracle import box_window, has_nonneg_rep, lift_window
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(polyweight.__file__)))
@@ -489,7 +489,7 @@ def construction_faults(datum):
         faults.append("twice rho is not the sum of the family's positive roots")
     for j, cov in enumerate(coroots):
         if not lat.annihilates(cov):
-            faults.append(f"coroot {j} does not descend to the quotient")
+            faults.append(f"(d): coroot {j} does not descend to the quotient")
         if any(pair(b_vec, cov) for b_vec in datum.b):
             faults.append(f"coroot {j} pairs non-zero with a block indicator")
         two_rho = pair(datum.positive_root_sum_twice, cov)
@@ -650,6 +650,22 @@ def test_construction_checker_flags_each_broken_datum(datum, fault):
     assert any(fault in found for found in faults), faults
 
 
+def test_validation_reports_a_coroot_that_does_not_descend():
+    # (d) speaks of the characters killed by every coroot, defined on
+    # classes only when the coroots descend; gsp(4)'s first simple root
+    # pairs to 2 with its kernel vector, its second to 0
+    broken = next(case[1] for case in BROKEN if case[0] == "coroot-does-not-descend")
+    report = validate_datum(broken)
+    failing = [h for h in ValidationReport._fields[:5] if not getattr(report, h)]
+    assert failing == ["d"]
+    assert report.witnesses == (
+        "(d): simple coroot 0 does not annihilate the kernel, so it does not "
+        "descend to the quotient",
+    )
+    with pytest.raises(HypothesisFailure, match=r"hypotheses \(d\)$"):
+        ClassificationContext(broken, 3, 1)
+
+
 # -- polynomial normalisation: the sign test against the shift search --
 
 NORMALISED_SPECS = (
@@ -717,6 +733,8 @@ SHAPE_GAPS = [
      "(d): expansion of b[0] has length 1, not the d-list length 2"),
     ("extra-block-indicator", "b", {"b": LEVI23.b + (LEVI23.b[0],)},
      "(b): block indicator count 3 differs from block count 2"),
+    ("short-coroot", "d", {"simple_coroots": ((1, -1),) + LEVI23.simple_coroots[1:]},
+     "(d): simple coroot 0 has length 2, not 5"),
 ]
 
 

@@ -7,12 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyweight.affine import halve_class
 from polyweight.errors import CapExceeded, DimensionMismatch, DomainError
+from polyweight.groups import build_gsp
 from polyweight.lattice import (
     PRIME_TEST_LIMIT,
     PRPOW_BIT_LIMIT,
     QuotientLattice,
     _echelonize,
+    is_prime,
+    pair,
+    prime_power,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
+from polyweight.weyl import (
     act,
     act_covector,
     compose,
@@ -21,13 +31,7 @@ from polyweight.lattice import (
     inverse,
     is_even_perm,
     is_perm,
-    is_prime,
-    pair,
-    prime_power,
     transposition,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 
 GSP4_KERNEL = ((1, -1, -1, 1),)
@@ -104,17 +108,19 @@ class TestQuotientLattice:
 
     @given(vectors4, st.integers(-5, 5))
     def test_halve_class_doubles_back(self, v, c):
-        lat = QuotientLattice(4, GSP4_KERNEL)
+        # gsp(4)'s kernel is GSP4_KERNEL
+        datum = build_gsp(4)
+        lat = datum.lattice
         doubled = vec_scale(2, vec_add(v, kernel_point(lat, (c,))))
-        half = lat.halve_class(doubled)
+        half = halve_class(doubled, datum)
         assert lat.equal_mod_kernel(vec_scale(2, half), doubled)
 
     def test_halve_class_needs_even_class(self):
-        lat = QuotientLattice(4, GSP4_KERNEL)
+        datum = build_gsp(4)
         # (1, 1, 1, 1) is even only through a kernel shift
-        assert lat.halve_class((1, 1, 1, 1)) is not None
+        assert halve_class((1, 1, 1, 1), datum) is not None
         with pytest.raises(ValueError):
-            lat.halve_class((1, 0, 0, 0))
+            halve_class((1, 0, 0, 0), datum)
 
 
 def _det(rows):

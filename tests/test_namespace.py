@@ -39,6 +39,31 @@ def test_import_loads_only_the_package_and_errors():
     assert loaded_after("import polyweight") == ["polyweight", "polyweight.errors"]
 
 
+def test_building_a_datum_loads_only_the_builders():
+    # construction never loads the hypotheses or the Weyl group; the
+    # first validation adds ``weyl`` and nothing else
+    code = (
+        "import json, sys\n"
+        "from polyweight import parse_group_spec\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('polyweight'))\n"
+        "data = [parse_group_spec(spec)"
+        " for spec in ('gl:3', 'gsp:4', 'go:5', 'go:8', 'levi:2,3')]\n"
+        "built = loaded()\n"
+        "for datum in data:\n"
+        "    datum.validation()\n"
+        "print(json.dumps([built, loaded()]))"
+    )
+    built, validated = run_fresh(code)
+    assert built == [
+        "polyweight",
+        "polyweight.errors",
+        "polyweight.groups",
+        "polyweight.lattice",
+    ]
+    assert validated == built + ["polyweight.weyl"]
+
+
 def test_certifying_loads_no_classification_sweep_or_affine_module():
     code = (
         "from polyweight import check_assumption, parse_group_spec, validate_datum\n"
@@ -53,6 +78,7 @@ def test_certifying_loads_no_classification_sweep_or_affine_module():
         "polyweight.groups",
         "polyweight.lattice",
         "polyweight.phi",
+        "polyweight.weyl",
     ]
 
 
@@ -71,6 +97,7 @@ def test_a_context_and_its_tables_load_only_what_they_run():
         "polyweight.groups",
         "polyweight.lattice",
         "polyweight.phi",
+        "polyweight.weyl",
     ]
 
 

@@ -25,8 +25,9 @@ from polyweight.groups import (
     build_gsp,
     build_levi,
 )
-from polyweight.lattice import act, vec_add, vec_scale
+from polyweight.lattice import vec_add, vec_scale
 from polyweight.phi import PhiData, phi, phi_ambient
+from polyweight.weyl import act
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)

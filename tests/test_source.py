@@ -54,8 +54,11 @@ def test_no_module_level_numpy_import():
 
 
 def _package_imports(path):
-    """(line, submodule) of every import of a polyweight module in a file."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    """(line, submodule, whether it runs at import time) of every import
+    of a polyweight module in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    at_import = set(_import_time_nodes(tree))
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if not node.level:
@@ -72,7 +75,7 @@ def _package_imports(path):
         else:
             continue
         for target in targets:
-            yield node.lineno, target.split(".")[0]
+            yield node.lineno, target.split(".")[0], node in at_import
 
 
 def test_no_package_module_imports_the_kernels():
@@ -81,7 +84,7 @@ def test_no_package_module_imports_the_kernels():
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE_DIR.rglob("*.py"))
-        for line, target in _package_imports(path)
+        for line, target, _ in _package_imports(path)
         if target == "_kernels"
     ]
     assert found == []
@@ -123,23 +126,37 @@ def test_only_tables_for_builds_tables():
     assert found == []
 
 
+def _imports_outside(name, allowed):
+    return [
+        f"{line}: {target}"
+        for line, target, _ in _package_imports(PACKAGE_DIR / name)
+        if target not in allowed
+    ]
+
+
 def test_groups_imports_only_the_lattice_and_errors():
     # the group data sit below the functional: the builders state facts
-    # the tests check, and need nothing from ``phi`` or above
+    # the tests check, and need nothing from ``phi`` or above.  Building
+    # a datum never loads the hypotheses: only a function body may
+    # import ``weyl``, on its first call
     found = [
         f"{line}: {target}"
-        for line, target in _package_imports(PACKAGE_DIR / "groups.py")
-        if target not in ("lattice", "errors")
+        for line, target, at_import in _package_imports(PACKAGE_DIR / "groups.py")
+        if target not in (("lattice", "errors") if at_import else ("weyl",))
     ]
     assert found == []
+
+
+def test_lattice_imports_only_the_errors():
+    assert _imports_outside("lattice.py", ("errors",)) == []
+
+
+def test_weyl_imports_only_the_lattice_and_errors():
+    # the hypotheses read a datum but never build one
+    assert _imports_outside("weyl.py", ("lattice", "errors")) == []
 
 
 def test_phi_imports_only_the_lattice_and_errors():
     # the certificate and the sweeps build on the functional, so a
     # context compiles the functional without either of them
-    found = [
-        f"{line}: {target}"
-        for line, target in _package_imports(PACKAGE_DIR / "phi.py")
-        if target not in ("lattice", "errors")
-    ]
-    assert found == []
+    assert _imports_outside("phi.py", ("lattice", "errors")) == []
