@@ -18,12 +18,11 @@ The exception types, ``__version__`` and ``kernel_backend_name`` are
 bound at import.  Every other public name is looked up in ``_LAZY`` on
 first access (PEP 562), which imports the submodule defining it, so a
 caller loads, and without cached bytecode compiles, only the modules it
-uses.
+uses.  No public name is also a submodule name: ``phi`` is the
+functional, defined in :mod:`polyweight.functional`.
 """
 
 import importlib
-import sys
-import types
 
 from .errors import (
     CapExceeded,
@@ -42,8 +41,8 @@ __version__ = "0.1.0"
 # key, so CLI output depends on this value.
 kernel_backend_name = "pure"
 
-# Every public name not bound above, and the submodule defining it
-# (``module:attribute`` where the public name differs).
+# Every public name not bound above, and the submodule defining it under
+# the same name.
 _LAZY = {
     "AffineElement": "affine",
     "OrbitSlice": "affine",
@@ -86,9 +85,9 @@ _LAZY = {
     "find_witness_w": "certify",
     "kernel_block_constancy": "certify",
     "QuotientLattice": "lattice",
-    "PhiData": "phi",
-    "phi": "phi",
-    "phi_ambient": "phi",
+    "PhiData": "functional",
+    "phi": "functional",
+    "phi_ambient": "functional",
 }
 
 # The public names: the exception types and constants bound above, then
@@ -101,40 +100,14 @@ __all__ = [
 ] + ["__version__", "kernel_backend_name", *_LAZY]
 
 
-def _resolve(name):
-    module, _, attribute = _LAZY[name].partition(":")
-    owner = importlib.import_module(f".{module}", __name__)
-    return getattr(owner, attribute or name)
-
-
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = _resolve(name)
+    owner = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(owner, name)
     return value
 
 
 def __dir__():
     return __all__
 
-
-class _Package(types.ModuleType):
-    """The package module: ``phi`` is the functional, not its submodule.
-
-    Loading ``polyweight.phi``, from any caller, makes the import system
-    bind the submodule as the package attribute ``phi``; the setter drops
-    that binding, so ``polyweight.phi`` and ``from polyweight import phi``
-    give the function whatever was imported first.  The submodule stays
-    reachable as ``sys.modules["polyweight.phi"]``.
-    """
-
-    @property
-    def phi(self):
-        return _resolve("phi")
-
-    @phi.setter
-    def phi(self, value):
-        pass
-
-
-sys.modules[__name__].__class__ = _Package

@@ -22,14 +22,14 @@ inside those functions only, so importing the package does not load it.
 
 Every kernel reads a ``classify.Tables`` bundle of the datum's own rows
 (``ClassificationContext.tables()``) by attribute, and evaluates the
-scalar functional with ``phi.phi_ambient`` on it.  No package module
+scalar functional with ``functional.phi_ambient`` on it.  No package module
 imports this one: a caller of a sweep imports it.
 """
 
 from itertools import product
 
 from .errors import DomainError
-from .phi import _box, phi_ambient
+from .functional import _box, phi_ambient
 
 _INT64_MAX = 2**63 - 1
 
@@ -87,7 +87,7 @@ def _box_slabs(np, n, radius):
 
 
 def _phi_rows(np, vecs, blocks, nmat):
-    """``phi.phi_ambient`` applied to every row of an int64 array."""
+    """``functional.phi_ambient`` applied to every row of an int64 array."""
     out = np.zeros((len(vecs), nmat.shape[1]), dtype=np.int64)
     for members, row in zip(blocks, nmat):
         if row.any():

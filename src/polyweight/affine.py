@@ -28,28 +28,16 @@ from .weyl import act, compose
 ORBIT_BOX_CAP = 1_000_000
 
 
-def _span_lattice(n, vectors):
-    """Quotient lattice whose kernel is the integer span of the vectors."""
-    rows, _ = _echelonize(list(vectors), n)
-    return QuotientLattice(n, tuple(rows))
-
-
-def _proot_lattice(datum, p):
-    """Span of p times the simple roots, cached per datum and prime."""
-    key = ("proot-span", p)
-    if key not in datum._cache:
-        scaled = [vec_scale(p, root) for root in datum.simple_roots]
-        datum._cache[key] = _span_lattice(datum.ambient_dim, scaled)
-    return datum._cache[key]
-
-
-def _orbit_lattice(datum, p):
-    """Span of p times the simple roots plus the kernel sublattice."""
-    key = ("orbit-span", p)
+def _translation_lattice(datum, p, with_kernel):
+    """Span of p times the simple roots, plus the kernel sublattice when
+    ``with_kernel``; cached per datum, prime and flag."""
+    key = ("translation-span", p, with_kernel)
     if key not in datum._cache:
         gens = [vec_scale(p, root) for root in datum.simple_roots]
-        gens.extend(datum.lattice.kernel_basis)
-        datum._cache[key] = _span_lattice(datum.ambient_dim, gens)
+        if with_kernel:
+            gens.extend(datum.lattice.kernel_basis)
+        rows, _ = _echelonize(gens, datum.ambient_dim)
+        datum._cache[key] = QuotientLattice(datum.ambient_dim, tuple(rows))
     return datum._cache[key]
 
 
@@ -65,7 +53,7 @@ def affine_element(w, translation, datum, p):
     n = datum.ambient_dim
     check_dim(w, n)
     check_dim(translation, n)
-    if not _proot_lattice(datum, p).contains(translation):
+    if not _translation_lattice(datum, p, False).contains(translation):
         raise DomainError(
             f"translation {translation} is not in {p} times the root lattice"
         )
@@ -146,12 +134,15 @@ def _rho_shift(w, datum):
     return cache[w]
 
 
+def _twist(w, weight, datum):
+    """The untranslated dot action w.weight + half(w(2rho) - 2rho)."""
+    return vec_add(act(w, weight), _rho_shift(w, datum))
+
+
 def dot_act(g, weight, datum):
     """The rho-shifted action w(weight + rho) - rho + translation."""
     check_dim(weight, datum.ambient_dim)
-    return vec_add(
-        vec_add(act(g.w, weight), _rho_shift(g.w, datum)), g.translation
-    )
+    return vec_add(_twist(g.w, weight, datum), g.translation)
 
 
 class OrbitSlice(namedtuple("OrbitSlice", "base box_radius elements")):
@@ -185,9 +176,9 @@ def orbit_in_box(weight, p, box_radius, datum):
             f"orbit scan of the box of radius {box_radius} in dimension {n} "
             f"has more than {ORBIT_BOX_CAP} points"
         )
-    membership = _orbit_lattice(datum, p)
+    membership = _translation_lattice(datum, p, True)
     base_forms = {
-        membership.canonical_rep(vec_add(act(w, weight), _rho_shift(w, datum)))
+        membership.canonical_rep(_twist(w, weight, datum))
         for w in datum.weyl_group()
     }
     cache = datum._cache.setdefault("orbit-slices", {})
@@ -221,8 +212,7 @@ def shift_bound_a(weight, ctx):
         )
     best = 0
     for w in datum.weyl_group():
-        moved = vec_add(act(w, weight), _rho_shift(w, datum))
-        value = ctx.x0_coordinates(moved)[0] % ctx.p
+        value = ctx.x0_coordinates(_twist(w, weight, datum))[0] % ctx.p
         if value > best:
             best = value
     return best

@@ -3,15 +3,16 @@
 The functional is additive in a Weyl-twisted sense: for any two weights
 some group element, ``find_witness_w``, aligns the block minima so that
 phi adds exactly.  ``check_assumption`` certifies this and three more
-facts on coordinate boxes, exactly, one block size at a time.
+facts on coordinate boxes, exactly, one block size at a time.  The
+functional and its box walk come from :mod:`polyweight.functional`.
 """
 
 import math
 from collections import namedtuple
 
 from .errors import CapExceeded, DomainError, HypothesisFailure, PreconditionError
+from .functional import PhiData, _box, phi_ambient
 from .lattice import check_dim, prime_power, vec_add, vec_scale
-from .phi import PhiData, _box, phi_ambient
 from .weyl import act
 
 # Most classes ``check_assumption`` walks in one call, counted before it walks.
@@ -367,7 +368,7 @@ def _positivity(datum, data, radius, cols):
     return (2 * radius + 1) ** n, evaluated, None
 
 
-def check_assumption(datum, p, r, box_radius=None, jobs=1):
+def check_assumption(datum, p, r, box_radius=None):
     """Certify the four functional properties on a coordinate box.
 
     Property 1 (positivity) compares the sign test against a kernel-shift
@@ -380,7 +381,7 @@ def check_assumption(datum, p, r, box_radius=None, jobs=1):
     the box points or pairs it covers, up to and including the first
     failure in box order, and ``evaluated`` the points or pairs it
     actually evaluated.  Failures are reported with the first failing
-    point in box order, never raised.  ``jobs`` is accepted and ignored.
+    point in box order, never raised.
 
     The certificate is exact but evaluates each block size, not each box
     point.  The functional is phi(v) = sum_B min_B(v) n_B with

@@ -22,6 +22,7 @@ from .errors import (
     HypothesisFailure,
     PreconditionError,
 )
+from .functional import PhiData, phi_ambient
 from .groups import _CachedRecord
 from .lattice import (
     _echelonize,
@@ -32,7 +33,6 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .phi import PhiData, phi_ambient
 from .weyl import act, coroot_faults
 
 # Most candidates ``enumerate_Pr`` builds and tests in one call.
@@ -94,7 +94,7 @@ class Tables(
         ],
     )
 ):
-    """The rows a sweep reads; ``phi.phi_ambient`` evaluates on them."""
+    """The rows a sweep reads; ``functional.phi_ambient`` evaluates on them."""
 
     __slots__ = ()
 
@@ -139,11 +139,11 @@ class ClassificationContext(_CachedRecord):
 
     _fields = ("datum", "p", "r")
 
-    def __init__(self, datum, p, r, _cache=None):
+    def __init__(self, datum, p, r):
         self.datum = datum
         self.p = p
         self.r = r
-        self._cache = {} if _cache is None else _cache
+        self._cache = {}
         self.prpow = prime_power(p, r)
         self.__post_init__()
 
@@ -416,23 +416,16 @@ def pr_box_oracle(ctx, bound=None):
     return tuple(sorted(reps))
 
 
-def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, ctx_or_datum, prpow=None):
+def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow):
     """First Weyl element pushing lam0 + p^r lam_tilde out of the cone.
 
     Scans the full Weyl group in sorted order for w such that
     w.lam0 + p^r lam_tilde is not polynomial and returns the first hit,
-    or None when every twist stays polynomial.  Accepts either a
-    classification context or a bare datum with an explicit modulus; the
-    bare form exists for the even orthogonal family, whose functional is
-    only available in ambient semantics.
+    or None when every twist stays polynomial.  It evaluates the
+    functional in ambient semantics, so it serves the even orthogonal
+    family, which no context accepts; a caller with a context passes
+    ``ctx.datum, ctx.prpow``.
     """
-    if isinstance(ctx_or_datum, ClassificationContext):
-        datum = ctx_or_datum.datum
-        prpow = ctx_or_datum.prpow
-    else:
-        datum = ctx_or_datum
-        if prpow is None:
-            raise DomainError("a modulus p^r is required with a bare datum")
     check_dim(lam0, datum.ambient_dim)
     check_dim(lam_tilde, datum.ambient_dim)
     if not _in_pr(lam0, datum, prpow):

@@ -174,7 +174,6 @@ def _cmd_assumption(args):
     datum = parse_group_spec(args.group)
     _require_prime(args.p)
     _require_positive(args.r, "r")
-    _require_positive(args.jobs, "--jobs")
     if args.box_radius is not None:
         _require_positive(args.box_radius, "--box-radius")
     report = check_assumption(datum, args.p, args.r, box_radius=args.box_radius)
@@ -359,10 +358,6 @@ def build_parser():
     )
     _add_group_args(sub)
     sub.add_argument("--box-radius", type=int, default=None)
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted for compatibility and ignored; must be positive",
-    )
 
     sub = commands.add_parser(
         "counterexample",

@@ -3,8 +3,10 @@
 The functional phi maps an ambient weight to an integer vector of length
 l by taking the minimum coordinate over each block and expanding through
 the non-negative n-matrix.  It is constant on kernel classes and detects
-membership in the polynomial cone through its sign.  ``_box`` walks the
-boxes of ``certify`` and ``_kernels``, which both build on this module.
+membership in the polynomial cone through its sign.  ``phi`` evaluates
+it on a class of a datum meeting every construction hypothesis, and
+``phi_ambient`` on a fixed representative.  ``_box`` walks the boxes of
+``certify`` and ``_kernels``, which both build on this module.
 """
 
 from collections import namedtuple
@@ -59,19 +61,19 @@ def phi_ambient(weight, data):
     return tuple(out)
 
 
-def phi(weight, datum, ambient=False):
+def phi(weight, datum):
     """Evaluate the functional on a character class.
 
     Quotient semantics require a datum satisfying all construction
     hypotheses, because only then is the value provably independent of
     the chosen representative and sign-faithful for the polynomial cone.
-    Callers studying the even orthogonal family must request ambient
-    semantics explicitly.
+    Callers studying the even orthogonal family evaluate on a fixed
+    representative with ``phi_ambient``.
     """
-    if not ambient and not datum.validation().all_ok:
+    if not datum.validation().all_ok:
         raise HypothesisFailure(
             f"datum {datum.spec_string} fails a construction hypothesis; "
-            "pass ambient=True to evaluate on a fixed representative"
+            "use phi_ambient to evaluate on a fixed representative"
         )
     return phi_ambient(weight, PhiData.from_datum(datum))
 

@@ -37,8 +37,6 @@ from collections import namedtuple
 from .errors import DomainError
 from .lattice import QuotientLattice, vec_scale, vec_sub
 
-WEYL_CAP = 100_000
-
 
 class _CachedRecord:
     """Field-wise repr and equality for a mutable record with a cache.
@@ -84,7 +82,7 @@ class GroupDatum(_CachedRecord):
     def __init__(
         self, family, spec_string, ambient_dim, lattice, blocks, b, d_indices,
         n_matrix, simple_roots, simple_coroots, weyl_generators,
-        positive_root_sum_twice, weight_basis, basis_pairing_diag, _cache=None,
+        positive_root_sum_twice, weight_basis, basis_pairing_diag,
     ):
         self.family = family
         self.spec_string = spec_string
@@ -100,7 +98,7 @@ class GroupDatum(_CachedRecord):
         self.positive_root_sum_twice = positive_root_sum_twice
         self.weight_basis = weight_basis
         self.basis_pairing_diag = basis_pairing_diag
-        self._cache = {} if _cache is None else _cache
+        self._cache = {}
 
     @property
     def num_blocks(self):
@@ -120,9 +118,7 @@ class GroupDatum(_CachedRecord):
             from .weyl import generate_group, identity_perm
 
             if self.weyl_generators:
-                self._cache["weyl"] = tuple(
-                    generate_group(self.weyl_generators, WEYL_CAP)
-                )
+                self._cache["weyl"] = tuple(generate_group(self.weyl_generators))
             else:
                 self._cache["weyl"] = (identity_perm(self.ambient_dim),)
         return self._cache["weyl"]

@@ -184,6 +184,7 @@ class QuotientLattice:
             raise ValueError("kernel basis vectors are linearly dependent")
         self._rows = rows
         self._pivot_cols = cols
+        self._support = None  # per coordinate: (kernel index, entry) pairs
 
     def _key(self):
         return self.ambient_dim, self.kernel_basis
@@ -220,17 +221,12 @@ class QuotientLattice:
         return tuple(v)
 
     def contains(self, vec):
-        """Whether ``vec`` lies in the integer span of the kernel basis."""
-        check_dim(vec, self.ambient_dim)
-        v = list(vec)
-        for row, col in zip(self._rows, self._pivot_cols):
-            if v[col] % row[col]:
-                return False
-            q = v[col] // row[col]
-            if q:
-                for i in range(self.ambient_dim):
-                    v[i] -= q * row[i]
-        return not any(v)
+        """Whether ``vec`` lies in the integer span of the kernel basis.
+
+        The reduced representative is unique per coset, so exactly the
+        kernel vectors reduce to 0.
+        """
+        return not any(self.canonical_rep(vec))
 
     def equal_mod_kernel(self, a, b):
         check_dim(a, self.ambient_dim)
@@ -238,10 +234,25 @@ class QuotientLattice:
         return self.contains(vec_sub(a, b))
 
     def annihilates(self, covector):
-        """Whether the covector kills every kernel vector (i.e. descends)."""
+        """Whether the covector kills every kernel vector (i.e. descends).
+
+        Reads an index of the kernel's non-zero entries by coordinate,
+        built on the first call, so a kernel vector costs only the
+        entries it shares with the covector.
+        """
         check_dim(covector, self.ambient_dim)
-        live = [(i, c) for i, c in enumerate(covector) if c]
-        return not any(sum(c * k[i] for i, c in live) for k in self.kernel_basis)
+        if self._support is None:
+            self._support = [[] for _ in range(self.ambient_dim)]
+            for j, k in enumerate(self.kernel_basis):
+                for i, x in enumerate(k):
+                    if x:
+                        self._support[i].append((j, x))
+        sums = [0] * len(self.kernel_basis)
+        for i, c in enumerate(covector):
+            if c:
+                for j, x in self._support[i]:
+                    sums[j] += c * x
+        return not any(sums)
 
 
 def pair(weight, covector):

@@ -17,6 +17,9 @@ from .lattice import _echelonize, check_dim
 
 Perm = tuple  # tuple[int, ...]
 
+# Most elements ``generate_group`` materialises unless told otherwise.
+WEYL_CAP = 100_000
+
 
 def identity_perm(n):
     return tuple(range(n))
@@ -77,7 +80,7 @@ def act_covector(p, covector):
     return tuple(covector[p[i]] for i in range(len(p)))
 
 
-def generate_group(generators, cap=100_000):
+def generate_group(generators, cap=WEYL_CAP):
     """The full closure of a generating set of permutations, sorted.
 
     Raises CapExceeded when the group has more than ``cap`` elements.

@@ -15,9 +15,9 @@ from polyweight import certify
 from polyweight.certify import check_assumption
 from polyweight.classify import tables_for
 from polyweight.errors import CapExceeded, DomainError
+from polyweight.functional import PhiData, phi_ambient
 from polyweight.groups import GroupDatum, build_gl, build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
-from polyweight.phi import PhiData, phi_ambient
 
 
 def box(n, radius):

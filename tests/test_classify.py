@@ -368,26 +368,15 @@ class TestEnumerate:
 
 class TestOrbitWitness:
     def test_identity_witness_when_shift_leaves_cone(self):
-        c = ctx(GL2, 2, 1)
-        w = weyl_orbit_witness_nonpolynomial((1, 1), (0, -1), c)
+        w = weyl_orbit_witness_nonpolynomial((1, 1), (0, -1), GL2, 2)
         assert w == (0, 1)
 
     def test_polynomial_tilde_never_has_witness(self):
-        c = ctx(GL2, 2, 1)
-        assert weyl_orbit_witness_nonpolynomial((1, 0), (2, 1), c) is None
+        assert weyl_orbit_witness_nonpolynomial((1, 0), (2, 1), GL2, 2) is None
 
     def test_rejects_base_outside_digit_set(self):
-        c = ctx(GL2, 2, 1)
         with pytest.raises(PreconditionError):
-            weyl_orbit_witness_nonpolynomial((3, 3), (0, 0), c)
-
-    def test_bare_datum_requires_modulus(self):
-        with pytest.raises(DomainError):
-            weyl_orbit_witness_nonpolynomial(
-                (1, 1, 1, 1, 1, 1, 1, 1),
-                (0,) * 8,
-                build_go_even(8),
-            )
+            weyl_orbit_witness_nonpolynomial((3, 3), (0, 0), GL2, 2)
 
 
 class TestGoEvenCounterexample:

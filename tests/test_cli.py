@@ -227,6 +227,19 @@ class TestAssumptionCheck:
         )
         assert payload["result"]["all_ok"] is True
 
+    def test_jobs_is_refused_by_argparse(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyweight", "assumption-check", "--group",
+             "gl:2", "--p", "2", "--r", "1", "--jobs", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ")
+        assert "unrecognized arguments: --jobs 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [["--group", "gl:3", "--box-radius", "3000"], ["--group", "go:41"]],

@@ -13,6 +13,7 @@ import pytest
 import polyweight
 from polyweight.classify import ClassificationContext
 from polyweight.errors import DomainError, HypothesisFailure
+from polyweight.functional import PhiData, phi_ambient
 from polyweight.groups import (
     GroupDatum,
     build_gl,
@@ -26,7 +27,6 @@ from polyweight.groups import (
     x0_basis,
 )
 from polyweight.lattice import QuotientLattice, pair
-from polyweight.phi import PhiData, phi_ambient
 from polyweight.weyl import ValidationReport, act, transposition
 from shift_oracle import box_window, has_nonneg_rep, lift_window
 

@@ -27,9 +27,9 @@ from polyweight.classify import (
     is_restricted,
 )
 from polyweight.errors import DecompositionUnavailable, DomainError
+from polyweight.functional import phi
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
 from polyweight.lattice import vec_add, vec_scale, vec_sub
-from polyweight.phi import phi
 from polyweight.weyl import act
 
 GL2 = build_gl(2)

@@ -15,6 +15,7 @@ from polyweight.lattice import (
     PRPOW_BIT_LIMIT,
     QuotientLattice,
     _echelonize,
+    dot,
     is_prime,
     pair,
     prime_power,
@@ -105,6 +106,9 @@ class TestQuotientLattice:
         lat = QuotientLattice(3)
         with pytest.raises(DimensionMismatch):
             lat.canonical_rep((1, 2))
+        for check in (lat.contains, lat.annihilates):
+            with pytest.raises(DimensionMismatch):
+                check((1, 2))
 
     @given(vectors4, st.integers(-5, 5))
     def test_halve_class_doubles_back(self, v, c):
@@ -170,6 +174,55 @@ def test_echelonize_is_the_hermite_form_of_the_span(case):
             v = [a - q * b for a, b in zip(v, row)]
         assert not any(v)
     assert _minor_gcd(vectors, len(rows)) == _minor_gcd(rows, len(rows))
+
+
+@st.composite
+def small_lattices(draw):
+    """A quotient lattice of dimension at most 5 with a random kernel basis:
+    the drawn vectors that raise the rank of those kept before them."""
+    n = draw(st.integers(1, 5))
+    basis = []
+    for vec in draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4)):
+        if len(_echelonize(basis + [vec], n)[0]) > len(basis):
+            basis.append(vec)
+    return QuotientLattice(n, basis)
+
+
+def _walk_contains(lat, vec):
+    """Kernel membership by the divisibility walk: reduce against the
+    echelon rows, and fail at the first pivot entry the pivot does not
+    divide."""
+    v = list(vec)
+    for row, col in zip(lat._rows, lat._pivot_cols):
+        q, rest = divmod(v[col], row[col])
+        if rest:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+@given(small_lattices(), st.data())
+def test_annihilates_is_the_dense_definition(lat, data):
+    n = lat.ambient_dim
+    for _ in range(3):
+        cov = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+        dense = all(dot(k, cov) == 0 for k in lat.kernel_basis)
+        assert lat.annihilates(cov) == dense
+
+
+@given(small_lattices(), st.data())
+def test_contains_agrees_with_the_divisibility_walk(lat, data):
+    n = lat.ambient_dim
+    coeffs = data.draw(st.lists(
+        st.integers(-4, 4), min_size=lat.kernel_rank, max_size=lat.kernel_rank
+    ))
+    member = (0,) * n
+    for c, k in zip(coeffs, lat.kernel_basis):
+        member = vec_add(member, vec_scale(c, k))
+    assert lat.contains(member) and _walk_contains(lat, member)
+    nudge = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    for vec in (nudge, vec_add(member, nudge)):
+        assert lat.contains(vec) == _walk_contains(lat, vec)
 
 
 class TestPairing:

@@ -6,6 +6,7 @@ run in fresh interpreters, where nothing else has imported a submodule.
 """
 
 import json
+import pkgutil
 import subprocess
 import sys
 
@@ -75,9 +76,9 @@ def test_certifying_loads_no_classification_sweep_or_affine_module():
         "polyweight",
         "polyweight.certify",
         "polyweight.errors",
+        "polyweight.functional",
         "polyweight.groups",
         "polyweight.lattice",
-        "polyweight.phi",
         "polyweight.weyl",
     ]
 
@@ -94,9 +95,9 @@ def test_a_context_and_its_tables_load_only_what_they_run():
         "polyweight",
         "polyweight.classify",
         "polyweight.errors",
+        "polyweight.functional",
         "polyweight.groups",
         "polyweight.lattice",
-        "polyweight.phi",
         "polyweight.weyl",
     ]
 
@@ -141,10 +142,10 @@ def test_every_public_name_is_its_defining_modules_own_object():
         "    if name in constants:\n"
         "        continue\n"
         "    value = getattr(polyweight, name)\n"
-        "    module, _, attr = polyweight._LAZY.get(name, 'errors').partition(':')\n"
+        "    module = polyweight._LAZY.get(name, 'errors')\n"
         "    owner = importlib.import_module('polyweight.' + module)\n"
         "    defined_in = getattr(value, '__module__', owner.__name__)\n"
-        "    if value is not getattr(owner, attr or name) or (\n"
+        "    if value is not getattr(owner, name) or (\n"
         "            defined_in != owner.__name__):\n"
         "        wrong.append(name)\n"
         "print(json.dumps([constants, wrong]))"
@@ -166,6 +167,10 @@ def test_lazy_table_and_all_agree():
     assert set(eager).isdisjoint(lazy)
     assert sorted(eager + lazy) == public
     assert set(EAGER_CONSTANTS) <= set(eager)
+    # importing a submodule binds its name on the package, so no public
+    # name may be a submodule's
+    submodules = {m.name for m in pkgutil.iter_modules(polyweight.__path__)}
+    assert submodules.isdisjoint(public)
 
 
 def test_star_import_binds_all_public_names():
@@ -194,24 +199,25 @@ def test_unknown_attribute_raises_attribute_error():
     "first",
     [
         "import polyweight.classify",
-        "import importlib; importlib.import_module('polyweight.phi')",
+        "import importlib; importlib.import_module('polyweight.functional')",
         "import polyweight._kernels",
         "import polyweight.certify",
-        "from polyweight.phi import phi_ambient",
+        "from polyweight.functional import phi_ambient",
         "",
     ],
-    ids=["classify", "import-module-phi", "kernels", "certify", "from-phi-module",
-         "none"],
+    ids=["classify", "import-module-functional", "kernels", "certify",
+         "from-functional-module", "none"],
 )
 def test_phi_is_the_function_whatever_was_imported_first(first):
-    # loading the submodule ``polyweight.phi`` binds it on the package; the
-    # package keeps the name for the functional
+    # the functional's module has its own name, so no submodule binding
+    # can shadow the public ``phi`` and the package stays a plain module
     code = (
         first + "\n"
-        "import importlib, json, sys, polyweight\n"
+        "import json, sys, types, polyweight\n"
+        "import polyweight.functional\n"
         "from polyweight import phi\n"
-        "module = importlib.import_module('polyweight.phi')\n"
-        "print(json.dumps([polyweight.phi is module.phi, phi is module.phi,"
-        " sys.modules['polyweight.phi'] is module]))"
+        "print(json.dumps([polyweight.phi is polyweight.functional.phi,"
+        " phi is polyweight.functional.phi,"
+        " type(sys.modules['polyweight']) is types.ModuleType]))"
     )
     assert run_fresh(code) == [True, True, True]

@@ -18,6 +18,7 @@ from polyweight.certify import (
     kernel_block_constancy,
 )
 from polyweight.errors import DomainError, HypothesisFailure, PreconditionError
+from polyweight.functional import PhiData, phi, phi_ambient
 from polyweight.groups import (
     build_gl,
     build_go_even,
@@ -26,7 +27,6 @@ from polyweight.groups import (
     build_levi,
 )
 from polyweight.lattice import vec_add, vec_scale
-from polyweight.phi import PhiData, phi, phi_ambient
 from polyweight.weyl import act
 
 GL2 = build_gl(2)
@@ -78,7 +78,6 @@ class TestFrozenValues:
     def test_quotient_semantics_rejects_go_even(self):
         with pytest.raises(HypothesisFailure):
             phi((1,) * 8, GOE8)
-        assert phi((1,) * 8, GOE8, ambient=True) == (4,)
 
 
 @pytest.mark.parametrize("datum", FAMILIES, ids=lambda d: d.spec_string)
@@ -249,12 +248,6 @@ class TestCheckAssumption:
     def test_rejects_a_bad_modulus(self, p, r, message):
         with pytest.raises(DomainError, match=message):
             check_assumption(GL2, p, r, box_radius=1)
-
-    def test_jobs_do_not_change_the_report(self):
-        # jobs is accepted and ignored
-        seq = check_assumption(GL2, 3, 1, box_radius=2, jobs=1)
-        par = check_assumption(GL2, 3, 1, box_radius=2, jobs=3)
-        assert seq == par
 
 
 class TestShiftOracle:

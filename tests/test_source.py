@@ -88,10 +88,7 @@ def test_no_package_module_imports_the_kernels():
         if target == "_kernels"
     ]
     assert found == []
-    assert not any(
-        target.partition(":")[0] == "_kernels"
-        for target in polyweight._LAZY.values()
-    )
+    assert "_kernels" not in polyweight._LAZY.values()
 
 
 def _calls_named(tree, name):
@@ -136,7 +133,7 @@ def _imports_outside(name, allowed):
 
 def test_groups_imports_only_the_lattice_and_errors():
     # the group data sit below the functional: the builders state facts
-    # the tests check, and need nothing from ``phi`` or above.  Building
+    # the tests check, and need nothing from ``functional`` or above.  Building
     # a datum never loads the hypotheses: only a function body may
     # import ``weyl``, on its first call
     found = [
@@ -156,7 +153,7 @@ def test_weyl_imports_only_the_lattice_and_errors():
     assert _imports_outside("weyl.py", ("lattice", "errors")) == []
 
 
-def test_phi_imports_only_the_lattice_and_errors():
+def test_functional_imports_only_the_lattice_and_errors():
     # the certificate and the sweeps build on the functional, so a
     # context compiles the functional without either of them
-    assert _imports_outside("phi.py", ("lattice", "errors")) == []
+    assert _imports_outside("functional.py", ("lattice", "errors")) == []
