@@ -64,7 +64,6 @@ _LAZY = {
     "is_polynomial": "classify",
     "is_restricted": "classify",
     "is_simple_polynomial": "classify",
-    "pr_box_oracle": "classify",
     "simple_membership": "classify",
     "weyl_orbit_witness_nonpolynomial": "classify",
     "GroupDatum": "groups",

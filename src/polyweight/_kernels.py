@@ -8,9 +8,10 @@ them against the scalar library and against the plain loops in
 ``tests/loop_kernels.py``.
 
 ``pair_witness_sweep`` and ``poly_consistency_sweep`` visit every point
-of a box.  ``certify.check_assumption`` certifies the same properties one
-block size at a time without them; they are the exhaustive oracles the
-test suite compares it with.
+of a box.  ``certify.check_assumption`` decides the same properties
+without them, additivity by proof and positivity once per vector of
+block minima; they are the exhaustive oracles the test suite compares
+it with.
 
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with

@@ -396,26 +396,6 @@ def enumerate_Pr(ctx):
     return tuple(sorted(out))
 
 
-def pr_box_oracle(ctx, bound=None):
-    """Brute-force digit set: filter an ambient box and canonicalize.
-
-    Every digit-set class is polynomial, so it has an all-non-negative
-    representative, and restrictedness bounds its coordinates; a box
-    [0, bound]^n with bound = max(2 p^r, n (p^r - 1)) provably contains
-    such a representative for the built-in families.  The filter applies
-    the literal predicate to each box point and collects canonical
-    representatives.
-    """
-    n = ctx.datum.ambient_dim
-    if bound is None:
-        bound = max(2 * ctx.prpow, n * (ctx.prpow - 1))
-    reps = set()
-    for v in itertools.product(range(bound + 1), repeat=n):
-        if in_Pr(v, ctx):
-            reps.add(ctx.datum.lattice.canonical_rep(v))
-    return tuple(sorted(reps))
-
-
 def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow):
     """First Weyl element pushing lam0 + p^r lam_tilde out of the cone.
 

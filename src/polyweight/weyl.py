@@ -17,7 +17,7 @@ from .lattice import _echelonize, check_dim
 
 Perm = tuple  # tuple[int, ...]
 
-# Most elements ``generate_group`` materialises unless told otherwise.
+# Most elements ``generate_group`` materialises, read at each call.
 WEYL_CAP = 100_000
 
 
@@ -80,10 +80,10 @@ def act_covector(p, covector):
     return tuple(covector[p[i]] for i in range(len(p)))
 
 
-def generate_group(generators, cap=WEYL_CAP):
+def generate_group(generators):
     """The full closure of a generating set of permutations, sorted.
 
-    Raises CapExceeded when the group has more than ``cap`` elements.
+    Raises CapExceeded when the group has more than ``WEYL_CAP`` elements.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -102,9 +102,9 @@ def generate_group(generators, cap=WEYL_CAP):
                 if wg not in seen:
                     seen.add(wg)
                     nxt.append(wg)
-                    if len(seen) > cap:
+                    if len(seen) > WEYL_CAP:
                         raise CapExceeded(
-                            f"group closure exceeded cap of {cap} elements"
+                            f"group closure exceeded cap of {WEYL_CAP} elements"
                         )
         frontier = nxt
     return sorted(seen)

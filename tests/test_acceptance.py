@@ -9,6 +9,7 @@ its runtime budget.  The heavy sweeps run in the numpy kernels of
 import itertools
 import time
 
+from digit_oracle import pr_box_oracle
 from polyweight import (
     ClassificationContext,
     build_gl,
@@ -23,7 +24,6 @@ from polyweight import (
     in_Pr,
     permute_d,
     phi,
-    pr_box_oracle,
     shift_bound_a,
     simple_membership,
     validate_datum,

@@ -1,9 +1,11 @@
-"""Block-factored box certification against exhaustive sweeps.
+"""Box certification against exhaustive sweeps.
 
-``check_assumption`` evaluates one block size at a time.  These tests
-compare its report with the exhaustive sweeps of ``polyweight._kernels``
-and with plain loops over whole boxes: on every family shape at small
-radius, with deliberately broken witness rules, and on hand-built data.
+``check_assumption`` decides additivity and homogeneity by proof and
+walks positivity once per vector of block minima.  These tests compare
+its report with the exhaustive sweeps of ``polyweight._kernels`` and
+with plain loops over whole boxes: on every family shape at small
+radius and on hand-built data.  A one-block loop checks that the
+witness rule the additivity proof uses is the one that works.
 """
 
 import itertools
@@ -16,45 +18,12 @@ from polyweight.certify import check_assumption
 from polyweight.classify import tables_for
 from polyweight.errors import CapExceeded, DomainError
 from polyweight.functional import PhiData, phi_ambient
-from polyweight.groups import GroupDatum, build_gl, build_gsp, parse_group_spec
+from polyweight.groups import GroupDatum, build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
 
 
 def box(n, radius):
     return itertools.product(range(-radius, radius + 1), repeat=n)
-
-
-def first_argmin(vec, members):
-    """Position, in block order, of the first minimum of vec on a block."""
-    values = [vec[a] for a in members]
-    return values.index(min(values))
-
-
-def moved_by(rule, lam, lamp, blocks):
-    """w.lam for the witness the rule picks on every block."""
-    out = list(lam)
-    for blk in blocks:
-        i, j = rule(first_argmin(lam, blk), first_argmin(lamp, blk))
-        out[blk[i]], out[blk[j]] = lam[blk[j]], lam[blk[i]]
-    return out
-
-
-def exhaustive_additivity(datum, radius, rule):
-    """(pairs checked, witness) of a plain loop over the whole box squared."""
-    data = PhiData.from_datum(datum)
-    points = list(box(datum.ambient_dim, radius))
-    phis = [phi_ambient(v, data) for v in points]
-    checked = 0
-    for lam, phi_lam in zip(points, phis):
-        for lamp, phi_lamp in zip(points, phis):
-            checked += 1
-            moved = moved_by(rule, lam, lamp, datum.blocks)
-            u = tuple(x + y for x, y in zip(moved, lamp))
-            if phi_ambient(u, data) != tuple(
-                a + b for a, b in zip(phi_lam, phi_lamp)
-            ):
-                return checked, f"pair {lam}, {lamp}"
-    return checked, ""
 
 
 def exhaustive_homogeneity(datum, radius, prpow):
@@ -120,15 +89,17 @@ def test_factored_report_equals_the_exhaustive_oracles(spec, radius):
     assert fail is None
     assert (add.ok, add.checked, add.witness) == (True, checked, "")
 
-    # the factored path evaluates (2R+1)^s points for positivity, two per
-    # class and block size for the other two, and every x0 coefficient
+    # positivity evaluates (2R+1)^s points and x0 every coefficient
+    # vector; homogeneity and additivity are decided by proof
     s = datum.num_blocks
     assert pos.evaluated == (2 * radius + 1) ** s
-    sizes = {len(blk) for blk in datum.blocks}
-    classes = {k: 2 * radius + 1 + (k - 1) * 2 * radius for k in sizes}
-    assert hom.evaluated == 2 * sum(classes.values())
-    assert add.evaluated == 2 * sum(c * c for c in classes.values())
+    assert hom.evaluated == add.evaluated == 0
     assert report.x0_bijection.evaluated == report.x0_bijection.checked
+
+
+def canonical(a, b):
+    # the rule of find_witness_w and pair_witness_sweep
+    return a, b
 
 
 def no_swap(a, b):
@@ -144,11 +115,16 @@ RULES = {"no-swap": no_swap, "wrong-partner": wrong_partner}
 
 
 def block_loop_flags(k, radius, rule):
-    """Whether the rule misses on some pair over one block of k coordinates."""
-    blk = tuple(range(k))
+    """Whether the rule misses on some pair over one block of k coordinates.
+
+    The rule maps the first positions of the minima of lam and lam' to
+    the two positions of lam it transposes.
+    """
     for lam in box(k, radius):
         for lamp in box(k, radius):
-            moved = moved_by(rule, lam, lamp, [blk])
+            i, j = rule(lam.index(min(lam)), lamp.index(min(lamp)))
+            moved = list(lam)
+            moved[i], moved[j] = lam[j], lam[i]
             if min(x + y for x, y in zip(moved, lamp)) != min(lam) + min(lamp):
                 return True
     return False
@@ -158,30 +134,12 @@ def block_loop_flags(k, radius, rule):
 @pytest.mark.parametrize(
     "k,radius", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
 )
-def test_broken_rule_is_flagged_when_the_block_loop_flags_it(
-    monkeypatch, rule, k, radius
-):
-    flagged = block_loop_flags(k, radius, rule)
-    # both rules transpose the wrong positions as soon as a block has two
-    assert flagged == (k > 1)
-    monkeypatch.setattr(certify, "_witness_swap", rule)
-    report = check_assumption(build_gl(k), 3, 1, box_radius=radius)
-    assert report.additivity_witness.ok is not flagged
-
-
-@pytest.mark.parametrize("rule", RULES.values(), ids=RULES)
-@pytest.mark.parametrize(
-    "spec,radius",
-    [("gl:3", 1), ("gsp:4", 1), ("go:5", 1), ("levi:2,3", 1), ("levi:1,2", 2)],
-)
-def test_broken_rule_reports_the_first_failing_pair(
-    monkeypatch, rule, spec, radius
-):
-    datum = parse_group_spec(spec)
-    expected = exhaustive_additivity(datum, radius, rule)
-    monkeypatch.setattr(certify, "_witness_swap", rule)
-    verdict = check_assumption(datum, 3, 1, box_radius=radius).additivity_witness
-    assert (verdict.ok, verdict.checked, verdict.witness) == (False, *expected)
+def test_broken_rule_is_flagged_when_the_block_loop_flags_it(rule, k, radius):
+    # the additivity proof's rule passes the one-block loop, and the loop
+    # is not vacuous: both broken rules transpose the wrong positions as
+    # soon as a block has two
+    assert not block_loop_flags(k, radius, canonical)
+    assert block_loop_flags(k, radius, rule) == (k > 1)
 
 
 def test_kernel_not_constant_on_blocks_is_a_domain_error():
@@ -226,7 +184,9 @@ def test_rank_six_and_eight_certify(spec, radius):
     )
 
 
-@pytest.mark.parametrize("spec,radius", [("gl:3", 3000), ("go:41", None)])
+@pytest.mark.parametrize(
+    "spec,radius", [("gl:3", 3037000500), ("go:41", None)]
+)
 def test_an_unbounded_box_is_refused_before_any_walk(spec, radius):
     with pytest.raises(CapExceeded, match="walks more than 1000000 classes"):
         check_assumption(parse_group_spec(spec), 3, 1, box_radius=radius)
@@ -234,10 +194,9 @@ def test_an_unbounded_box_is_refused_before_any_walk(spec, radius):
 
 @pytest.mark.parametrize(
     "spec,radius,classes",
-    # gl:3 at R=2: 5 minima vectors, 13^2 + 13 cells, 5 x0 vectors;
-    # levi:1,2 at R=1: 3^2 minima vectors, 3^2 + 3 and 5^2 + 5 cells, 3^2
-    # x0 vectors
-    [("gl:3", 2, 192), ("levi:1,2", 1, 60)],
+    # gl:3 at R=2: 5 minima vectors and 5 x0 vectors; levi:1,2 at R=1:
+    # 3^2 minima vectors and 3^2 x0 vectors
+    [("gl:3", 2, 10), ("levi:1,2", 1, 18)],
 )
 def test_the_class_count_is_the_closed_form(spec, radius, classes, monkeypatch):
     datum = parse_group_spec(spec)
@@ -246,6 +205,17 @@ def test_the_class_count_is_the_closed_form(spec, radius, classes, monkeypatch):
         check_assumption(datum, 3, 1, box_radius=radius)
     monkeypatch.setattr(certify, "CERTIFY_CLASS_CAP", classes)
     assert check_assumption(datum, 3, 1, box_radius=radius).all_ok
+
+
+def test_a_pair_count_past_the_bit_limit_is_refused(monkeypatch):
+    # gl:3 at R=2 counts 5^6 pairs, bounded by 2 * 3 * bit_length(5) = 18
+    # bits
+    datum = parse_group_spec("gl:3")
+    monkeypatch.setattr(certify, "PRPOW_BIT_LIMIT", 17)
+    with pytest.raises(CapExceeded, match="= 18 exceeds 17"):
+        check_assumption(datum, 3, 1, box_radius=2)
+    monkeypatch.setattr(certify, "PRPOW_BIT_LIMIT", 18)
+    assert check_assumption(datum, 3, 1, box_radius=2).all_ok
 
 
 class _Walked(Exception):

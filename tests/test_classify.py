@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digit_oracle import pr_box_oracle
 from polyweight import classify
 from polyweight.classify import (
     ClassificationContext,
@@ -21,7 +22,6 @@ from polyweight.classify import (
     is_polynomial,
     is_restricted,
     is_simple_polynomial,
-    pr_box_oracle,
     simple_membership,
     weyl_orbit_witness_nonpolynomial,
 )

@@ -242,11 +242,15 @@ class TestAssumptionCheck:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--group", "gl:3", "--box-radius", "3000"], ["--group", "go:41"]],
-        ids=["huge-radius", "many-blocks"],
+        [["--group", "gl:3", "--box-radius", "3037000500"],
+         ["--group", "go:41"],
+         ["--group", "gl:1000", "--box-radius", "1000"]],
+        ids=["huge-radius", "many-blocks", "many-digits"],
     )
     def test_an_unbounded_box_is_a_domain_error(self, capsys, argv):
-        # 324 million additivity cells, and 5^21 vectors of block minima
+        # 6,074,001,001 vectors of block minima, 5^21 of them, and 2001^2000
+        # pairs, past the decimal digits an integer may be written with
+        # (22,000 > PRPOW_BIT_LIMIT bits)
         begin = time.perf_counter()
         code, out, err = run(
             capsys, ["assumption-check", "--p", "3", "--r", "1"] + argv
@@ -255,6 +259,7 @@ class TestAssumptionCheck:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err.startswith("error: box certification of ")
+        assert "Traceback" not in err
 
 
 class TestCounterexample:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyweight import weyl
 from polyweight.affine import halve_class
 from polyweight.errors import CapExceeded, DimensionMismatch, DomainError
 from polyweight.groups import build_gsp
@@ -272,10 +273,13 @@ class TestPermutations:
             assert is_even_perm(p) == (inversions % 2 == 0)
         assert is_even_perm(())
 
-    def test_generate_group_cap(self):
+    def test_generate_group_cap(self, monkeypatch):
         gens = (transposition(3, 0, 1), transposition(3, 1, 2))
-        with pytest.raises(CapExceeded):
-            generate_group(gens, cap=5)
+        monkeypatch.setattr(weyl, "WEYL_CAP", 5)
+        with pytest.raises(CapExceeded, match="cap of 5 elements"):
+            generate_group(gens)
+        monkeypatch.setattr(weyl, "WEYL_CAP", 6)
+        assert len(generate_group(gens)) == 6
 
 
 def test_is_prime_small_values():
