@@ -11,11 +11,14 @@ them against the scalar library and against the plain loops in
 of a box.  ``certify.check_assumption`` decides the same properties
 without them, additivity by proof and positivity once per vector of
 block minima; they are the exhaustive oracles the test suite compares
-it with.
+it with.  ``poly_consistency_sweep`` runs the certificate's exact
+kernel-shift search at every point and imports ``certify`` only when
+it runs.
 
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
-numpy int64 arrays; ``poly_consistency_sweep`` is a plain Python loop.
+numpy int64 arrays; ``poly_consistency_sweep`` loops over the box point
+by point.
 Before sweeping, the vectorised kernels bound every intermediate from
 the radius, the modulus and the table entries, and raise DomainError
 when the bound does not fit in 64 bits, so no value wraps.  numpy is imported
@@ -159,31 +162,20 @@ def poly_consistency_sweep(t, radius):
     """Compare the phi sign test against the shift-search oracle.
 
     The oracle decides membership in the polynomial cone without phi: a
-    class is polynomial iff some kernel shift with coefficients bounded
-    by the coordinate spread plus the box radius is coordinatewise
-    non-negative.  Returns (weights checked, first disagreement or None)
-    where a disagreement is (lam, phi verdict, oracle verdict).
-
-    The window is a small-box bound, not a proof: from gsp:16 on, where
-    the kernel is a chain of seven block differences, the box point
-    (-1, -1, -1, -1, 1, ..., 1, -1, -1, -1, -1) of radius 1 needs the
-    coefficient 4 against a window of 3, so the oracle wrongly answers
-    no.  ``certify.check_assumption`` searches unbounded ranges instead.
+    class is polynomial iff some kernel shift is coordinatewise
+    non-negative.  It is ``certify._shift_exists`` with every coordinate
+    its own block and the kernel basis vectors as columns, an exact
+    search; like the certificate, it raises ``DomainError`` where a
+    coefficient range stays unbounded.  Returns (weights checked, first
+    disagreement or None) where a disagreement is (lam, phi verdict,
+    oracle verdict).
     """
+    from .certify import _shift_exists
+
     checked = 0
     for lam in _box(t.n, radius):
         ok_phi = min(phi_ambient(lam, t)) >= 0
-        window = max(lam) - min(lam) + radius
-        ok_oracle = False
-        for coeff in _box(len(t.kernel), window):
-            for a, v in enumerate(lam):
-                for c, vec in zip(coeff, t.kernel):
-                    v += c * vec[a]
-                if v < 0:
-                    break
-            else:
-                ok_oracle = True
-                break
+        ok_oracle = _shift_exists(lam, t.kernel)
         checked += 1
         if ok_phi != ok_oracle:
             return checked, (lam, ok_phi, ok_oracle)

@@ -308,6 +308,9 @@ def check_assumption(datum, p, r, box_radius=None):
     ``_kernels.pair_witness_sweep`` and ``poly_consistency_sweep`` are the
     exhaustive sweeps of properties 3 and 1; the test suite checks that
     they report the same verdicts, counts and witnesses on small boxes.
+    ``poly_consistency_sweep`` runs the same exact shift search at every
+    box point, one block per coordinate, so that comparison checks the
+    factoring by block minima.
     """
     prime_power(p, r)  # refuses a bad p or r before any work
     n = datum.ambient_dim

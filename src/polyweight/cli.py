@@ -389,16 +389,13 @@ def main(argv=None):
     try:
         target, result = _COMMANDS[args.command](args)
         rendered = _render(args, target, result)
-    except RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
+    except ValueError as exc:  # RequestError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sys.stdout.write(rendered)

@@ -62,6 +62,11 @@ class _CachedRecord:
             return NotImplemented
         return self._values() == other._values()
 
+    def _replace(self, **changes):
+        """A record of the same type with the named fields replaced and an
+        empty cache; an unknown name is the constructor's ``TypeError``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
 
 class GroupDatum(_CachedRecord):
     """Immutable description of one group family instance.
@@ -373,21 +378,8 @@ def permute_d(datum, order):
     else:
         dual = datum.weight_basis[: len(datum.simple_coroots)]
         new_basis = dual + tuple(datum.b[i] for i in new_d_indices)
-    return GroupDatum(
-        family=datum.family,
-        spec_string=datum.spec_string,
-        ambient_dim=datum.ambient_dim,
-        lattice=datum.lattice,
-        blocks=datum.blocks,
-        b=datum.b,
-        d_indices=new_d_indices,
-        n_matrix=new_n,
-        simple_roots=datum.simple_roots,
-        simple_coroots=datum.simple_coroots,
-        weyl_generators=datum.weyl_generators,
-        positive_root_sum_twice=datum.positive_root_sum_twice,
-        weight_basis=new_basis,
-        basis_pairing_diag=datum.basis_pairing_diag,
+    return datum._replace(
+        d_indices=new_d_indices, n_matrix=new_n, weight_basis=new_basis
     )
 
 

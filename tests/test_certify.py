@@ -18,7 +18,7 @@ from polyweight.certify import check_assumption
 from polyweight.classify import tables_for
 from polyweight.errors import CapExceeded, DomainError
 from polyweight.functional import PhiData, phi_ambient
-from polyweight.groups import GroupDatum, build_gsp, parse_group_spec
+from polyweight.groups import build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
 
 
@@ -49,13 +49,6 @@ def positivity_of(sweep_result):
         checked,
         f"weight {fail[0]}: sign test {fail[1]}, shift oracle {fail[2]}",
     )
-
-
-def hand_built(datum, **changes):
-    """The datum with some fields replaced."""
-    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
-    fields.update(changes)
-    return GroupDatum(**fields)
 
 
 SHAPES = [
@@ -145,7 +138,7 @@ def test_broken_rule_is_flagged_when_the_block_loop_flags_it(rule, k, radius):
 def test_kernel_not_constant_on_blocks_is_a_domain_error():
     # gsp(4)'s blocks are {0, 3} and {1, 2}; this kernel vector is 1 at 0
     # and 0 at 3
-    bad = hand_built(build_gsp(4), lattice=QuotientLattice(4, ((1, -1, 0, 0),)))
+    bad = build_gsp(4)._replace(lattice=QuotientLattice(4, ((1, -1, 0, 0),)))
     with pytest.raises(DomainError, match="not constant"):
         check_assumption(bad, 2, 1, box_radius=1)
 
@@ -162,7 +155,7 @@ def test_kernel_not_constant_on_blocks_is_a_domain_error():
 def test_positivity_failure_matches_the_exhaustive_sweep(spec, n_matrix):
     # a wrong n-matrix breaks the sign test, so both paths must report the
     # same first disagreement
-    datum = hand_built(parse_group_spec(spec), n_matrix=n_matrix)
+    datum = parse_group_spec(spec)._replace(n_matrix=n_matrix)
     for radius in (1, 2):
         verdict = check_assumption(datum, 2, 1, box_radius=radius).positivity
         expected = positivity_of(

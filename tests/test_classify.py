@@ -33,7 +33,6 @@ from polyweight.errors import (
     PreconditionError,
 )
 from polyweight.groups import (
-    GroupDatum,
     build_gl,
     build_go_even,
     build_go_odd,
@@ -99,8 +98,7 @@ class TestContext:
         ids=["singular", "too-short", "index-two"],
     )
     def test_rejects_a_singular_or_non_unimodular_basis(self, basis, message):
-        fields = {name: getattr(GL2, name) for name in GroupDatum._fields}
-        datum = GroupDatum(**dict(fields, weight_basis=basis))
+        datum = GL2._replace(weight_basis=basis)
         assert datum.validation().all_ok
         with pytest.raises(DomainError, match=message):
             ctx(datum, 3, 1)
@@ -171,8 +169,7 @@ class TestCorootDescent:
         # gsp(4)'s simple roots pair non-trivially with its kernel: a
         # context refuses the datum under (d), and a bare datum at its
         # first pairing
-        fields = {name: getattr(GSP4, name) for name in GroupDatum._fields}
-        broken = GroupDatum(**dict(fields, simple_coroots=GSP4.simple_roots))
+        broken = GSP4._replace(simple_coroots=GSP4.simple_roots)
         with pytest.raises(HypothesisFailure, match=r"hypotheses \(d\)$"):
             ctx(broken, 3, 1)
         with pytest.raises(ValueError, match="not kernel-annihilating"):

@@ -116,11 +116,11 @@ def test_c_lower_agrees_with_the_weyl_closure(spec):
 
 def test_c_lower_falls_back_to_the_closure():
     # (0 1) joins only 0 and 1, but with the 3-cycle it generates S_3
-    datum = _replace(build_gl(3), weyl_generators=((1, 2, 0), (1, 0, 2)))
+    datum = build_gl(3)._replace(weyl_generators=((1, 2, 0), (1, 0, 2)))
     assert validate_datum(datum).c_lower
     assert "weyl" in datum._cache
     # a 3-cycle alone is even, so no transposition lies in its group
-    cyclic = _replace(build_gl(3), weyl_generators=((1, 2, 0),))
+    cyclic = build_gl(3)._replace(weyl_generators=((1, 2, 0),))
     assert [w[:31] for w in validate_datum(cyclic).witnesses] == [
         "(c-lower): transposition (0, 1)",
         "(c-lower): transposition (0, 2)",
@@ -157,7 +157,7 @@ def test_go_odd_middle_block():
 def test_gl_is_the_one_block_levi(n):
     levi = build_levi([n])
     assert levi != build_gl(n)
-    assert _replace(levi, family="gl", spec_string=f"gl:{n}") == build_gl(n)
+    assert levi._replace(family="gl", spec_string=f"gl:{n}") == build_gl(n)
 
 
 def test_x0_basis():
@@ -310,6 +310,18 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(datum)
 
+    def test_replace_builds_a_fresh_record(self):
+        datum = build_gsp(4)
+        datum.validation()
+        assert datum._replace() == datum
+        relabelled = datum._replace(family="go_odd")
+        assert type(relabelled) is GroupDatum
+        assert relabelled._cache == {}
+        assert relabelled.family == "go_odd"
+        assert relabelled._replace(family="gsp") == datum
+        with pytest.raises(TypeError):
+            datum._replace(rank=2)
+
     def test_validation_report(self):
         report = ValidationReport(True, True, False, True, True, ("w",))
         assert report == ValidationReport(
@@ -325,12 +337,6 @@ class TestRecords:
         )
         with pytest.raises(AttributeError):
             report.a = False
-
-
-def _replace(datum, **changes):
-    """The datum with some fields replaced."""
-    fields = {name: getattr(datum, name) for name in GroupDatum._fields}
-    return GroupDatum(**dict(fields, **changes))
 
 
 def sign_test(vec, data):
@@ -576,7 +582,7 @@ HYPOTHESIS_DEFECTS = [
     ids=[case[0] for case in HYPOTHESIS_DEFECTS],
 )
 def test_validation_reports_each_hypothesis_defect(hypothesis, datum, changes):
-    broken = _replace(datum, **changes)
+    broken = datum._replace(**changes)
     report = validate_datum(broken)
     assert not getattr(report, hypothesis) and report.c_lower
     with pytest.raises(HypothesisFailure):
@@ -586,7 +592,7 @@ def test_validation_reports_each_hypothesis_defect(hypothesis, datum, changes):
 def _shift_first_lift(datum, by):
     """The datum with ``by`` added to its first dual lift."""
     lift = tuple(a + b for a, b in zip(datum.weight_basis[0], by))
-    return _replace(datum, weight_basis=(lift,) + datum.weight_basis[1:])
+    return datum._replace(weight_basis=(lift,) + datum.weight_basis[1:])
 
 
 GSP4 = build_gsp(4)
@@ -601,43 +607,43 @@ BROKEN = [
     # the kernel vector b_0 - b_1 is block-constant, but the functional
     # does not vanish on it: the d classes are dependent modulo the kernel
     ("kernel-meets-the-d-classes",
-     _replace(build_levi([1, 1]), lattice=QuotientLattice(2, [(1, -1)])),
+     build_levi([1, 1])._replace(lattice=QuotientLattice(2, [(1, -1)])),
      "(d): the d classes are dependent modulo the kernel"),
 ] + [
-    (f"hypothesis-{hypothesis}", _replace(datum, **changes),
+    (f"hypothesis-{hypothesis}", datum._replace(**changes),
      "(" + hypothesis.replace("_", "-") + ")")
     for hypothesis, datum, changes in HYPOTHESIS_DEFECTS
 ] + [
     ("kernel-not-block-constant",
-     _replace(GSP4, lattice=QuotientLattice(4, [(1, -1, 1, -1)])),
+     GSP4._replace(lattice=QuotientLattice(4, [(1, -1, 1, -1)])),
      "is not constant on block 0"),
-    ("coroot-does-not-descend", _replace(GSP4, simple_coroots=GSP4.simple_roots),
+    ("coroot-does-not-descend", GSP4._replace(simple_coroots=GSP4.simple_roots),
      "coroot 0 does not descend"),
     ("coroot-meets-a-block-indicator",
-     _replace(GL3, simple_coroots=((1, 0, 0),) + GL3.simple_coroots[1:]),
+     GL3._replace(simple_coroots=((1, 0, 0),) + GL3.simple_coroots[1:]),
      "coroot 0 pairs non-zero with a block indicator"),
-    ("wrong-two-rho", _replace(GL3, positive_root_sum_twice=(1, 0, -1)),
+    ("wrong-two-rho", GL3._replace(positive_root_sum_twice=(1, 0, -1)),
      "twice the positive root sum pairs to 1 with coroot 0"),
     # a d vector pairs to 0 with every coroot, so only the sum sees it
     ("two-rho-plus-d",
-     _replace(GSP4, positive_root_sum_twice=tuple(
+     GSP4._replace(positive_root_sum_twice=tuple(
          a + b for a, b in zip(GSP4.positive_root_sum_twice, GSP4.d_vectors[0])
      )),
      "twice rho is not the sum of the family's positive roots"),
-    ("reversed-roots", _replace(GL3, simple_roots=GL3.simple_roots[::-1]),
+    ("reversed-roots", GL3._replace(simple_roots=GL3.simple_roots[::-1]),
      "the Cartan matrix is not the family's"),
-    ("relabelled-family", _replace(GSP4, family="go_odd"),
+    ("relabelled-family", GSP4._replace(family="go_odd"),
      "the Cartan matrix is not the family's"),
     ("kernel-not-preserved",
-     _replace(
-         GSP4, weyl_generators=GSP4.weyl_generators + (transposition(4, 0, 1),)
+     GSP4._replace(
+         weyl_generators=GSP4.weyl_generators + (transposition(4, 0, 1),)
      ),
      "does not preserve the kernel"),
     ("weight-basis-tail",
-     _replace(LEVI23, weight_basis=LEVI23.weight_basis[:-2] + LEVI23.b[::-1]),
+     LEVI23._replace(weight_basis=LEVI23.weight_basis[:-2] + LEVI23.b[::-1]),
      "the weight basis does not end with the d vectors"),
     ("dual-lifts-swapped",
-     _replace(GL3, weight_basis=GL3.weight_basis[1::-1] + GL3.weight_basis[2:]),
+     GL3._replace(weight_basis=GL3.weight_basis[1::-1] + GL3.weight_basis[2:]),
      "dual lift 0 is not dual to the coroots"),
 ]
 
@@ -744,7 +750,7 @@ SHAPE_GAPS = [
     ids=[case[0] for case in SHAPE_GAPS],
 )
 def test_validation_rejects_shape_gaps(hypothesis, changes, witness):
-    broken = _replace(LEVI23, **changes)
+    broken = LEVI23._replace(**changes)
     report = validate_datum(broken)
     assert report.witnesses == (witness,)
     failing = [h for h in ValidationReport._fields[:5] if not getattr(report, h)]

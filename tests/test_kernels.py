@@ -204,6 +204,23 @@ class TestFailureReporting:
             1, ((-1, -1), True, False)
         )
 
+    def test_poly_sweep_searches_long_kernel_chains_exactly(self):
+        # one block per coordinate and the chain e_i - e_(i+1) as kernel:
+        # the shifts reach every vector of the same coordinate sum, so a
+        # point has a non-negative shift iff its sum, the functional, is
+        # >= 0; (-1, -1, -1, -1, 1, 1, 1, 1) needs a shift coefficient of
+        # 4, beyond the coordinate spread plus the radius
+        t = tables_of(build_gl(8), 2, 1)
+        chain = t._replace(
+            blocks=tuple((a,) for a in range(8)),
+            n_matrix=((1,),) * 8,
+            kernel=tuple(
+                tuple(int(a == i) - int(a == i + 1) for a in range(8))
+                for i in range(7)
+            ),
+        )
+        assert kernels.poly_consistency_sweep(chain, 1) == (3**8, None)
+
 
 def test_tables_replace_roundtrip():
     t = tables_of(GL2, 2, 1)

@@ -83,6 +83,33 @@ def test_certifying_loads_no_classification_sweep_or_affine_module():
     ]
 
 
+def test_the_positivity_sweep_loads_the_certificate_when_it_runs():
+    # the sweep's shift oracle is the certificate's, imported on call, so
+    # importing the kernels compiles neither the certificate nor the Weyl
+    # group
+    code = (
+        "import json, sys\n"
+        "import polyweight._kernels as kernels\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('polyweight'))\n"
+        "imported = loaded()\n"
+        "from polyweight import ClassificationContext, build_gsp\n"
+        "t = ClassificationContext(build_gsp(4), 3, 1).tables()\n"
+        "before = loaded()\n"
+        "kernels.poly_consistency_sweep(t, 1)\n"
+        "print(json.dumps([imported, before, loaded()]))"
+    )
+    imported, before, swept = run_fresh(code)
+    assert imported == [
+        "polyweight",
+        "polyweight._kernels",
+        "polyweight.errors",
+        "polyweight.functional",
+        "polyweight.lattice",
+    ]
+    assert swept == sorted(before + ["polyweight.certify"])
+
+
 def test_a_context_and_its_tables_load_only_what_they_run():
     # the context owns its rows, so neither the certificate nor the
     # sweeps are compiled for a context or its tables
