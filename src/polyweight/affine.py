@@ -237,13 +237,17 @@ def check_shift_bijection(weight, i, ctx, box_radius):
     distinguished weight.  The admissible range is 0 <= i <= p - a - 1
     with a the shift bound; i = 0 is vacuously true.  Classes without a
     restricted digit representative count as non-members on both sides.
+
+    The bound comes first, so a datum whose distinguished sublattice is
+    not of rank one raises ``DomainError`` before the base weight is
+    tested, and the result carries the bound as ``shift_bound``.
     """
     datum = ctx.datum
+    a = shift_bound_a(weight, ctx)
     if not simple_membership(weight, ctx):
         raise PreconditionError(
             "the base weight is not in the simple-polynomial set"
         )
-    a = shift_bound_a(weight, ctx)
     if i < 0 or i > ctx.p - a - 1:
         raise ShiftRangeError(
             f"shift index {i} outside the admissible range "

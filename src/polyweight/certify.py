@@ -21,7 +21,7 @@ from .lattice import (
     vec_add,
     vec_scale,
 )
-from .weyl import act
+from .weyl import act, block_constant, kernel_faults
 
 # Most classes ``check_assumption`` walks in one call, counted before it walks.
 CERTIFY_CLASS_CAP = 1_000_000
@@ -72,11 +72,7 @@ def kernel_block_constancy(mu, datum):
     check_dim(mu, datum.ambient_dim)
     if not datum.lattice.contains(mu):
         raise PreconditionError("weight is not in the kernel sublattice")
-    for blk in datum.blocks:
-        first = mu[blk[0]]
-        if any(mu[a] != first for a in blk[1:]):
-            return False
-    return True
+    return block_constant(mu, datum.blocks)
 
 
 class PropertyVerdict(
@@ -133,16 +129,16 @@ def _points_through(point, radius):
 
 def _block_kernel(datum):
     """Each kernel basis vector's value on each block, as columns."""
-    cols = []
-    for vec in datum.lattice.kernel_basis:
-        if not kernel_block_constancy(vec, datum):
-            raise DomainError(
-                f"kernel vector {vec} of {datum.spec_string} is not constant "
-                "on every block; the box certificate needs block-constant "
-                "kernel vectors"
-            )
-        cols.append(tuple(vec[blk[0]] for blk in datum.blocks))
-    return cols
+    faults = kernel_faults(datum)
+    if faults:
+        raise DomainError(
+            f"{datum.spec_string} fails {faults[0]}; the box certificate "
+            "needs block-constant kernel vectors"
+        )
+    return [
+        tuple(vec[blk[0]] for blk in datum.blocks)
+        for vec in datum.lattice.kernel_basis
+    ]
 
 
 def _shift_exists(mins, cols):

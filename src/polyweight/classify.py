@@ -130,9 +130,12 @@ def tables_for(datum, coef=()):
 class ClassificationContext(_CachedRecord):
     """Group datum plus modulus, with exact coordinate machinery.
 
-    Only data satisfying every construction hypothesis are accepted;
-    in particular the even orthogonal family is rejected here and served
-    solely by the ambient counterexample entry points.  The modulus
+    Only data satisfying every construction hypothesis are accepted,
+    with ``HypothesisFailure`` otherwise.  Hypothesis (d) includes a
+    kernel constant on every block, so the functional is constant on
+    classes and ``is_polynomial`` is sign-faithful.  The even orthogonal
+    family is rejected here and served solely by the ambient
+    counterexample entry points.  The modulus
     ``prpow`` = p^r is formed once, by ``lattice.prime_power``, which
     refuses a p^r past ``lattice.PRPOW_BIT_LIMIT`` bits.
     """
@@ -205,10 +208,11 @@ def is_polynomial(weight, ctx):
 
     Polynomial means some representative of the class is coordinatewise
     non-negative.  The block-shift argument uses hypotheses (a), (b) and
-    (d), which the context checks, and kernel block-constancy: every
-    kernel vector k is constant on each block B, with value k_B there.
-    The built-in families have all four, as the construction ladder in
-    ``tests/test_groups.py`` checks.
+    (d), and kernel block-constancy: every kernel vector k is constant on
+    each block B, with value k_B there.  The context checks all four
+    premises, because validation reports each kernel basis vector that
+    is not block-constant as a (d) witness (``weyl.kernel_faults``), and
+    a block-constant basis spans only block-constant vectors.
 
     * phi is constant on the class.  A kernel shift moves all
       coordinates of a block by the same integer, so

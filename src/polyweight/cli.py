@@ -10,11 +10,15 @@ output.  Exit codes: 0 success, 2 malformed request, 3 domain error,
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import namedtuple
 
 from . import __version__, kernel_backend_name
-from .affine import check_shift_bijection, shift_bound_a
+# ``perfbench/tracing.py`` wraps ``shift_bound_a`` here; the orbit-shift
+# handler reads the bound off ``check_shift_bijection``'s result.
+from .affine import check_shift_bijection, shift_bound_a  # noqa: F401
 from .certify import check_assumption
 from .classify import (
     ClassificationContext,
@@ -31,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import parse_group_spec, validate_datum
-from .lattice import is_prime
+from .lattice import PRPOW_BIT_LIMIT, is_prime
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,21 +64,31 @@ def _parse_weight(text, ambient_dim):
     return weight
 
 
-def _require_prime(p):
-    if not is_prime(p):
-        raise RequestError(f"p must be prime, got {p}")
-    return p
-
-
 def _require_positive(value, name):
     if value < 1:
         raise RequestError(f"{name} must be a positive integer, got {value}")
-    return value
+
+
+def _modulus_datum(args):
+    """The datum of ``--group``, once ``--p`` is prime and ``--r`` positive."""
+    datum = parse_group_spec(args.group)
+    if not is_prime(args.p):
+        raise RequestError(f"p must be prime, got {args.p}")
+    _require_positive(args.r, "r")
+    return datum
+
+
+def _context_for(args):
+    return ClassificationContext(_modulus_datum(args), args.p, args.r)
 
 
 def _integer_root(value, k):
     """The integer part of the k-th root of a positive integer."""
-    x = 1 << -(-value.bit_length() // k)
+    # Newton's step falls to the root from any start above it; this start
+    # is math.log2's estimate raised past its rounding, so few steps run.
+    e = math.log2(value) / k
+    shift = max(int(e) - 60, 0)
+    x = (int(2.0 ** (e - shift) * (1 + 2.0**-30)) + 1) << shift
     while True:
         y = ((k - 1) * x + value // x ** (k - 1)) // k
         if y >= x:
@@ -83,25 +97,26 @@ def _integer_root(value, k):
 
 
 def _require_prime_power(value):
-    # For the largest k with an exact k-th root, the root is no perfect
-    # power, so value is a prime power iff that root is prime.
+    # Take exact roots for exponent 2, then each odd one, while they come
+    # out.  A base left that were a j-th power would have made the base at
+    # j's turn one too, so it is no perfect power (every prime exponent is
+    # tried), and value is a prime power iff that base is prime.
     if value >= 2:
-        base = value
-        for k in range(value.bit_length(), 1, -1):
-            root = _integer_root(value, k)
-            if root ** k == value:
+        if value.bit_length() > PRPOW_BIT_LIMIT:
+            raise DomainError(
+                f"--prpower is refused: its bit_length {value.bit_length()} "
+                f"exceeds {PRPOW_BIT_LIMIT}"
+            )
+        base, k = value, 2
+        while k <= base.bit_length():
+            root = _integer_root(base, k)
+            if root**k == base:
                 base = root
-                break
+            else:
+                k += 1 if k == 2 else 2
         if is_prime(base):
             return value
     raise RequestError(f"--prpower must be a prime power, got {value}")
-
-
-def _context_for(args):
-    datum = parse_group_spec(args.group)
-    _require_prime(args.p)
-    _require_positive(args.r, "r")
-    return ClassificationContext(datum, args.p, args.r)
 
 
 def _weights(values):
@@ -159,21 +174,13 @@ def _cmd_enumerate(args):
 def _cmd_validate(args):
     datum = parse_group_spec(args.group)
     report = validate_datum(datum)
-    return datum, {
-        "a": report.a,
-        "b": report.b,
-        "c_lower": report.c_lower,
-        "c_upper": report.c_upper,
-        "d": report.d,
-        "all_ok": report.all_ok,
-        "witnesses": list(report.witnesses),
-    }
+    return datum, dict(
+        report._asdict(), all_ok=report.all_ok, witnesses=list(report.witnesses)
+    )
 
 
 def _cmd_assumption(args):
-    datum = parse_group_spec(args.group)
-    _require_prime(args.p)
-    _require_positive(args.r, "r")
+    datum = _modulus_datum(args)
     if args.box_radius is not None:
         _require_positive(args.box_radius, "--box-radius")
     report = check_assumption(datum, args.p, args.r, box_radius=args.box_radius)
@@ -182,11 +189,8 @@ def _cmd_assumption(args):
         "all_ok": report.all_ok,
         "properties": [
             {
-                "name": verdict.name,
-                "ok": verdict.ok,
-                "checked": verdict.checked,
-                "witness": verdict.witness,
-                "skipped": verdict.skipped,
+                field: getattr(verdict, field)
+                for field in ("name", "ok", "checked", "witness", "skipped")
             }
             for verdict in report.properties
         ],
@@ -214,13 +218,12 @@ def _cmd_orbit_shift(args):
     _require_positive(args.box_radius, "--box-radius")
     if args.shift_i < 0:
         raise RequestError(f"--shift-i must be >= 0, got {args.shift_i}")
-    bound = shift_bound_a(weight, ctx)
     outcome = check_shift_bijection(weight, args.shift_i, ctx, args.box_radius)
     return ctx, {
         "weight": list(weight),
         "shift_i": args.shift_i,
         "box_radius": args.box_radius,
-        "shift_bound": bound,
+        "shift_bound": outcome.shift_bound,
         "ok": outcome.ok,
         "counterexample": (
             None
@@ -229,17 +232,6 @@ def _cmd_orbit_shift(args):
         ),
         "orbit_size": outcome.orbit_size,
     }
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "decompose": _cmd_decompose,
-    "enumerate-pr": _cmd_enumerate,
-    "validate": _cmd_validate,
-    "assumption-check": _cmd_assumption,
-    "counterexample": _cmd_counterexample,
-    "orbit-shift": _cmd_orbit_shift,
-}
 
 
 def _metadata(args, target):
@@ -302,16 +294,42 @@ def _render(args, target, result):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _add_group_args(sub, with_modulus=True):
-    sub.add_argument(
-        "--group", required=True,
-        help="group spec: gl:N | gsp:N | go:N | levi:N1,N2,...",
-    )
-    if with_modulus:
-        sub.add_argument("--p", type=int, required=True, help="prime")
-        sub.add_argument(
-            "--r", type=int, required=True, help="positive exponent"
-        )
+Option = namedtuple("Option", "flag type required default help",
+                    defaults=(None, False, None, None))
+Command = namedtuple("Command", "handler help options")
+
+_GROUP = Option("--group", required=True,
+                help="group spec: gl:N | gsp:N | go:N | levi:N1,N2,...")
+_MODULUS = (
+    _GROUP,
+    Option("--p", int, True, help="prime"),
+    Option("--r", int, True, help="positive exponent"),
+)
+_WEIGHT = Option("--weight", required=True, help="comma-separated integers")
+
+# Every subcommand once, with its options in the order the parser adds them.
+_COMMANDS = {
+    "classify": Command(
+        _cmd_classify, "membership predicates and decomposition summary",
+        _MODULUS + (_WEIGHT,)),
+    "decompose": Command(
+        _cmd_decompose, "base digit plus p^r-multiple split",
+        _MODULUS + (_WEIGHT,)),
+    "enumerate-pr": Command(
+        _cmd_enumerate, "all digit-set classes as canonical reps", _MODULUS),
+    "validate": Command(
+        _cmd_validate, "construction-hypothesis verdicts for a datum", (_GROUP,)),
+    "assumption-check": Command(
+        _cmd_assumption, "certify the functional's properties on a box",
+        _MODULUS + (Option("--box-radius", int),)),
+    "counterexample": Command(
+        _cmd_counterexample, "even orthogonal rank-8 witness-failure scenario",
+        (Option("--prpower", int, True, help="prime power p^r"),)),
+    "orbit-shift": Command(
+        _cmd_orbit_shift, "shift-bijection check on an orbit slice",
+        _MODULUS + (_WEIGHT, Option("--shift-i", int, True),
+                    Option("--box-radius", int, default=6))),
+}
 
 
 def build_parser():
@@ -330,74 +348,28 @@ def build_parser():
         help="output format (env POLYWEIGHT_FORMAT; default json)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser(
-        "classify", help="membership predicates and decomposition summary"
-    )
-    _add_group_args(sub)
-    sub.add_argument("--weight", required=True, help="comma-separated integers")
-
-    sub = commands.add_parser(
-        "decompose", help="base digit plus p^r-multiple split"
-    )
-    _add_group_args(sub)
-    sub.add_argument("--weight", required=True, help="comma-separated integers")
-
-    sub = commands.add_parser(
-        "enumerate-pr", help="all digit-set classes as canonical reps"
-    )
-    _add_group_args(sub)
-
-    sub = commands.add_parser(
-        "validate", help="construction-hypothesis verdicts for a datum"
-    )
-    _add_group_args(sub, with_modulus=False)
-
-    sub = commands.add_parser(
-        "assumption-check", help="certify the functional's properties on a box"
-    )
-    _add_group_args(sub)
-    sub.add_argument("--box-radius", type=int, default=None)
-
-    sub = commands.add_parser(
-        "counterexample",
-        help="even orthogonal rank-8 witness-failure scenario",
-    )
-    sub.add_argument(
-        "--prpower", type=int, required=True, help="prime power p^r"
-    )
-
-    sub = commands.add_parser(
-        "orbit-shift", help="shift-bijection check on an orbit slice"
-    )
-    _add_group_args(sub)
-    sub.add_argument("--weight", required=True, help="comma-separated integers")
-    sub.add_argument("--shift-i", type=int, required=True)
-    sub.add_argument("--box-radius", type=int, default=6)
-
+    for name, command in _COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        for option in command.options:
+            settings = option._asdict()
+            sub.add_argument(settings.pop("flag"), **settings)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format not in _FORMATS:
-        print(
-            f"error: unknown output format {args.format!r}", file=sys.stderr
-        )
-        return EXIT_PARSE
     try:
-        target, result = _COMMANDS[args.command](args)
+        # argparse checks --format, not a default read from POLYWEIGHT_FORMAT
+        if args.format not in _FORMATS:
+            raise RequestError(f"unknown output format {args.format!r}")
+        target, result = _COMMANDS[args.command].handler(args)
         rendered = _render(args, target, result)
-    except PreconditionError as exc:
+    except ValueError as exc:  # RequestError and the library's errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:  # RequestError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, PreconditionError):
+            return EXIT_PRECONDITION
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_PARSE
     sys.stdout.write(rendered)
     return EXIT_OK
 

@@ -121,9 +121,10 @@ class ValidationReport(
     (c-lower)  every transposition of two indices within one block lies in
          the generated Weyl group;
     (c-upper)  every Weyl generator is a permutation;
-    (d)  every simple coroot descends to the quotient, the ``d_j``
-         classes are independent, and each ``b_i`` class expands over them
-         with the declared non-negative coefficients.
+    (d)  every simple coroot descends to the quotient, every kernel
+         vector is constant on each block, the ``d_j`` classes are
+         independent, and each ``b_i`` class expands over them with the
+         declared non-negative coefficients.
     """
 
     __slots__ = ()
@@ -159,6 +160,35 @@ def coroot_faults(datum):
     return cache["coroot-faults"]
 
 
+def block_constant(vec, blocks):
+    """Whether ``vec`` takes a single value on each block."""
+    for blk in blocks:
+        for a in blk[1:]:
+            if vec[a] != vec[blk[0]]:
+                return False
+    return True
+
+
+def kernel_faults(datum):
+    """The (d) witnesses of the kernel basis vectors that are not constant
+    on every block, checked once per datum.
+
+    A block-constant kernel moves every coordinate of a block by one
+    amount, so the functional is constant on classes; ``is_polynomial``
+    and the box certificate rest on this, and each witness is a (d)
+    witness.  A kernel basis that is block-constant spans only
+    block-constant vectors.
+    """
+    cache = datum._cache
+    if "kernel-faults" not in cache:
+        cache["kernel-faults"] = tuple(
+            f"(d): kernel vector {vec} is not constant on every block"
+            for vec in datum.lattice.kernel_basis
+            if not block_constant(vec, datum.blocks)
+        )
+    return cache["kernel-faults"]
+
+
 def check_hypotheses(datum):
     """Check the construction hypotheses and report per-item verdicts.
 
@@ -179,8 +209,10 @@ def check_hypotheses(datum):
     odd does such a pair fall back to the Weyl closure.
 
     (d) speaks of the characters killed by every coroot, which is defined
-    on classes only when each simple coroot annihilates the kernel; each
-    ``coroot_faults`` witness is a (d) witness.
+    on classes only when each simple coroot annihilates the kernel, and
+    expands each block indicator over the d classes, which the functional
+    reads blockwise only when the kernel is constant on every block; each
+    ``coroot_faults`` and ``kernel_faults`` witness is a (d) witness.
     """
     n = datum.ambient_dim
     wit_a, wit_b, wit_c_upper, wit_c_lower, wit_d = [], [], [], [], []
@@ -236,6 +268,7 @@ def check_hypotheses(datum):
                 )
 
     wit_d.extend(coroot_faults(datum))
+    wit_d.extend(kernel_faults(datum))
     d_vecs = datum.d_vectors
     stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
     rows, _ = _echelonize(stacked, n)

@@ -306,6 +306,14 @@ class TestShiftBijection:
         with pytest.raises(PreconditionError):
             check_shift_bijection((1, -1), 1, c, 4)
 
+    def test_rank_one_is_required_before_the_base_weight(self):
+        # the bound comes first, so a datum without a rank-one
+        # distinguished part is refused whatever the base weight
+        c = ClassificationContext(LEVI23, 3, 1)
+        assert not simple_membership((-7, 0, 0, 0, 0), c)
+        with pytest.raises(DomainError, match="rank-one"):
+            check_shift_bijection((-7, 0, 0, 0, 0), 1, c, 6)
+
     def test_shift_equivalence_holds_pointwise(self):
         # the checked equivalence restated directly on one slice
         c = ClassificationContext(GL2, 2, 1)

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from polyweight.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    build_parser,
     main,
 )
 
@@ -315,6 +317,28 @@ class TestCounterexample:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "prpower,message",
+        [
+            (2**12000 + 1, "error: primality of "),
+            (2**12288 + 1, "error: --prpower is refused: its bit_length 12289 "
+                           "exceeds 12288\n"),
+        ],
+        ids=["12001-bits", "past-the-bit-limit"],
+    )
+    def test_a_huge_prpower_is_a_quick_domain_error(self, capsys, prpower,
+                                                     message):
+        # the perfect-power test takes few Newton steps per exponent, and
+        # a value past PRPOW_BIT_LIMIT bits is refused before it
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["counterexample", "--prpower", str(prpower)])
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
+
 class TestOrbitShift:
     def test_admissible_shift(self, capsys):
         payload = run_json(
@@ -366,6 +390,21 @@ class TestOrbitShift:
         )
         assert code == EXIT_DOMAIN
         assert "error:" in err
+
+
+    def test_rank_one_is_checked_before_the_base_weight(self, capsys):
+        # (-7, 0, 0, 0, 0) is not simple at p = 3, but the bound comes first
+        code, out, err = run(
+            capsys,
+            ["orbit-shift", "--group", "levi:2,3", "--p", "3", "--r", "1",
+             "--weight=-7,0,0,0,0", "--shift-i", "1"],
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == (
+            "error: the shift bound needs a rank-one distinguished "
+            "sublattice; levi:2,3 has rank 2\n"
+        )
 
 
 class TestExitCodes:
@@ -539,3 +578,65 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_PARSE
         assert proc.stdout == ""
+
+
+GROUP_HELP = "group spec: gl:N | gsp:N | go:N | levi:N1,N2,..."
+MODULUS_OPTIONS = [
+    ("--group", True, None, None, GROUP_HELP),
+    ("--p", True, int, None, "prime"),
+    ("--r", True, int, None, "positive exponent"),
+]
+WEIGHT_OPTION = ("--weight", True, None, None, "comma-separated integers")
+
+# subcommand -> (help line, [(flag, required, type, default, help)])
+SUBCOMMANDS = {
+    "classify": ("membership predicates and decomposition summary",
+                 MODULUS_OPTIONS + [WEIGHT_OPTION]),
+    "decompose": ("base digit plus p^r-multiple split",
+                  MODULUS_OPTIONS + [WEIGHT_OPTION]),
+    "enumerate-pr": ("all digit-set classes as canonical reps", MODULUS_OPTIONS),
+    "validate": ("construction-hypothesis verdicts for a datum",
+                 MODULUS_OPTIONS[:1]),
+    "assumption-check": ("certify the functional's properties on a box",
+                         MODULUS_OPTIONS
+                         + [("--box-radius", False, int, None, None)]),
+    "counterexample": ("even orthogonal rank-8 witness-failure scenario",
+                       [("--prpower", True, int, None, "prime power p^r")]),
+    "orbit-shift": ("shift-bijection check on an orbit slice",
+                    MODULUS_OPTIONS + [
+                        WEIGHT_OPTION,
+                        ("--shift-i", True, int, None, None),
+                        ("--box-radius", False, int, 6, None),
+                    ]),
+}
+
+
+class TestParser:
+    """The parser's subcommands and options, pinned one by one."""
+
+    @staticmethod
+    def subparsers():
+        parser = build_parser()
+        (action,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action
+
+    def test_subcommands_and_help_lines(self):
+        action = self.subparsers()
+        assert list(action.choices) == list(SUBCOMMANDS)
+        assert [(c.dest, c.help) for c in action._choices_actions] == [
+            (name, help_line) for name, (help_line, _) in SUBCOMMANDS.items()
+        ]
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_options(self, name):
+        sub = self.subparsers().choices[name]
+        got = [
+            (a.option_strings[0], a.required, a.type, a.default, a.help)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert got == SUBCOMMANDS[name][1]
+        assert sub.prog == f"polyweight {name}"

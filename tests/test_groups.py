@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import polyweight
+from polyweight.certify import check_assumption, kernel_block_constancy
 from polyweight.classify import ClassificationContext
 from polyweight.errors import DomainError, HypothesisFailure
 from polyweight.functional import PhiData, phi_ambient
@@ -670,6 +671,31 @@ def test_validation_reports_a_coroot_that_does_not_descend():
     )
     with pytest.raises(HypothesisFailure, match=r"hypotheses \(d\)$"):
         ClassificationContext(broken, 3, 1)
+
+
+def test_validation_reports_a_kernel_that_is_not_block_constant():
+    # one block (0, 1) and the kernel spanned by (1, 0): (-5, 3) and
+    # (0, 3) are one class, but the functional reads -5 on one and 0 on
+    # the other, so is_polynomial would answer both ways on one class
+    datum = GroupDatum(
+        family="gl", spec_string="hand-built", ambient_dim=2,
+        lattice=QuotientLattice(2, ((1, 0),)), blocks=((0, 1),), b=((1, 1),),
+        d_indices=(0,), n_matrix=((1,),), simple_roots=(), simple_coroots=(),
+        weyl_generators=((1, 0),), positive_root_sum_twice=(0, 0),
+        weight_basis=((1, 1),), basis_pairing_diag=(),
+    )
+    assert datum.lattice.equal_mod_kernel((-5, 3), (0, 3))
+    report = validate_datum(datum)
+    failing = [h for h in ValidationReport._fields[:5] if not getattr(report, h)]
+    assert failing == ["d"]
+    assert report.witnesses == (
+        "(d): kernel vector (1, 0) is not constant on every block",
+    )
+    assert not kernel_block_constancy((1, 0), datum)
+    with pytest.raises(HypothesisFailure, match=r"hypotheses \(d\)$"):
+        ClassificationContext(datum, 3, 1)
+    with pytest.raises(DomainError, match="is not constant on every block"):
+        check_assumption(datum, 3, 1, box_radius=1)
 
 
 # -- polynomial normalisation: the sign test against the shift search --
