@@ -84,7 +84,6 @@ _LAZY = {
     "find_witness_w": "certify",
     "kernel_block_constancy": "certify",
     "QuotientLattice": "lattice",
-    "PhiData": "functional",
     "phi": "functional",
     "phi_ambient": "functional",
 }

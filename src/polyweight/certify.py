@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import CapExceeded, DomainError, HypothesisFailure, PreconditionError
-from .functional import PhiData, _box, phi_ambient
+from .functional import _box, phi_ambient
 from .lattice import (
     PRPOW_BIT_LIMIT,
     check_dim,
@@ -21,7 +21,7 @@ from .lattice import (
     vec_add,
     vec_scale,
 )
-from .weyl import act, block_constant, kernel_faults
+from .weyl import act, block_constant, kernel_faults, require_shape
 
 # Most classes ``check_assumption`` walks in one call, counted before it walks.
 CERTIFY_CLASS_CAP = 1_000_000
@@ -39,8 +39,7 @@ def find_witness_w(lam, lam_prime, datum):
     adds blockwise.  The additivity postcondition is checked anyway and
     raises ``AssertionError`` on a miss, also under ``python -O``.
     """
-    report = datum.validation()
-    if not report.c_lower:
+    if not datum.validation().c_lower:
         raise HypothesisFailure(
             f"datum {datum.spec_string} fails the lower Weyl-group hypothesis; "
             "no witness construction is available"
@@ -48,8 +47,8 @@ def find_witness_w(lam, lam_prime, datum):
     n = datum.ambient_dim
     check_dim(lam, n)
     check_dim(lam_prime, n)
-    data = PhiData.from_datum(datum)
-    target = vec_add(phi_ambient(lam, data), phi_ambient(lam_prime, data))
+    require_shape(datum)
+    target = vec_add(phi_ambient(lam, datum), phi_ambient(lam_prime, datum))
 
     w = tuple(range(n))
     for blk in datum.blocks:
@@ -62,7 +61,7 @@ def find_witness_w(lam, lam_prime, datum):
             w = tuple(
                 a1 if x == a0 else a0 if x == a1 else x for x in w
             )
-    if phi_ambient(vec_add(act(w, lam), lam_prime), data) != target:
+    if phi_ambient(vec_add(act(w, lam), lam_prime), datum) != target:
         raise AssertionError("the canonical witness does not restore additivity")
     return w
 
@@ -225,7 +224,7 @@ def _shift_exists(mins, cols):
     return search(0, list(mins))
 
 
-def _positivity(datum, data, radius, cols):
+def _positivity(datum, radius, cols):
     """The sign test against the kernel-shift oracle, per vector of block
     minima; returns (checked, evaluated, first failure or None)."""
     n, blocks = datum.ambient_dim, datum.blocks
@@ -243,7 +242,7 @@ def _positivity(datum, data, radius, cols):
             mins[i] = v
         evaluated += 1
         rep = tuple(mins[block_of[a]] for a in range(n))
-        ok_phi = min(phi_ambient(rep, data)) >= 0
+        ok_phi = min(phi_ambient(rep, datum)) >= 0
         ok_oracle = _shift_exists(mins, cols)
         if ok_phi != ok_oracle:
             failure = (rep, ok_phi, ok_oracle)
@@ -281,7 +280,7 @@ def check_assumption(datum, p, r, box_radius=None):
       min_B(w.lam + lam') = min_B(lam) + min_B(lam') on every block, and
       phi adds.
 
-    Properties 1 and 4 read the datum's rows and are walked:
+    Properties 1 and 4 read the datum's rows, after ``weyl.require_shape``:
 
     * Positivity.  Every kernel vector must be constant on each block
       (``DomainError`` otherwise).  Then a kernel shift moves all of a
@@ -328,9 +327,9 @@ def check_assumption(datum, p, r, box_radius=None):
             f"exceeds {PRPOW_BIT_LIMIT}"
         )
     cols = _block_kernel(datum)
-    data = PhiData.from_datum(datum)
+    require_shape(datum)
 
-    checked, evaluated, fail = _positivity(datum, data, radius, cols)
+    checked, evaluated, fail = _positivity(datum, radius, cols)
     positivity = PropertyVerdict(
         name="positivity",
         ok=fail is None,
@@ -364,7 +363,7 @@ def check_assumption(datum, p, r, box_radius=None):
             if c:
                 combo = vec_add(combo, vec_scale(c, d))
         x0_checked += 1
-        if phi_ambient(combo, data) != coeffs:
+        if phi_ambient(combo, datum) != coeffs:
             x0_witness = f"coefficients {coeffs}"
             break
     x0_bijection = PropertyVerdict(

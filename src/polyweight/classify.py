@@ -22,35 +22,22 @@ from .errors import (
     HypothesisFailure,
     PreconditionError,
 )
-from .functional import PhiData, phi_ambient
+from .functional import phi_ambient
 from .groups import _CachedRecord
 from .lattice import (
     _echelonize,
     check_dim,
+    is_prime_power,
     pair,
     prime_power,
     vec_add,
     vec_scale,
     vec_sub,
 )
-from .weyl import act, coroot_faults
+from .weyl import act, coroot_faults, require_shape
 
 # Most candidates ``enumerate_Pr`` builds and tests in one call.
 ENUMERATE_CAP = 1_000_000
-
-
-def _failed_hypotheses(report):
-    names = []
-    for attr, label in (
-        ("a", "(a)"),
-        ("b", "(b)"),
-        ("c_lower", "(c-lower)"),
-        ("c_upper", "(c-upper)"),
-        ("d", "(d)"),
-    ):
-        if not getattr(report, attr):
-            names.append(label)
-    return ", ".join(names)
 
 
 def _exact_inverse_rows(columns, n):
@@ -94,7 +81,7 @@ class Tables(
         ],
     )
 ):
-    """The rows a sweep reads; ``functional.phi_ambient`` evaluates on them."""
+    """The rows a sweep reads, named as ``functional.phi_ambient`` reads them."""
 
     __slots__ = ()
 
@@ -103,7 +90,7 @@ class Tables(
         return self.n
 
     @property
-    def target_rank(self):
+    def x0_rank(self):
         return len(self.dvecs)
 
 
@@ -133,8 +120,9 @@ class ClassificationContext(_CachedRecord):
     Only data satisfying every construction hypothesis are accepted,
     with ``HypothesisFailure`` otherwise.  Hypothesis (d) includes a
     kernel constant on every block, so the functional is constant on
-    classes and ``is_polynomial`` is sign-faithful.  The even orthogonal
-    family is rejected here and served solely by the ambient
+    classes and ``is_polynomial`` is sign-faithful, and coroots that
+    descend, so the predicates pair with them as they are.  The even
+    orthogonal family is rejected here and served solely by the ambient
     counterexample entry points.  The modulus
     ``prpow`` = p^r is formed once, by ``lattice.prime_power``, which
     refuses a p^r past ``lattice.PRPOW_BIT_LIMIT`` bits.
@@ -155,7 +143,7 @@ class ClassificationContext(_CachedRecord):
         if not report.all_ok:
             raise HypothesisFailure(
                 f"datum {self.datum.spec_string} fails construction "
-                f"hypotheses {_failed_hypotheses(report)}"
+                f"hypotheses {', '.join(report.failed)}"
             )
         n = self.datum.ambient_dim
         stacked = list(self.datum.weight_basis) + list(
@@ -200,7 +188,7 @@ class ClassificationContext(_CachedRecord):
         return self._cache["tables"]
 
     def phi(self, weight):
-        return phi_ambient(weight, PhiData.from_datum(self.datum))
+        return phi_ambient(weight, self.datum)
 
 
 def is_polynomial(weight, ctx):
@@ -237,18 +225,10 @@ def is_polynomial(weight, ctx):
     return min(ctx.phi(weight)) >= 0
 
 
-def _coroots(datum):
-    """The simple coroots, once ``weyl.coroot_faults`` finds that they
-    descend to the quotient (a pairing is defined on classes only then)."""
-    if coroot_faults(datum):
-        raise ValueError("covector is not kernel-annihilating")
-    return datum.simple_coroots
-
-
 def is_restricted(weight, ctx):
     """All simple-coroot pairings lie in [0, p^r - 1]."""
     bound = ctx.prpow - 1
-    for cov in _coroots(ctx.datum):
+    for cov in ctx.datum.simple_coroots:
         val = pair(weight, cov)
         if val < 0 or val > bound:
             return False
@@ -257,7 +237,7 @@ def is_restricted(weight, ctx):
 
 def in_x0(weight, ctx):
     """All simple-coroot pairings vanish."""
-    return all(pair(weight, cov) == 0 for cov in _coroots(ctx.datum))
+    return all(pair(weight, cov) == 0 for cov in ctx.datum.simple_coroots)
 
 
 def in_Pr(weight, ctx):
@@ -274,15 +254,14 @@ def _in_pr(weight, datum, prpow):
 
     The bare form serves the even orthogonal family in ambient semantics.
     """
-    data = PhiData.from_datum(datum)
-    if min(phi_ambient(weight, data)) < 0:
+    if min(phi_ambient(weight, datum)) < 0:
         return False
-    for cov in _coroots(datum):
+    for cov in datum.simple_coroots:
         val = pair(weight, cov)
         if val < 0 or val > prpow - 1:
             return False
     for d in datum.d_vectors:
-        if min(phi_ambient(vec_sub(weight, vec_scale(prpow, d)), data)) >= 0:
+        if min(phi_ambient(vec_sub(weight, vec_scale(prpow, d)), datum)) >= 0:
             return False
     return True
 
@@ -408,16 +387,19 @@ def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow):
     or None when every twist stays polynomial.  It evaluates the
     functional in ambient semantics, so it serves the even orthogonal
     family, which no context accepts; a caller with a context passes
-    ``ctx.datum, ctx.prpow``.
+    ``ctx.datum, ctx.prpow``.  It checks ``weyl.require_shape``, then
+    raises ``ValueError`` if a coroot does not descend to the quotient.
     """
     check_dim(lam0, datum.ambient_dim)
     check_dim(lam_tilde, datum.ambient_dim)
+    require_shape(datum)
+    if coroot_faults(datum):
+        raise ValueError("covector is not kernel-annihilating")
     if not _in_pr(lam0, datum, prpow):
         raise PreconditionError("lam0 is not in the digit set for this datum")
-    data = PhiData.from_datum(datum)
     shift = vec_scale(prpow, lam_tilde)
     for w in datum.weyl_group():
-        if min(phi_ambient(vec_add(act(w, lam0), shift), data)) < 0:
+        if min(phi_ambient(vec_add(act(w, lam0), shift), datum)) < 0:
             return w
     return None
 
@@ -439,7 +421,7 @@ class CounterexampleReport(
 
 
 def go_even_counterexample(prpow):
-    """The rank-8 even orthogonal scenario for a modulus with 4 | p^r - 1.
+    """The rank-8 even orthogonal scenario for a prime power with 4 | p^r - 1.
 
     The base weight takes value (p^r - 1)/2 on the first four coordinates
     and (p^r - 1)/4 on the last four; the quotient part is a fixed sign
@@ -450,7 +432,9 @@ def go_even_counterexample(prpow):
     """
     from .groups import build_go_even
 
-    if prpow < 2 or (prpow - 1) % 4:
+    if not is_prime_power(prpow):
+        raise PreconditionError(f"the scenario needs a prime power, got {prpow}")
+    if (prpow - 1) % 4:
         raise PreconditionError(
             f"the scenario needs 4 | p^r - 1, got p^r = {prpow}"
         )
@@ -459,15 +443,14 @@ def go_even_counterexample(prpow):
     quarter = (prpow - 1) // 4
     lam0 = (half,) * 4 + (quarter,) * 4
     lam_tilde = (0, 0, 0, 0, 1, 1, -1, 1)
-    data = PhiData.from_datum(datum)
     d = datum.d_vectors[0]
     return CounterexampleReport(
         prpow=prpow,
         lam0=lam0,
         lam_tilde=lam_tilde,
-        phi_lam0=phi_ambient(lam0, data),
-        phi_lam0_shifted=phi_ambient(vec_sub(lam0, vec_scale(prpow, d)), data),
-        phi_lam_tilde=phi_ambient(lam_tilde, data),
+        phi_lam0=phi_ambient(lam0, datum),
+        phi_lam0_shifted=phi_ambient(vec_sub(lam0, vec_scale(prpow, d)), datum),
+        phi_lam_tilde=phi_ambient(lam_tilde, datum),
         witness=weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow),
         weyl_order=len(datum.weyl_group()),
     )

@@ -10,7 +10,6 @@ output.  Exit codes: 0 success, 2 malformed request, 3 domain error,
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import namedtuple
@@ -35,7 +34,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import parse_group_spec, validate_datum
-from .lattice import PRPOW_BIT_LIMIT, is_prime
+from .lattice import PRPOW_BIT_LIMIT, is_prime, is_prime_power
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,41 +81,15 @@ def _context_for(args):
     return ClassificationContext(_modulus_datum(args), args.p, args.r)
 
 
-def _integer_root(value, k):
-    """The integer part of the k-th root of a positive integer."""
-    # Newton's step falls to the root from any start above it; this start
-    # is math.log2's estimate raised past its rounding, so few steps run.
-    e = math.log2(value) / k
-    shift = max(int(e) - 60, 0)
-    x = (int(2.0 ** (e - shift) * (1 + 2.0**-30)) + 1) << shift
-    while True:
-        y = ((k - 1) * x + value // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def _require_prime_power(value):
-    # Take exact roots for exponent 2, then each odd one, while they come
-    # out.  A base left that were a j-th power would have made the base at
-    # j's turn one too, so it is no perfect power (every prime exponent is
-    # tried), and value is a prime power iff that base is prime.
-    if value >= 2:
-        if value.bit_length() > PRPOW_BIT_LIMIT:
-            raise DomainError(
-                f"--prpower is refused: its bit_length {value.bit_length()} "
-                f"exceeds {PRPOW_BIT_LIMIT}"
-            )
-        base, k = value, 2
-        while k <= base.bit_length():
-            root = _integer_root(base, k)
-            if root**k == base:
-                base = root
-            else:
-                k += 1 if k == 2 else 2
-        if is_prime(base):
-            return value
-    raise RequestError(f"--prpower must be a prime power, got {value}")
+    # the library refuses the same bit length; here the flag is named
+    if value >= 2 and value.bit_length() > PRPOW_BIT_LIMIT:
+        raise DomainError(
+            f"--prpower is refused: its bit_length {value.bit_length()} "
+            f"exceeds {PRPOW_BIT_LIMIT}"
+        )
+    if not is_prime_power(value):
+        raise RequestError(f"--prpower must be a prime power, got {value}")
 
 
 def _weights(values):

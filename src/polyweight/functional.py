@@ -9,50 +9,15 @@ it on a class of a datum meeting every construction hypothesis, and
 ``certify`` and ``_kernels``, which both build on this module.
 """
 
-from collections import namedtuple
-
-from .errors import DomainError, HypothesisFailure
+from .errors import HypothesisFailure
 from .lattice import check_dim
 
 
-class PhiData(namedtuple("PhiData", "blocks n_matrix target_rank")):
-    """Block partition and expansion matrix defining the functional."""
-
-    __slots__ = ()
-
-    def __new__(cls, blocks, n_matrix, target_rank):
-        seen = sorted(i for blk in blocks for i in blk)
-        if seen != list(range(len(seen))):
-            raise DomainError("blocks must partition the ambient indices")
-        for row in n_matrix:
-            if len(row) != target_rank:
-                raise DomainError("n-matrix row length must equal the target rank")
-            if row and min(row) < 0:
-                raise DomainError("n-matrix entries must be non-negative")
-        if len(n_matrix) != len(blocks):
-            raise DomainError("one n-matrix row is needed per block")
-        return super().__new__(cls, blocks, n_matrix, target_rank)
-
-    @property
-    def ambient_dim(self):
-        return sum(len(blk) for blk in self.blocks)
-
-    @classmethod
-    def from_datum(cls, datum):
-        cache = datum._cache
-        if "phidata" not in cache:
-            cache["phidata"] = cls(
-                blocks=datum.blocks,
-                n_matrix=datum.n_matrix,
-                target_rank=datum.x0_rank,
-            )
-        return cache["phidata"]
-
-
 def phi_ambient(weight, data):
-    """Evaluate the functional on ambient coordinates."""
+    """Evaluate the functional on ambient coordinates, reading the rows of a
+    datum or a ``classify.Tables`` as they are (see ``weyl.require_shape``)."""
     check_dim(weight, data.ambient_dim)
-    out = [0] * data.target_rank
+    out = [0] * data.x0_rank
     for blk, row in zip(data.blocks, data.n_matrix):
         m = min(weight[a] for a in blk)
         for j, coeff in enumerate(row):
@@ -75,7 +40,7 @@ def phi(weight, datum):
             f"datum {datum.spec_string} fails a construction hypothesis; "
             "use phi_ambient to evaluate on a fixed representative"
         )
-    return phi_ambient(weight, PhiData.from_datum(datum))
+    return phi_ambient(weight, datum)
 
 
 def _box(dim, radius):

@@ -31,7 +31,6 @@ datum loads this module, ``lattice`` and ``errors`` and nothing else.
 """
 
 import itertools
-import sys
 from collections import namedtuple
 
 from .errors import DomainError
@@ -134,11 +133,16 @@ class GroupDatum(_CachedRecord):
         return self._cache["validation"]
 
 
+# Largest ambient dimension a builder accepts: a datum holds O(n) dense
+# length-n vectors, so gsp:2048 already takes seconds and about 500 MiB.
+AMBIENT_DIM_CAP = 2_048
+
+
 def _require_index(n):
-    """Refuse an ambient dimension that no Python sequence can have."""
-    if n > sys.maxsize:
+    """Refuse an ambient dimension above ``AMBIENT_DIM_CAP``."""
+    if n > AMBIENT_DIM_CAP:
         raise DomainError(
-            f"unsupported rank: ambient dimension {n} exceeds {sys.maxsize}"
+            f"unsupported rank: ambient dimension {n} exceeds {AMBIENT_DIM_CAP}"
         )
 
 

@@ -11,6 +11,8 @@ Weyl elements, which permute the coordinates, live in
 :mod:`polyweight.weyl`.
 """
 
+import math
+
 from .errors import DimensionMismatch, DomainError
 
 Weight = tuple  # tuple[int, ...]
@@ -80,6 +82,44 @@ def is_prime(m):
 # 14,284 bits) by default, so the bound leaves room for the small factors
 # a coordinate adds.
 PRPOW_BIT_LIMIT = 12_288
+
+
+def _integer_root(value, k):
+    """The integer part of the k-th root of a positive integer."""
+    # Newton's step falls to the root from any start above it; this start
+    # is math.log2's estimate raised past its rounding, so few steps run.
+    e = math.log2(value) / k
+    shift = max(int(e) - 60, 0)
+    x = (int(2.0 ** (e - shift) * (1 + 2.0**-30)) + 1) << shift
+    while True:
+        y = ((k - 1) * x + value // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def is_prime_power(m):
+    """Whether m = p^r for a prime p and some r >= 1; ``DomainError``
+    above ``PRPOW_BIT_LIMIT`` bits, before any root is taken."""
+    if m < 2:
+        return False
+    if m.bit_length() > PRPOW_BIT_LIMIT:
+        raise DomainError(
+            f"prime-power test refused: bit_length {m.bit_length()} "
+            f"exceeds {PRPOW_BIT_LIMIT}"
+        )
+    # Take exact roots for exponent 2, then each odd one, while they come
+    # out.  A base left that were a j-th power would have made the base at
+    # j's turn one too, so it is no perfect power (every prime exponent is
+    # tried), and m is a prime power iff that base is prime.
+    base, k = m, 2
+    while k <= base.bit_length():
+        root = _integer_root(base, k)
+        if root**k == base:
+            base = root
+        else:
+            k += 1 if k == 2 else 2
+    return is_prime(base)
 
 
 def prime_power(p, r):

@@ -5,14 +5,15 @@ the image of i, acting on weights by ``act(p, w)[p[i]] == w[i]``.
 
 ``check_hypotheses`` decides the construction hypotheses (a)-(d) of a
 group datum; (c) quantifies over the Weyl group the datum's generators
-generate.  Building a datum does not load this module: it loads the
-first time a datum is validated or its Weyl group is asked for.
+generate; each rule is stated here once.  Building a datum does not
+load this module: it loads the first time a datum is validated or its
+Weyl group is asked for.
 """
 
 import itertools
 from collections import namedtuple
 
-from .errors import CapExceeded
+from .errors import CapExceeded, DomainError
 from .lattice import _echelonize, check_dim
 
 Perm = tuple  # tuple[int, ...]
@@ -133,6 +134,15 @@ class ValidationReport(
     def all_ok(self):
         return self.a and self.b and self.c_lower and self.c_upper and self.d
 
+    @property
+    def failed(self):
+        """The labels of the failing hypotheses, in field order."""
+        return tuple(
+            f"({name.replace('_', '-')})"
+            for name in self._fields[:5]
+            if not getattr(self, name)
+        )
+
 
 def coroot_faults(datum):
     """The (d) witnesses of the simple coroots that do not descend to the
@@ -189,11 +199,51 @@ def kernel_faults(datum):
     return cache["kernel-faults"]
 
 
+def shape_faults(datum):
+    """The (b) and (d) witnesses, as a pair, of the shape the functional
+    reads, checked once per datum: blocks partitioning the indices, and
+    one non-negative n-matrix row of the d-list length per block."""
+    cache = datum._cache
+    if "shape-faults" not in cache:
+        rows, blocks, rank = datum.n_matrix, datum.blocks, datum.x0_rank
+        wit_b, wit_d = [], []
+        indices = sorted(a for blk in blocks for a in blk)
+        if indices != list(range(datum.ambient_dim)):
+            wit_b.append("(b): the blocks do not partition the indices")
+        if len(rows) != len(blocks):
+            wit_d.append(
+                f"(d): n-matrix row count {len(rows)} differs from "
+                f"block count {len(blocks)}"
+            )
+        for i, row in enumerate(rows):
+            if len(row) != rank:
+                wit_d.append(
+                    f"(d): expansion of b[{i}] has length {len(row)}, not the "
+                    f"d-list length {rank}"
+                )
+            elif min(row, default=0) < 0:
+                wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
+        cache["shape-faults"] = (tuple(wit_b), tuple(wit_d))
+    return cache["shape-faults"]
+
+
+def require_shape(datum):
+    """Raise ``DomainError`` naming the first ``shape_faults`` witness; for
+    callers of the functional that do not validate the datum in full."""
+    faults = sum(shape_faults(datum), ())
+    if faults:
+        raise DomainError(
+            f"{datum.spec_string} fails {faults[0]}; the functional cannot "
+            "read its blocks and n-matrix"
+        )
+
+
 def check_hypotheses(datum):
     """Check the construction hypotheses and report per-item verdicts.
 
     (b) and (d) pair ``b``, ``blocks`` and the n-matrix rows by position,
-    so their counts and the row lengths are checked too.
+    so their counts are checked too, and the rest of the shape that the
+    functional reads is ``shape_faults``.
 
     (c-lower) is decided on the transposition graph: its vertices are the
     ambient indices, and every generator that is a transposition joins
@@ -226,14 +276,12 @@ def check_hypotheses(datum):
             f"(b): block indicator count {len(datum.b)} differs from block "
             f"count {len(datum.blocks)}"
         )
-    seen = []
     for i, (b_vec, blk) in enumerate(zip(datum.b, datum.blocks)):
         support = tuple(k for k, c in enumerate(b_vec) if c)
         if support != tuple(sorted(blk)):
             wit_b.append(f"(b): support of b[{i}] differs from block {i}")
-        seen.extend(support)
-    if sorted(seen) != list(range(n)):
-        wit_b.append("(b): block supports do not partition the indices")
+    shape_b, shape_d = shape_faults(datum)
+    wit_b.extend(shape_b)
 
     parent = list(range(n))
 
@@ -274,25 +322,13 @@ def check_hypotheses(datum):
     rows, _ = _echelonize(stacked, n)
     if len(rows) != len(stacked):
         wit_d.append("(d): the d classes are linearly dependent")
-    if len(datum.n_matrix) != len(datum.blocks):
-        wit_d.append(
-            f"(d): n-matrix row count {len(datum.n_matrix)} differs from "
-            f"block count {len(datum.blocks)}"
-        )
+    wit_d.extend(shape_d)
     for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
-        if len(row) != len(d_vecs):
-            wit_d.append(
-                f"(d): expansion of b[{i}] has length {len(row)}, not the "
-                f"d-list length {len(d_vecs)}"
-            )
-            continue
-        if min(row, default=0) < 0:
-            wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
-            continue
         combo = [0] * n
         for coeff, d_vec in zip(row, d_vecs):
-            for idx, dv in enumerate(d_vec):
-                combo[idx] += coeff * dv
+            if coeff:
+                for idx, dv in enumerate(d_vec):
+                    combo[idx] += coeff * dv
         if not datum.lattice.equal_mod_kernel(b_vec, tuple(combo)):
             wit_d.append(f"(d): b[{i}] does not expand over the d classes")
 

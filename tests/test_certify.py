@@ -17,7 +17,7 @@ from polyweight import certify
 from polyweight.certify import check_assumption
 from polyweight.classify import tables_for
 from polyweight.errors import CapExceeded, DomainError
-from polyweight.functional import PhiData, phi_ambient
+from polyweight.functional import phi_ambient
 from polyweight.groups import build_gsp, parse_group_spec
 from polyweight.lattice import QuotientLattice
 
@@ -28,13 +28,12 @@ def box(n, radius):
 
 def exhaustive_homogeneity(datum, radius, prpow):
     """(points checked, witness) of a plain loop over the whole box."""
-    data = PhiData.from_datum(datum)
     checked = 0
     for lam in box(datum.ambient_dim, radius):
         checked += 1
         scaled = tuple(prpow * v for v in lam)
-        if phi_ambient(scaled, data) != tuple(
-            prpow * v for v in phi_ambient(lam, data)
+        if phi_ambient(scaled, datum) != tuple(
+            prpow * v for v in phi_ambient(lam, datum)
         ):
             return checked, f"weight {lam}"
     return checked, ""

@@ -396,6 +396,17 @@ class TestGoEvenCounterexample:
         with pytest.raises(PreconditionError):
             go_even_counterexample(prpow)
 
+    @pytest.mark.parametrize("prpow", [1, 21, 45])
+    def test_gate_rejects_a_modulus_that_is_not_a_prime_power(self, prpow):
+        # 21 and 45 leave residue 1 mod 4, so only the prime-power rule
+        # refuses them
+        with pytest.raises(PreconditionError, match="needs a prime power"):
+            go_even_counterexample(prpow)
+
+    def test_gate_refuses_a_huge_modulus_at_once(self):
+        with pytest.raises(DomainError, match="bit_length"):
+            go_even_counterexample(2**12288 + 1)
+
 
 class TestRecords:
     """Construction, repr, equality and immutability of the records."""

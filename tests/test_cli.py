@@ -453,12 +453,15 @@ class TestExitCodes:
         "spec",
         ["gl:99999999999999999999", "gsp:99999999999999999998",
          "go:99999999999999999999", "go:99999999999999999998",
-         "levi:9223372036854775807,1"],
+         "levi:9223372036854775807,1", "gl:8000", "levi:6000,6000"],
     )
     def test_oversize_rank_is_a_domain_error(self, capsys, spec):
-        # each rank is past any index, so it is refused before anything
-        # is allocated
+        # each rank is past AMBIENT_DIM_CAP = 2,048, so it is refused
+        # before anything is allocated; gl:8000 and levi:6000,6000 used
+        # to build until memory ran out
+        begin = time.perf_counter()
         code, out, err = run(capsys, ["validate", "--group", spec])
+        assert time.perf_counter() - begin < 1.0
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err.startswith("error: unsupported rank: ambient dimension ")

@@ -14,7 +14,7 @@ import polyweight
 from polyweight.certify import check_assumption, kernel_block_constancy
 from polyweight.classify import ClassificationContext
 from polyweight.errors import DomainError, HypothesisFailure
-from polyweight.functional import PhiData, phi_ambient
+from polyweight.functional import phi_ambient
 from polyweight.groups import (
     GroupDatum,
     build_gl,
@@ -340,9 +340,9 @@ class TestRecords:
             report.a = False
 
 
-def sign_test(vec, data):
+def sign_test(vec, datum):
     """``classify.is_polynomial`` on a bare datum: the functional's sign."""
-    return min(phi_ambient(vec, data)) >= 0
+    return min(phi_ambient(vec, datum)) >= 0
 
 
 def normalisation_pairs(datum):
@@ -525,13 +525,12 @@ def construction_faults(datum):
             if [pair(lift, cov) for cov in coroots] != want:
                 faults.append(f"dual lift {k} is not dual to the coroots")
         if not faults:
-            data = PhiData.from_datum(datum)
             for k, (lift, reduced) in enumerate(normalisation_pairs(datum)):
-                if not sign_test(lift, data):
+                if not sign_test(lift, datum):
                     faults.append(
                         f"dual lift {k} has no non-negative representative"
                     )
-                if sign_test(reduced, data):
+                if sign_test(reduced, datum):
                     faults.append(
                         f"reduced lift {k} has a non-negative representative"
                     )
@@ -712,14 +711,13 @@ NORMALISED_SPECS = (
 @pytest.mark.parametrize("spec", NORMALISED_SPECS)
 def test_normalisation_agrees_with_shift_search(spec):
     datum = parse_group_spec(spec)
-    data = PhiData.from_datum(datum)
     lat = datum.lattice
     pairs = list(normalisation_pairs(datum))
     assert len(pairs) == len(datum.simple_coroots)
     for lift, reduced in pairs:
-        assert sign_test(lift, data)
+        assert sign_test(lift, datum)
         assert has_nonneg_rep(lat, lift, lift_window(lift))
-        assert not sign_test(reduced, data)
+        assert not sign_test(reduced, datum)
         assert not has_nonneg_rep(lat, reduced, lift_window(reduced))
 
 
@@ -747,12 +745,11 @@ BOX_CASES = (
 @pytest.mark.parametrize("spec,radius", BOX_CASES, ids=[c[0] for c in BOX_CASES])
 def test_block_minimum_test_agrees_with_shift_search_on_box(spec, radius):
     datum = parse_group_spec(spec)
-    data = PhiData.from_datum(datum)
     lat = datum.lattice
     counts = {True: 0, False: 0}
     rng = range(-radius, radius + 1)
     for vec in itertools.product(rng, repeat=datum.ambient_dim):
-        got = sign_test(vec, data)
+        got = sign_test(vec, datum)
         assert got == has_nonneg_rep(lat, vec, box_window(vec, radius)), vec
         counts[got] += 1
     assert counts[True] and counts[False]
@@ -800,6 +797,16 @@ def test_high_rank_builds_and_validates(builder, size):
     assert failing == (["c_lower"] if datum.family == "go_even" else [])
     # construction and validation are O(n^2); an O(n^3) step takes seconds here
     assert elapsed < 1.0, f"{datum.spec_string}: {elapsed:.2f} s"
+
+
+def test_many_one_coordinate_blocks_validate():
+    # the n-matrix of 1,024 one-coordinate blocks is the identity: the (d)
+    # expansion skips its zeros, where multiplying every entry took a minute
+    begin = time.perf_counter()
+    report = validate_datum(build_levi([1] * 1024))
+    elapsed = time.perf_counter() - begin
+    assert report.all_ok
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("spec", ["gl:256", "gsp:400", "go:401"])

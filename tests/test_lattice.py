@@ -18,6 +18,7 @@ from polyweight.lattice import (
     _echelonize,
     dot,
     is_prime,
+    is_prime_power,
     pair,
     prime_power,
     vec_add,
@@ -335,3 +336,27 @@ def test_prime_power_checks_its_modulus():
         prime_power(4, 1)
     with pytest.raises(DomainError, match="positive"):
         prime_power(3, 0)
+
+
+def test_is_prime_power_matches_trial_division():
+    def by_trial(m):
+        q = next(q for q in range(2, m + 1) if m % q == 0)
+        while m % q == 0:
+            m //= q
+        return m == 1
+
+    limit = 3_000
+    assert [m for m in range(-3, limit) if is_prime_power(m)] == [
+        m for m in range(2, limit) if by_trial(m)
+    ]
+
+
+def test_is_prime_power_on_large_values():
+    assert is_prime_power(3**7000)  # 11,095 bits
+    assert is_prime_power((2**61 - 1) ** 3)
+    assert not is_prime_power(2**60 * 3)
+    assert not is_prime_power(6**4000)
+    with pytest.raises(DomainError, match="bit_length 12289 exceeds 12288"):
+        is_prime_power(2**PRPOW_BIT_LIMIT)  # refused before any root
+    with pytest.raises(DomainError, match="primality"):
+        is_prime_power((2**89 - 1) ** 2)

@@ -2,6 +2,7 @@
 certificate of ``polyweight.certify``."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from polyweight.certify import (
     find_witness_w,
     kernel_block_constancy,
 )
+from polyweight.classify import weyl_orbit_witness_nonpolynomial
 from polyweight.errors import DomainError, HypothesisFailure, PreconditionError
-from polyweight.functional import PhiData, phi, phi_ambient
+from polyweight.functional import phi, phi_ambient
 from polyweight.groups import (
     build_gl,
     build_go_even,
@@ -39,10 +41,6 @@ GOE8 = build_go_even(8)
 FAMILIES = [GL2, GL3, GSP4, GO5, LEVI23]
 
 
-def data_for(datum):
-    return PhiData.from_datum(datum)
-
-
 def weights(datum, bound=12):
     return st.tuples(
         *([st.integers(-bound, bound)] * datum.ambient_dim)
@@ -51,15 +49,15 @@ def weights(datum, bound=12):
 
 class TestFrozenValues:
     def test_gl3_all_ones(self):
-        assert phi_ambient((1, 1, 1), data_for(GL3)) == (1,)
+        assert phi_ambient((1, 1, 1), GL3) == (1,)
 
     def test_gsp4_mixed(self):
         # min{1,1} + min{2,0} = 1
-        assert phi_ambient((1, 2, 0, 1), data_for(GSP4)) == (1,)
+        assert phi_ambient((1, 2, 0, 1), GSP4) == (1,)
 
     def test_go5_doubled_pairs(self):
         # 2*min{1,3} + 2*min{0,1} + 2 = 4
-        assert phi_ambient((1, 0, 2, 1, 3), data_for(GO5)) == (4,)
+        assert phi_ambient((1, 0, 2, 1, 3), GO5) == (4,)
 
     def test_gl2_simple_min(self):
         assert phi((3, 1), GL2) == (1,)
@@ -73,7 +71,7 @@ class TestFrozenValues:
             assert phi(zero, datum) == (0,) * datum.x0_rank
 
     def test_levi_componentwise_minima(self):
-        assert phi_ambient((2, 5, -1, 0, 3), data_for(LEVI23)) == (2, -1)
+        assert phi_ambient((2, 5, -1, 0, 3), LEVI23) == (2, -1)
 
     def test_quotient_semantics_rejects_go_even(self):
         with pytest.raises(HypothesisFailure):
@@ -91,18 +89,15 @@ class TestStructuralProperties:
             shifted = vec_add(
                 shifted, vec_scale(data.draw(st.integers(-4, 4)), k)
             )
-        assert phi_ambient(shifted, data_for(datum)) == phi_ambient(
-            lam, data_for(datum)
-        )
+        assert phi_ambient(shifted, datum) == phi_ambient(lam, datum)
 
     @settings(max_examples=60)
     @given(data=st.data())
     def test_nonnegative_homogeneity(self, datum, data):
         lam = data.draw(weights(datum))
         c = data.draw(st.integers(0, 9))
-        pd = data_for(datum)
-        assert phi_ambient(vec_scale(c, lam), pd) == tuple(
-            c * v for v in phi_ambient(lam, pd)
+        assert phi_ambient(vec_scale(c, lam), datum) == tuple(
+            c * v for v in phi_ambient(lam, datum)
         )
 
     @settings(max_examples=60)
@@ -110,11 +105,10 @@ class TestStructuralProperties:
     def test_superadditivity(self, datum, data):
         lam = data.draw(weights(datum))
         mu = data.draw(weights(datum))
-        pd = data_for(datum)
-        combined = phi_ambient(vec_add(lam, mu), pd)
+        combined = phi_ambient(vec_add(lam, mu), datum)
         split = [
             a + b
-            for a, b in zip(phi_ambient(lam, pd), phi_ambient(mu, pd))
+            for a, b in zip(phi_ambient(lam, datum), phi_ambient(mu, datum))
         ]
         assert all(c >= s for c, s in zip(combined, split))
 
@@ -129,9 +123,8 @@ class TestStructuralProperties:
         shifted = lam
         for c, d in zip(coeffs, datum.d_vectors):
             shifted = vec_add(shifted, vec_scale(c, d))
-        pd = data_for(datum)
-        assert phi_ambient(shifted, pd) == tuple(
-            v + c for v, c in zip(phi_ambient(lam, pd), coeffs)
+        assert phi_ambient(shifted, datum) == tuple(
+            v + c for v, c in zip(phi_ambient(lam, datum), coeffs)
         )
 
     @settings(max_examples=40)
@@ -139,8 +132,7 @@ class TestStructuralProperties:
     def test_weyl_invariance(self, datum, data):
         lam = data.draw(weights(datum))
         w = data.draw(st.sampled_from(datum.weyl_group()))
-        pd = data_for(datum)
-        assert phi_ambient(act(w, lam), pd) == phi_ambient(lam, pd)
+        assert phi_ambient(act(w, lam), datum) == phi_ambient(lam, datum)
 
 
 class TestFindWitness:
@@ -292,41 +284,53 @@ def test_default_box_radius():
     assert default_box_radius(8) == 2
 
 
+# One hand-built datum per shape rule the functional reads a datum by:
+# the rule's witness, and every witness validation reports
+SHAPE_FAULTS = [
+    ("repeat", build_levi([1, 1])._replace(blocks=((0,), (0,))),
+     "(b): the blocks do not partition the indices",
+     ("(b): support of b[1] differs from block 1",
+      "(b): the blocks do not partition the indices")),
+    ("gap", build_levi([1, 2])._replace(blocks=((0,), (2,))),
+     "(b): the blocks do not partition the indices",
+     ("(b): support of b[1] differs from block 1",
+      "(b): the blocks do not partition the indices")),
+    ("row-length", GL2._replace(n_matrix=((1, 1),)),
+     "(d): expansion of b[0] has length 2, not the d-list length 1",
+     ("(d): expansion of b[0] has length 2, not the d-list length 1",)),
+    ("negative", GL2._replace(n_matrix=((-1,),)),
+     "(d): expansion of b[0] has a negative coefficient",
+     ("(d): expansion of b[0] has a negative coefficient",
+      "(d): b[0] does not expand over the d classes")),
+    ("row-count", build_levi([1, 1])._replace(n_matrix=((1, 0),)),
+     "(d): n-matrix row count 1 differs from block count 2",
+     ("(d): n-matrix row count 1 differs from block count 2",)),
+]
+
+
+@pytest.mark.parametrize(
+    "datum,fault,witnesses",
+    [case[1:] for case in SHAPE_FAULTS],
+    ids=[case[0] for case in SHAPE_FAULTS],
+)
+def test_a_shape_fault_is_reported_and_refused(datum, fault, witnesses):
+    report = datum.validation()
+    assert report.witnesses == witnesses
+    assert report.failed == (fault.partition(":")[0],)
+    # the entry points that evaluate the functional without a full
+    # validation refuse the datum, naming the rule
+    zero = (0,) * datum.ambient_dim
+    message = re.escape(f"fails {fault};")
+    with pytest.raises(DomainError, match=message):
+        check_assumption(datum, 3, 1, box_radius=1)
+    with pytest.raises(DomainError, match=message):
+        find_witness_w(zero, zero, datum)
+    with pytest.raises(DomainError, match=message):
+        weyl_orbit_witness_nonpolynomial(zero, zero, datum, 3)
+
+
 class TestRecords:
     """Construction, repr, equality and immutability of the records."""
-
-    def test_phi_data(self):
-        data = PhiData(((0,), (1, 2)), ((1,), (2,)), 1)
-        assert data == PhiData(
-            blocks=((0,), (1, 2)), n_matrix=((1,), (2,)), target_rank=1
-        )
-        assert data != PhiData(((0,), (1, 2)), ((1,), (1,)), 1)
-        assert data.ambient_dim == 3
-        assert repr(data) == (
-            "PhiData(blocks=((0,), (1, 2)), n_matrix=((1,), (2,)), "
-            "target_rank=1)"
-        )
-        with pytest.raises(AttributeError):
-            data.target_rank = 2
-        with pytest.raises(AttributeError):
-            data.extra = 0
-
-    @pytest.mark.parametrize(
-        "blocks,n_matrix,target_rank",
-        [
-            (((0,), (0, 1)), ((1,), (1,)), 1),  # index 0 twice
-            (((0,), (2,)), ((1,), (1,)), 1),  # index 1 missing
-            (((0, 1),), ((1, 1),), 1),  # row longer than the rank
-            (((0, 1),), ((-1,),), 1),  # negative entry
-            (((0,), (1,)), ((1,),), 1),  # one row for two blocks
-        ],
-        ids=["repeat", "gap", "row-length", "negative", "row-count"],
-    )
-    def test_phi_data_rejects_bad_input(self, blocks, n_matrix, target_rank):
-        with pytest.raises(DomainError):
-            PhiData(blocks, n_matrix, target_rank)
-        with pytest.raises(DomainError):
-            PhiData(blocks=blocks, n_matrix=n_matrix, target_rank=target_rank)
 
     def test_property_verdict(self):
         verdict = PropertyVerdict("homogeneity", True, 27)

@@ -123,6 +123,25 @@ def test_only_tables_for_builds_tables():
     assert found == []
 
 
+_HYPOTHESIS_LABELS = ("(a)", "(b)", "(c-lower)", "(c-upper)", "(d)")
+
+
+def test_only_weyl_states_the_hypotheses():
+    # the hypotheses, their labels and their witnesses are written in
+    # ``weyl.py`` alone; every other module reads a ``ValidationReport``
+    # or calls its fault lists
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if path.name != "weyl.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith(_HYPOTHESIS_LABELS)
+    ]
+    assert found == []
+
+
 def _imports_outside(name, allowed):
     return [
         f"{line}: {target}"
