@@ -326,8 +326,8 @@ def check_assumption(datum, p, r, box_radius=None):
             f"counts (2R+1)^(2n) pairs: 2n * bit_length(2R+1) = {bits} "
             f"exceeds {PRPOW_BIT_LIMIT}"
         )
-    cols = _block_kernel(datum)
     require_shape(datum)
+    cols = _block_kernel(datum)
 
     checked, evaluated, fail = _positivity(datum, radius, cols)
     positivity = PropertyVerdict(

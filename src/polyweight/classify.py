@@ -253,17 +253,43 @@ def _in_pr(weight, datum, prpow):
     """``in_Pr`` for a datum and modulus, on ``weight`` as given.
 
     The bare form serves the even orthogonal family in ambient semantics.
+    The functional is evaluated once: subtracting p^r d moves only the
+    minima of the blocks that meet the support of d, so phi of the
+    shifted weight is phi of the weight plus each such block's change of
+    minimum times its n-matrix row, exactly.
     """
-    if min(phi_ambient(weight, datum)) < 0:
+    value = phi_ambient(weight, datum)
+    if min(value) < 0:
         return False
     for cov in datum.simple_coroots:
         val = pair(weight, cov)
         if val < 0 or val > prpow - 1:
             return False
-    for d in datum.d_vectors:
-        if min(phi_ambient(vec_sub(weight, vec_scale(prpow, d)), datum)) >= 0:
+    for d, met in zip(datum.d_vectors, _shift_blocks(datum)):
+        shifted = value
+        for blk, row in met:
+            low = min(weight[a] for a in blk)
+            moved = min(weight[a] - prpow * d[a] for a in blk) - low
+            shifted = [v + moved * c for v, c in zip(shifted, row)]
+        if min(shifted) >= 0:
             return False
     return True
+
+
+def _shift_blocks(datum):
+    """For each distinguished weight d, the blocks that meet its support,
+    paired with their n-matrix rows; computed once per datum."""
+    cache = datum._cache
+    if "shift-blocks" not in cache:
+        cache["shift-blocks"] = tuple(
+            tuple(
+                (blk, row)
+                for blk, row in zip(datum.blocks, datum.n_matrix)
+                if any(d[a] for a in blk)
+            )
+            for d in datum.d_vectors
+        )
+    return cache["shift-blocks"]
 
 
 class Decomposition(namedtuple("Decomposition", "lambda0 lambda_tilde")):

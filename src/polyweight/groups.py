@@ -122,7 +122,7 @@ class GroupDatum(_CachedRecord):
             from .weyl import generate_group, identity_perm
 
             if self.weyl_generators:
-                self._cache["weyl"] = tuple(generate_group(self.weyl_generators))
+                self._cache["weyl"] = generate_group(self.weyl_generators)
             else:
                 self._cache["weyl"] = (identity_perm(self.ambient_dim),)
         return self._cache["weyl"]

@@ -15,9 +15,6 @@ import math
 
 from .errors import DimensionMismatch, DomainError
 
-Weight = tuple  # tuple[int, ...]
-Covector = tuple  # tuple[int, ...], paired with weights by the dot product
-
 
 def _xgcd(a, b):
     """Return (g, x, y) with g = gcd(a, b) = x*a + y*b."""

@@ -11,14 +11,13 @@ Weyl group is asked for.
 """
 
 import itertools
+import math
 from collections import namedtuple
 
 from .errors import CapExceeded, DomainError
 from .lattice import _echelonize, check_dim
 
-Perm = tuple  # tuple[int, ...]
-
-# Most elements ``generate_group`` materialises, read at each call.
+# Most elements ``generate_group`` lists, read at each call.
 WEYL_CAP = 100_000
 
 
@@ -56,7 +55,7 @@ def transposition(n, i, j):
 
 def compose(p, q):
     """The permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p):
@@ -82,9 +81,27 @@ def act_covector(p, covector):
 
 
 def generate_group(generators):
-    """The full closure of a generating set of permutations, sorted.
+    """The group the permutations generate, as a sorted tuple.
 
-    Raises CapExceeded when the group has more than ``WEYL_CAP`` elements.
+    A deterministic Schreier-Sims algorithm (Seress, *Permutation Group
+    Algorithms*, 2003, Ch. 4) builds the stabilizer chain of the group G
+    on the base 0, ..., n - 1.  G_k is the pointwise stabilizer of 0, ...,
+    k - 1 in G, and level k holds, for each point b of the orbit of k
+    under G_k, one element of G_k taking k to b.  Levels complete from the
+    last up; a completed level k makes levels k, ..., n - 1 a chain of the
+    subgroup of G that the strong generators fixing 0, ..., k - 1
+    generate, and its order is the product of their orbit lengths.
+    ``CapExceeded`` is raised as soon as that order passes ``WEYL_CAP``,
+    before any element is listed.
+
+    Every g in G is one product u_0 u_1 ... u_(n-1) of a representative
+    from each level.  The factors after u_k fix 0, ..., k, so g agrees on
+    0, ..., k - 1 with the prefix u_0 ... u_(k-1), and g[k] is
+    prefix[u_k[k]], distinct for distinct u_k.  So a depth-first walk that
+    takes each level's representatives in order of prefix[u_k[k]] lists G
+    in lexicographic, that is sorted, order.  Only the levels with more
+    than one representative are walked, each at least doubling the order,
+    so the walk is at most log2(WEYL_CAP) deep.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -93,22 +110,64 @@ def generate_group(generators):
     n = len(gens[0]) if gens else 0
     for g in gens:
         check_dim(g, n)
-    seen = {identity_perm(n)} if n else {()}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = compose(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-                    if len(seen) > WEYL_CAP:
-                        raise CapExceeded(
-                            f"group closure exceeded cap of {WEYL_CAP} elements"
-                        )
-        frontier = nxt
-    return sorted(seen)
+    e = identity_perm(n)
+    # G_k is generated by the strong generators whose first moved point
+    # is k or later
+    strong = [
+        (next(i for i, v in enumerate(g) if v != i), g) for g in gens if g != e
+    ]
+    chain = [{k: e} for k in range(n)]
+    k = n - 1
+    while k >= 0:
+        level = [g for j, g in strong if j >= k]
+        chain[k] = orbit = {k: e}
+        queue = [e]
+        for u in queue:
+            for g in level:
+                b = g[u[k]]
+                if b not in orbit:
+                    orbit[b] = compose(g, u)
+                    queue.append(orbit[b])
+        # with one point, every generator lies in G_(k+1), complete already
+        if len(orbit) > 1:
+            residue = _schreier_residue(k, level, chain)
+            if residue:
+                strong.append(residue)
+                k = residue[0]
+                continue
+            if math.prod(map(len, chain[k:])) > WEYL_CAP:
+                raise CapExceeded(
+                    f"group closure exceeded cap of {WEYL_CAP} elements"
+                )
+        k -= 1
+    return tuple(_walk(e, [orbit for orbit in chain if len(orbit) > 1]))
+
+
+def _walk(prefix, levels):
+    """Yield prefix u_k ... for each choice of one representative u_k per
+    level in ``levels``, in sorted order (see ``generate_group``)."""
+    if not levels:
+        yield prefix
+        return
+    orbit = levels[0]
+    for b in sorted(orbit, key=prefix.__getitem__):
+        yield from _walk(compose(prefix, orbit[b]), levels[1:])
+
+
+def _schreier_residue(k, gens, chain):
+    """The first Schreier generator g u of level k that the chain does not
+    hold, as (j, h): sifted through levels k, ..., n - 1, it leaves the
+    chain at level j as h, which fixes 0, ..., j - 1 and moves j.  None
+    when every one sifts to the identity, so that level k is complete."""
+    for u in chain[k].values():
+        for g in gens:
+            t = compose(g, u)
+            for j in range(k, len(t)):
+                if t[j] != j:
+                    if t[j] not in chain[j]:
+                        return j, t
+                    t = compose(inverse(chain[j][t[j]]), t)
+    return None
 
 
 class ValidationReport(
@@ -171,12 +230,11 @@ def coroot_faults(datum):
 
 
 def block_constant(vec, blocks):
-    """Whether ``vec`` takes a single value on each block."""
-    for blk in blocks:
-        for a in blk[1:]:
-            if vec[a] != vec[blk[0]]:
-                return False
-    return True
+    """Whether ``vec`` takes a single value on each block.  An index
+    outside ``vec`` is not read: (b) reports it as a partition fault."""
+    return all(
+        len({vec[a] for a in blk if 0 <= a < len(vec)}) < 2 for blk in blocks
+    )
 
 
 def kernel_faults(datum):
@@ -305,7 +363,8 @@ def check_hypotheses(datum):
     closure = None
     for bi, blk in enumerate(datum.blocks):
         for x, y in itertools.combinations(sorted(blk), 2):
-            if root(x) == root(y):
+            # a pair with an index out of range is (b)'s partition witness
+            if x < 0 or y >= n or root(x) == root(y):
                 continue
             if closure is None and not all_even:
                 closure = set(datum.weyl_group())

@@ -1,6 +1,7 @@
 """Membership predicates, decomposition, enumeration, counterexample."""
 
 import itertools
+import random
 import subprocess
 import sys
 
@@ -39,7 +40,8 @@ from polyweight.groups import (
     build_gsp,
     build_levi,
 )
-from polyweight.lattice import vec_add, vec_scale
+from polyweight.functional import phi_ambient
+from polyweight.lattice import pair, vec_add, vec_scale, vec_sub
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)
@@ -230,6 +232,44 @@ class TestInPr:
                 0 <= v <= step - 1 for v in c.phi(lam)
             )
             assert literal == window, lam
+
+    @pytest.mark.parametrize(
+        "datum", [GL3, GSP4, GO5, LEVI23, build_go_even(8)],
+        ids=["gl3", "gsp4", "go5", "levi23", "go8"],
+    )
+    def test_one_evaluation_matches_the_literal_shifts(self, datum):
+        # phi of lam - p^r d, evaluated in full for every d
+        rng = random.Random(0)
+        for prpow in (2, 3, 5):
+            for _ in range(500):
+                lam = tuple(
+                    rng.randint(-1, 2 * prpow) for _ in range(datum.ambient_dim)
+                )
+                literal = (
+                    min(phi_ambient(lam, datum)) >= 0
+                    and all(
+                        0 <= pair(lam, c) < prpow for c in datum.simple_coroots
+                    )
+                    and all(
+                        min(phi_ambient(vec_sub(lam, vec_scale(prpow, d)), datum))
+                        < 0
+                        for d in datum.d_vectors
+                    )
+                )
+                assert classify._in_pr(lam, datum, prpow) == literal, (lam, prpow)
+
+    def test_phi_is_evaluated_once(self, monkeypatch):
+        # with 256 one-coordinate blocks, one evaluation per distinguished
+        # shift would cost about half a second a call
+        c = ctx(build_levi([1] * 256), 3, 1)
+        weights = []
+        monkeypatch.setattr(
+            classify, "phi_ambient",
+            lambda w, data: weights.append(w) or phi_ambient(w, data),
+        )
+        lam = tuple(i % 3 for i in range(256))
+        assert in_Pr(lam, c)
+        assert weights == [lam]
 
 
 class TestDecompose:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import polyweight
 from polyweight.certify import check_assumption, kernel_block_constancy
 from polyweight.classify import ClassificationContext
-from polyweight.errors import DomainError, HypothesisFailure
+from polyweight.errors import CapExceeded, DomainError, HypothesisFailure
 from polyweight.functional import phi_ambient
 from polyweight.groups import (
     GroupDatum,
@@ -28,7 +29,13 @@ from polyweight.groups import (
     x0_basis,
 )
 from polyweight.lattice import QuotientLattice, pair
-from polyweight.weyl import ValidationReport, act, transposition
+from polyweight.weyl import (
+    ValidationReport,
+    act,
+    generate_group,
+    identity_perm,
+    transposition,
+)
 from shift_oracle import box_window, has_nonneg_rep, lift_window
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(polyweight.__file__)))
@@ -113,6 +120,54 @@ def test_c_lower_agrees_with_the_weyl_closure(spec):
     ]
     assert [w for w in report.witnesses if w.startswith("(c-lower)")] == missing
     assert report.c_lower == (not missing)
+
+
+# generator sets no built-in family has
+HAND_BUILT = {
+    "3-cycle-and-transposition": ((1, 2, 0), (1, 0, 2)),
+    "3-cycle": ((1, 2, 0),),
+    "identity": ((0, 1, 2),),
+    "5-cycle-and-transposition": ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)),
+}
+
+
+def assert_lists_the_group(group, gens):
+    # sympy's own stabilizer chain orders the group and lists its elements
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in gens]
+    )
+    assert len(group) == oracle.order()
+    assert list(group) == sorted(tuple(p.array_form) for p in oracle.generate())
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_weyl_group_lists_the_generated_group_sorted(spec):
+    datum = parse_group_spec(spec)
+    gens = datum.weyl_generators or (identity_perm(datum.ambient_dim),)
+    assert_lists_the_group(datum.weyl_group(), gens)
+
+
+@pytest.mark.parametrize("gens", HAND_BUILT.values(), ids=HAND_BUILT)
+def test_generate_group_lists_hand_built_groups_sorted(gens):
+    assert_lists_the_group(generate_group(gens), gens)
+
+
+@pytest.mark.parametrize("spec", ["gl:9", "gsp:40", "gsp:200"])
+def test_generate_group_refuses_before_listing(spec):
+    # the chain's order passes the cap before any element is listed
+    gens = parse_group_spec(spec).weyl_generators
+    tracemalloc.start()
+    try:
+        begin = time.perf_counter()
+        with pytest.raises(CapExceeded, match="cap of 100000 elements"):
+            generate_group(gens)
+        elapsed = time.perf_counter() - begin
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_c_lower_falls_back_to_the_closure():

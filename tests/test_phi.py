@@ -295,6 +295,11 @@ SHAPE_FAULTS = [
      "(b): the blocks do not partition the indices",
      ("(b): support of b[1] differs from block 1",
       "(b): the blocks do not partition the indices")),
+    # an index past the ambient dimension is reported, never read
+    ("out-of-range", GSP4._replace(blocks=((0, 3), (1, 7))),
+     "(b): the blocks do not partition the indices",
+     ("(b): support of b[1] differs from block 1",
+      "(b): the blocks do not partition the indices")),
     ("row-length", GL2._replace(n_matrix=((1, 1),)),
      "(d): expansion of b[0] has length 2, not the d-list length 1",
      ("(d): expansion of b[0] has length 2, not the d-list length 1",)),
