@@ -53,6 +53,8 @@ def _exact_inverse_rows(columns, n):
     """
     if len(columns) != n:
         raise DomainError("basis and kernel together must have full rank")
+    for col in columns:
+        check_dim(col, n)
     augmented = [
         tuple(col[i] for col in columns) + tuple(int(k == i) for k in range(n))
         for i in range(n)
@@ -99,7 +101,7 @@ def tables_for(datum, coef=()):
 
     ``coef`` holds a ``ClassificationContext``'s coordinate rows.  Only
     the decomposition sweep reads them, with the weight basis and its
-    pairing diagonal, which data without a weight basis leave empty.
+    pairing diagonal, which data without dual lifts leave empty.
     """
     return Tables(
         n=datum.ambient_dim,
@@ -123,7 +125,11 @@ class ClassificationContext(_CachedRecord):
     classes and ``is_polynomial`` is sign-faithful, and coroots that
     descend, so the predicates pair with them as they are.  The even
     orthogonal family is rejected here and served solely by the ambient
-    counterexample entry points.  The modulus
+    counterexample entry points.  The weight basis with the kernel must
+    be unimodular, and its dual lifts dual to the simple coroots: one
+    lift per coroot, each lift pairing to 0 with every other coroot and
+    to at least 1 with its own, and the coroots pairing to 0 with the d
+    vectors and the kernel; ``DomainError`` otherwise.  The modulus
     ``prpow`` = p^r is formed once, by ``lattice.prime_power``, which
     refuses a p^r past ``lattice.PRPOW_BIT_LIMIT`` bits.
     """
@@ -139,18 +145,37 @@ class ClassificationContext(_CachedRecord):
         self.__post_init__()
 
     def __post_init__(self):
-        report = self.datum.validation()
+        datum = self.datum
+        report = datum.validation()
         if not report.all_ok:
             raise HypothesisFailure(
-                f"datum {self.datum.spec_string} fails construction "
+                f"datum {datum.spec_string} fails construction "
                 f"hypotheses {', '.join(report.failed)}"
             )
-        n = self.datum.ambient_dim
-        stacked = list(self.datum.weight_basis) + list(
-            self.datum.lattice.kernel_basis
+        basis = datum.weight_basis
+        if basis is None:
+            raise DomainError(f"datum {datum.spec_string} has no dual lifts")
+        inverse_rows = _exact_inverse_rows(
+            list(basis) + list(datum.lattice.kernel_basis), datum.ambient_dim
         )
-        inverse_rows = _exact_inverse_rows(stacked, n)
-        self._coef = tuple(inverse_rows[: len(self.datum.weight_basis)])
+        self._coef = tuple(inverse_rows[: len(basis)])
+        # the duality decompose and enumerate_Pr read: coroot k pairs with
+        # each weight as diag[k] >= 1 times the weight's k-th coordinate
+        coroots = datum.simple_coroots
+        if len(datum.dual_lifts) != len(coroots):
+            raise DomainError(
+                f"datum {datum.spec_string} has {len(datum.dual_lifts)} dual "
+                f"lifts for {len(coroots)} simple coroots"
+            )
+        for k, (diag, row, cov) in enumerate(
+            zip(datum.basis_pairing_diag, self._coef, coroots)
+        ):
+            scaled = row if diag == 1 else tuple(diag * x for x in row)
+            if diag < 1 or scaled != tuple(cov):
+                raise DomainError(
+                    f"datum {datum.spec_string}: dual lift {k} is not dual to "
+                    "the simple coroots with a positive pairing"
+                )
 
     @property
     def rank(self):

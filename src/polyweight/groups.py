@@ -2,7 +2,8 @@
 
 Every supported family (general linear, symplectic similitude, odd and even
 orthogonal similitude, Levi subgroups of block-diagonal shape) is described
-by one uniform datum:
+by one uniform datum of independent facts, from which the ambient
+dimension, the weight basis and its pairing diagonal are derived:
 
 * a quotient lattice modelling the character group of the diagonal torus,
 * a partition of the ambient indices into blocks,
@@ -12,7 +13,8 @@ by one uniform datum:
 * non-negative integers ``n_ij`` expanding each class of ``b_i`` over the
   ``d_j``,
 * simple roots, simple coroot covectors, and Weyl generators realized as
-  index permutations of the ambient coordinates.
+  index permutations of the ambient coordinates,
+* one dual lift per simple coroot, pairing to 0 with every other one.
 
 The primed-index convention is the mirror i' = n - 1 - i (0-indexed), so
 symplectic and orthogonal blocks pair the outermost coordinates first.
@@ -22,7 +24,7 @@ kernel sublattice, they reproduce the standard Cartan matrix of the
 family's type, and they pair to zero with every ``d_j``.  This pins them
 down uniquely; in particular the short-root coroot of the odd orthogonal
 family is twice a primitive covector, so its pairings with integer
-characters are always even.
+characters are always even, and its dual lift pairs to 2 with it.
 
 This module holds construction only.  The hypotheses a datum must meet
 and its Weyl group live in :mod:`polyweight.weyl`, which ``validate_datum``
@@ -34,7 +36,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import DomainError
-from .lattice import QuotientLattice, vec_scale, vec_sub
+from .lattice import QuotientLattice, pair, vec_scale, vec_sub
 
 
 class _CachedRecord:
@@ -70,27 +72,26 @@ class _CachedRecord:
 class GroupDatum(_CachedRecord):
     """Immutable description of one group family instance.
 
-    ``weight_basis`` lists ambient lifts forming a basis of the character
-    quotient, ordered with the coroot-dual part first and the ``d_j`` last;
-    ``basis_pairing_diag[k]`` is the pairing of the k-th dual-part element
-    with its matching simple coroot (1 normally, 2 where only an even
-    pairing is achievable).  Families that admit no such basis store None.
+    ``dual_lifts`` holds one ambient lift per simple coroot, or None for
+    a family that admits none.  Derived: ``ambient_dim`` (the lattice's)
+    and, computed on first use and None without lifts, ``weight_basis``
+    (the lifts, then the d vectors) and ``basis_pairing_diag`` (lift k
+    paired with coroot k, 1 or 2).  ``ClassificationContext`` refuses
+    lifts that are not dual to the coroots.
     """
 
     _fields = tuple(
-        "family spec_string ambient_dim lattice blocks b d_indices n_matrix "
-        "simple_roots simple_coroots weyl_generators positive_root_sum_twice "
-        "weight_basis basis_pairing_diag".split()
+        "family spec_string lattice blocks b d_indices n_matrix simple_roots "
+        "simple_coroots weyl_generators positive_root_sum_twice dual_lifts".split()
     )
 
     def __init__(
-        self, family, spec_string, ambient_dim, lattice, blocks, b, d_indices,
-        n_matrix, simple_roots, simple_coroots, weyl_generators,
-        positive_root_sum_twice, weight_basis, basis_pairing_diag,
+        self, family, spec_string, lattice, blocks, b, d_indices, n_matrix,
+        simple_roots, simple_coroots, weyl_generators, positive_root_sum_twice,
+        dual_lifts,
     ):
         self.family = family
         self.spec_string = spec_string
-        self.ambient_dim = ambient_dim
         self.lattice = lattice
         self.blocks = blocks
         self.b = b
@@ -100,8 +101,8 @@ class GroupDatum(_CachedRecord):
         self.simple_coroots = simple_coroots
         self.weyl_generators = weyl_generators
         self.positive_root_sum_twice = positive_root_sum_twice
-        self.weight_basis = weight_basis
-        self.basis_pairing_diag = basis_pairing_diag
+        self.dual_lifts = dual_lifts
+        self.ambient_dim = lattice.ambient_dim
         self._cache = {}
 
     @property
@@ -115,6 +116,23 @@ class GroupDatum(_CachedRecord):
     @property
     def d_vectors(self):
         return tuple(self.b[i] for i in self.d_indices)
+
+    def _derived(self, key, compute):
+        """``compute(dual_lifts)``, cached; None without dual lifts."""
+        if key not in self._cache:
+            lifts = self.dual_lifts
+            self._cache[key] = None if lifts is None else compute(tuple(lifts))
+        return self._cache[key]
+
+    @property
+    def weight_basis(self):
+        return self._derived("weight-basis", lambda lifts: lifts + self.d_vectors)
+
+    @property
+    def basis_pairing_diag(self):
+        return self._derived(
+            "pairing-diag", lambda lifts: tuple(map(pair, lifts, self.simple_coroots))
+        )
 
     def weyl_group(self):
         """All Weyl elements, sorted and cached; CapExceeded above WEYL_CAP."""
@@ -179,9 +197,7 @@ def _block_diagonal(parts, family, spec_string):
     ends = itertools.accumulate(parts)
     blocks = tuple(tuple(range(end - size, end)) for size, end in zip(parts, ends))
     b = tuple(_indicator(n, blk) for blk in blocks)
-    roots = []
-    gens = []
-    dual = []
+    roots, gens, dual = [], [], []
     two_rho = [0] * n
     for blk in blocks:
         size = len(blk)
@@ -195,7 +211,6 @@ def _block_diagonal(parts, family, spec_string):
     return GroupDatum(
         family=family,
         spec_string=spec_string,
-        ambient_dim=n,
         lattice=QuotientLattice(n),
         blocks=blocks,
         b=b,
@@ -205,8 +220,7 @@ def _block_diagonal(parts, family, spec_string):
         simple_coroots=tuple(roots),
         weyl_generators=tuple(gens),
         positive_root_sum_twice=tuple(two_rho),
-        weight_basis=tuple(dual) + b,
-        basis_pairing_diag=(1,) * len(roots),
+        dual_lifts=tuple(dual),
     )
 
 
@@ -268,7 +282,6 @@ def build_gsp(two_l):
     return GroupDatum(
         family="gsp",
         spec_string=f"gsp:{n}",
-        ambient_dim=n,
         lattice=QuotientLattice(
             n, tuple(vec_sub(m.b[i], m.b[i + 1]) for i in range(l - 1))
         ),
@@ -283,9 +296,7 @@ def build_gsp(two_l):
         positive_root_sum_twice=_root_sum(
             n, m.positive_pairs + [(a, n - 1 - a) for a in range(l)]
         ),
-        weight_basis=tuple(_indicator(n, range(k)) for k in range(1, l + 1))
-        + (m.b[0],),
-        basis_pairing_diag=(1,) * l,
+        dual_lifts=tuple(_indicator(n, range(k)) for k in range(1, l + 1)),
     )
 
 
@@ -301,7 +312,6 @@ def build_go_odd(odd_n):
     return GroupDatum(
         family="go_odd",
         spec_string=f"go:{n}",
-        ambient_dim=n,
         lattice=QuotientLattice(
             n, tuple(vec_sub(b[i], vec_scale(2, b[l])) for i in range(l))
         ),
@@ -316,9 +326,7 @@ def build_go_odd(odd_n):
         positive_root_sum_twice=_root_sum(
             n, m.positive_pairs + [(a, mid) for a in range(l)]
         ),
-        weight_basis=tuple(_indicator(n, range(k)) for k in range(1, l + 1))
-        + (b[l],),
-        basis_pairing_diag=(1,) * (l - 1) + (2,),
+        dual_lifts=tuple(_indicator(n, range(k)) for k in range(1, l + 1)),
     )
 
 
@@ -339,7 +347,6 @@ def build_go_even(two_l):
     return GroupDatum(
         family="go_even",
         spec_string=f"go:{n}",
-        ambient_dim=n,
         lattice=QuotientLattice(
             n, tuple(vec_sub(m.b[i], m.b[i + 1]) for i in range(l - 1))
         ),
@@ -353,8 +360,7 @@ def build_go_even(two_l):
             _swaps(n, ((i, n - 1 - i), (i + 1, n - 2 - i))) for i in range(l - 1)
         ),
         positive_root_sum_twice=_root_sum(n, m.positive_pairs),
-        weight_basis=None,
-        basis_pairing_diag=None,
+        dual_lifts=None,
     )
 
 
@@ -363,27 +369,21 @@ def permute_d(datum, order):
 
     ``order`` is a permutation of the d-list positions; entry j of the
     new list is entry ``order[j]`` of the old one.  The expansion-matrix
-    columns and the tail of the weight basis are reordered to match, and
-    nothing else changes, so the result states the same construction
-    facts as the input; ``tests/test_groups.py`` checks them on every
-    order of the built-in Levi shapes.  The functional of the reordered
-    datum is the matching coordinate permutation of the original
-    functional.
+    columns are reordered to match and nothing else is stored, so the
+    weight basis, whose tail is the d vectors, follows the new order and
+    the result states the same construction facts as the input;
+    ``tests/test_groups.py`` checks them on every order of the built-in
+    Levi shapes.  The functional of the reordered datum is the matching
+    coordinate permutation of the original functional.
     """
     if sorted(order) != list(range(datum.x0_rank)):
         raise DomainError(
             "order must be a permutation of the d-list positions "
             f"0..{datum.x0_rank - 1}, got {tuple(order)}"
         )
-    new_d_indices = tuple(datum.d_indices[j] for j in order)
-    new_n = tuple(tuple(row[j] for j in order) for row in datum.n_matrix)
-    if datum.weight_basis is None:
-        new_basis = None
-    else:
-        dual = datum.weight_basis[: len(datum.simple_coroots)]
-        new_basis = dual + tuple(datum.b[i] for i in new_d_indices)
     return datum._replace(
-        d_indices=new_d_indices, n_matrix=new_n, weight_basis=new_basis
+        d_indices=tuple(datum.d_indices[j] for j in order),
+        n_matrix=tuple(tuple(row[j] for j in order) for row in datum.n_matrix),
     )
 
 

@@ -182,9 +182,9 @@ class ValidationReport(
          the generated Weyl group;
     (c-upper)  every Weyl generator is a permutation;
     (d)  every simple coroot descends to the quotient, every kernel
-         vector is constant on each block, the ``d_j`` classes are
-         independent, and each ``b_i`` class expands over them with the
-         declared non-negative coefficients.
+         vector is constant on each block, each d index names a ``b_i``,
+         the ``d_j`` classes are independent, and each ``b_i`` class
+         expands over them with the declared non-negative coefficients.
     """
 
     __slots__ = ()
@@ -257,14 +257,26 @@ def kernel_faults(datum):
     return cache["kernel-faults"]
 
 
+def _d_index_outside(datum):
+    """The first d index that names no row of ``b``, or None."""
+    return next((i for i in datum.d_indices if not 0 <= i < len(datum.b)), None)
+
+
 def shape_faults(datum):
     """The (b) and (d) witnesses, as a pair, of the shape the functional
-    reads, checked once per datum: blocks partitioning the indices, and
-    one non-negative n-matrix row of the d-list length per block."""
+    reads, checked once per datum: blocks partitioning the indices, d
+    indices naming rows of ``b``, and one non-negative n-matrix row of
+    the d-list length per block."""
     cache = datum._cache
     if "shape-faults" not in cache:
         rows, blocks, rank = datum.n_matrix, datum.blocks, datum.x0_rank
         wit_b, wit_d = [], []
+        outside = _d_index_outside(datum)
+        if outside is not None:
+            wit_d.append(
+                f"(d): d index {outside} names no row of the {len(datum.b)} "
+                "block indicators"
+            )
         indices = sorted(a for blk in blocks for a in blk)
         if indices != list(range(datum.ambient_dim)):
             wit_b.append("(b): the blocks do not partition the indices")
@@ -314,7 +326,10 @@ def check_hypotheses(datum):
     every generator is an even permutation, as for the even orthogonal
     family, W lies in the alternating group and holds no transposition,
     so each such pair is a witness at once.  Only when some generator is
-    odd does such a pair fall back to the Weyl closure.
+    odd does such a pair fall back to the Weyl closure.  When some
+    generator is not a permutation, (c-upper) fails and there is no Weyl
+    group to list, so (c-lower) reports every such pair as a witness; the
+    pairs that the permutation generators' transpositions join still pass.
 
     (d) speaks of the characters killed by every coroot, which is defined
     on classes only when each simple coroot annihilates the kernel, and
@@ -367,7 +382,8 @@ def check_hypotheses(datum):
             if x < 0 or y >= n or root(x) == root(y):
                 continue
             if closure is None and not all_even:
-                closure = set(datum.weyl_group())
+                # W is undefined when a generator is not a permutation
+                closure = set() if wit_c_upper else set(datum.weyl_group())
             if all_even or transposition(n, x, y) not in closure:
                 wit_c_lower.append(
                     f"(c-lower): transposition ({x}, {y}) within block {bi} "
@@ -376,20 +392,23 @@ def check_hypotheses(datum):
 
     wit_d.extend(coroot_faults(datum))
     wit_d.extend(kernel_faults(datum))
-    d_vecs = datum.d_vectors
-    stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
-    rows, _ = _echelonize(stacked, n)
-    if len(rows) != len(stacked):
-        wit_d.append("(d): the d classes are linearly dependent")
+    # a d index outside b is a shape witness, and leaves no d classes
+    d_vecs = datum.d_vectors if _d_index_outside(datum) is None else None
+    if d_vecs is not None:
+        stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
+        rows, _ = _echelonize(stacked, n)
+        if len(rows) != len(stacked):
+            wit_d.append("(d): the d classes are linearly dependent")
     wit_d.extend(shape_d)
-    for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
-        combo = [0] * n
-        for coeff, d_vec in zip(row, d_vecs):
-            if coeff:
-                for idx, dv in enumerate(d_vec):
-                    combo[idx] += coeff * dv
-        if not datum.lattice.equal_mod_kernel(b_vec, tuple(combo)):
-            wit_d.append(f"(d): b[{i}] does not expand over the d classes")
+    if d_vecs is not None:
+        for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
+            combo = [0] * n
+            for coeff, d_vec in zip(row, d_vecs):
+                if coeff:
+                    for idx, dv in enumerate(d_vec):
+                        combo[idx] += coeff * dv
+            if not datum.lattice.equal_mod_kernel(b_vec, tuple(combo)):
+                wit_d.append(f"(d): b[{i}] does not expand over the d classes")
 
     return ValidationReport(
         a=not wit_a, b=not wit_b, c_lower=not wit_c_lower,

@@ -29,6 +29,7 @@ from polyweight.classify import (
 from polyweight.errors import (
     CapExceeded,
     DecompositionUnavailable,
+    DimensionMismatch,
     DomainError,
     HypothesisFailure,
     PreconditionError,
@@ -91,19 +92,24 @@ class TestContext:
         assert c.x0_coordinates(lam) == coords[c.dual_count:]
 
     @pytest.mark.parametrize(
-        "basis,message",
+        "lifts,message",
         [
-            (((1, 1), (1, 1)), "must have full rank"),
             (((1, 1),), "must have full rank"),
-            (((2, 0), (1, 1)), "not unimodular"),
+            ((), "must have full rank"),
+            (((2, 0),), "not unimodular"),
         ],
         ids=["singular", "too-short", "index-two"],
     )
-    def test_rejects_a_singular_or_non_unimodular_basis(self, basis, message):
-        datum = GL2._replace(weight_basis=basis)
+    def test_rejects_a_singular_or_non_unimodular_basis(self, lifts, message):
+        # the weight basis is the dual lifts, then GL2's d vector (1, 1)
+        datum = GL2._replace(dual_lifts=lifts)
         assert datum.validation().all_ok
         with pytest.raises(DomainError, match=message):
             ctx(datum, 3, 1)
+
+    def test_rejects_a_lift_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            ctx(GL2._replace(dual_lifts=((1,),)), 3, 1)
 
     def test_context_does_not_load_fractions(self):
         proc = subprocess.run(

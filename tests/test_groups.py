@@ -10,11 +10,18 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import polyweight
 from polyweight.certify import check_assumption, kernel_block_constancy
-from polyweight.classify import ClassificationContext
-from polyweight.errors import CapExceeded, DomainError, HypothesisFailure
+from polyweight.classify import ClassificationContext, decompose, enumerate_Pr
+from polyweight.errors import (
+    CapExceeded,
+    DomainError,
+    HypothesisFailure,
+    PolyweightError,
+)
 from polyweight.functional import phi_ambient
 from polyweight.groups import (
     GroupDatum,
@@ -308,7 +315,6 @@ def test_weyl_group_cached_and_sorted():
 DATUM_FIELDS = (
     "family",
     "spec_string",
-    "ambient_dim",
     "lattice",
     "blocks",
     "b",
@@ -318,8 +324,7 @@ DATUM_FIELDS = (
     "simple_coroots",
     "weyl_generators",
     "positive_root_sum_twice",
-    "weight_basis",
-    "basis_pairing_diag",
+    "dual_lifts",
 )
 
 
@@ -340,7 +345,7 @@ class TestRecords:
             )
         )
         assert repr(datum).startswith(
-            "GroupDatum(family='gl', spec_string='gl:2', ambient_dim=2, lattice="
+            "GroupDatum(family='gl', spec_string='gl:2', lattice="
         )
 
     def test_equal_data_compare_equal(self):
@@ -408,7 +413,7 @@ def normalisation_pairs(datum):
     torus closure, but dropping one block indicator ruins that.
     """
     d_vecs = datum.d_vectors
-    for lift in datum.weight_basis[: len(datum.simple_coroots)]:
+    for lift in datum.dual_lifts:
         if len(d_vecs) == 1:
             d_for_block = d_vecs[0]
         else:
@@ -506,8 +511,8 @@ def construction_faults(datum):
     with every block indicator; twice rho equal to the sum of the
     family's positive roots and pairing to 2 with every simple coroot;
     the family's Cartan matrix; generators that preserve the kernel; and
-    a weight basis that ends with the d vectors, is dual to the coroots
-    and is polynomially normalised.  The sign test
+    one dual lift per coroot, dual to the coroots and polynomially
+    normalised.  The sign test
     decides the normalisation only when the other facts hold, so it runs
     last and only then.
     """
@@ -568,11 +573,11 @@ def construction_faults(datum):
         if not all(lat.contains(act(g, k)) for k in kernel):
             faults.append(f"generator {g} does not preserve the kernel")
 
-    basis = datum.weight_basis
-    if basis is not None:
-        if basis[len(coroots):] != d_vecs:
-            faults.append("the weight basis does not end with the d vectors")
-        for k, lift in enumerate(basis[: len(coroots)]):
+    lifts = datum.dual_lifts
+    if lifts is not None:
+        if len(lifts) != len(coroots):
+            faults.append("there is not one dual lift per simple coroot")
+        for k, lift in enumerate(lifts):
             want = [
                 datum.basis_pairing_diag[k] if j == k else 0
                 for j in range(len(coroots))
@@ -617,8 +622,14 @@ def test_construction_ladder(spec, order):
     if order is not None:
         datum = permute_d(datum, order)
     assert construction_faults(datum) == []
-    if datum.family != "go_even":
+    assert datum.ambient_dim == sum(map(int, spec.partition(":")[2].split(",")))
+    if datum.family == "go_even":
+        assert datum.basis_pairing_diag is None
+    else:
         assert validate_datum(datum).all_ok
+        ones = (1,) * len(datum.simple_coroots)
+        want = ones[:-1] + (2,) if datum.family == "go_odd" else ones
+        assert datum.basis_pairing_diag == want
 
 
 LEVI23 = build_levi([2, 3])
@@ -646,8 +657,8 @@ def test_validation_reports_each_hypothesis_defect(hypothesis, datum, changes):
 
 def _shift_first_lift(datum, by):
     """The datum with ``by`` added to its first dual lift."""
-    lift = tuple(a + b for a, b in zip(datum.weight_basis[0], by))
-    return datum._replace(weight_basis=(lift,) + datum.weight_basis[1:])
+    lift = tuple(a + b for a, b in zip(datum.dual_lifts[0], by))
+    return datum._replace(dual_lifts=(lift,) + datum.dual_lifts[1:])
 
 
 GSP4 = build_gsp(4)
@@ -694,11 +705,7 @@ BROKEN = [
          weyl_generators=GSP4.weyl_generators + (transposition(4, 0, 1),)
      ),
      "does not preserve the kernel"),
-    ("weight-basis-tail",
-     LEVI23._replace(weight_basis=LEVI23.weight_basis[:-2] + LEVI23.b[::-1]),
-     "the weight basis does not end with the d vectors"),
-    ("dual-lifts-swapped",
-     GL3._replace(weight_basis=GL3.weight_basis[1::-1] + GL3.weight_basis[2:]),
+    ("dual-lifts-swapped", GL3._replace(dual_lifts=GL3.dual_lifts[::-1]),
      "dual lift 0 is not dual to the coroots"),
 ]
 
@@ -709,6 +716,154 @@ BROKEN = [
 def test_construction_checker_flags_each_broken_datum(datum, fault):
     faults = construction_faults(datum)
     assert any(fault in found for found in faults), faults
+
+
+# -- facts no validation witness covers: the context refuses them --
+
+GL4 = build_gl(4)
+GO6 = build_go_even(6)
+
+# data that validate, but lack dual lifts or have lifts not dual to the coroots
+NOT_DUAL = [
+    ("coroot-dropped", GSP4._replace(simple_coroots=GSP4.simple_coroots[:1]),
+     "has 2 dual lifts for 1 simple coroots"),
+    ("coroot-lowered",
+     GL4._replace(simple_coroots=((0, -1, 0, 0),) + GL4.simple_coroots[1:]),
+     "dual lift 0 is not dual to the simple coroots with a positive pairing"),
+    # lift 0 pairs to 0 with coroot 0 and to 1 with coroot 1
+    ("dual-lifts-swapped", GL3._replace(dual_lifts=GL3.dual_lifts[::-1]),
+     "dual lift 0 is not dual to the simple coroots with a positive pairing"),
+    # the pairing diagonal is (0, 0)
+    ("zero-pairing", GSP4._replace(dual_lifts=GSP4.dual_lifts[::-1]),
+     "dual lift 0 is not dual to the simple coroots with a positive pairing"),
+    # go:6 passes (c-lower) once its within-block transpositions are
+    # generators, but the family has no dual lifts
+    ("no-dual-lifts",
+     GO6._replace(weyl_generators=GO6.weyl_generators
+                  + tuple(transposition(6, i, 5 - i) for i in range(3))),
+     "has no dual lifts"),
+]
+
+
+@pytest.mark.parametrize(
+    "datum,message", [case[1:] for case in NOT_DUAL], ids=[case[0] for case in NOT_DUAL]
+)
+def test_context_refuses_lifts_that_are_not_dual(datum, message):
+    assert validate_datum(datum).all_ok
+    with pytest.raises(DomainError, match=message):
+        ClassificationContext(datum, 3, 1)
+
+
+@pytest.mark.parametrize("name", ["ambient_dim", "weight_basis", "basis_pairing_diag"])
+def test_derived_values_cannot_be_set(name):
+    datum = build_go_odd(5)
+    assert datum._cache == {}
+    with pytest.raises(TypeError):
+        datum._replace(**{name: getattr(datum, name)})
+    assert datum.ambient_dim == datum.lattice.ambient_dim
+    # the two lazy values are computed once, on first use
+    assert getattr(datum, name) is getattr(datum, name)
+
+
+def test_a_d_index_outside_b_is_reported():
+    # levi:1,2 with its last b row dropped: d index 1 names no row
+    levi = build_levi([1, 2])
+    broken = levi._replace(b=levi.b[:1])
+    assert validate_datum(broken).witnesses == (
+        "(b): block indicator count 1 differs from block count 2",
+        "(d): d index 1 names no row of the 1 block indicators",
+    )
+    with pytest.raises(HypothesisFailure, match=r"hypotheses \(b\), \(d\)$"):
+        ClassificationContext(broken, 3, 1)
+    with pytest.raises(DomainError, match=r"fails \(d\): d index 1 names no row"):
+        check_assumption(broken, 3, 1, box_radius=1)
+
+
+def test_a_generator_that_is_not_a_permutation_is_reported():
+    # (1 3) is the only generator joining 1 and 3; without it W is not
+    # defined, so the pair is a (c-lower) witness and nothing is listed
+    go5 = build_go_odd(5)
+    broken = go5._replace(
+        weyl_generators=go5.weyl_generators[:2] + ((0, 3, 4, 1, 4),)
+    )
+    report = validate_datum(broken)
+    assert report.witnesses == (
+        "(c-upper): generator (0, 3, 4, 1, 4) is not a permutation",
+        "(c-lower): transposition (1, 3) within block 1 is not in the "
+        "generated Weyl group",
+    )
+    assert "weyl" not in broken._cache
+    with pytest.raises(HypothesisFailure, match=r"\(c-lower\), \(c-upper\)$"):
+        ClassificationContext(broken, 3, 1)
+    assumption = check_assumption(broken, 3, 1, box_radius=1)
+    assert assumption.additivity_witness.skipped
+
+
+MUTATION_BASES = [
+    parse_group_spec(spec) for spec in ("gl:3", "gsp:4", "go:5", "levi:1,2", "go:6")
+]
+MUTABLE_FIELDS = (
+    "lattice", "blocks", "b", "d_indices", "n_matrix", "simple_roots",
+    "simple_coroots", "weyl_generators", "positive_root_sum_twice", "dual_lifts",
+)
+
+
+@st.composite
+def one_field_mutation(draw):
+    """A built-in datum with one field changed: an entry dropped,
+    duplicated or swapped with another, or one integer moved."""
+    datum = draw(st.sampled_from(MUTATION_BASES))
+
+    def value_of(field):
+        if field == "lattice":
+            return datum.lattice.kernel_basis
+        return getattr(datum, field)
+
+    field = draw(st.sampled_from([f for f in MUTABLE_FIELDS if value_of(f)]))
+    value = list(value_of(field))
+    i = draw(st.integers(0, len(value) - 1))
+    op = draw(st.sampled_from(["drop", "duplicate", "swap", "change"]))
+    if op == "drop":
+        del value[i]
+    elif op == "duplicate":
+        value.insert(i, value[i])
+    elif op == "swap":
+        j = draw(st.integers(0, len(value) - 1))
+        value[i], value[j] = value[j], value[i]
+    else:
+        delta = draw(st.sampled_from([-2, -1, 1, 2, 5]))
+        if isinstance(value[i], int):
+            value[i] += delta
+        else:
+            row = list(value[i])
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] += delta
+            value[i] = tuple(row)
+    if field == "lattice":
+        try:
+            return datum._replace(lattice=QuotientLattice(datum.ambient_dim, value))
+        except ValueError:
+            reject()
+    return datum._replace(**{field: tuple(value)})
+
+
+@settings(max_examples=300, deadline=2000)
+@given(datum=one_field_mutation(), data=st.data())
+def test_a_mutated_datum_is_answered_or_refused(datum, data):
+    # every entry point answers or raises a PolyweightError, never another
+    # exception type
+    weight = data.draw(st.tuples(*[st.integers(-6, 6)] * datum.ambient_dim))
+    calls = [
+        datum.validation,
+        lambda: decompose(weight, ClassificationContext(datum, 3, 1)),
+        lambda: enumerate_Pr(ClassificationContext(datum, 2, 1)),
+        lambda: check_assumption(datum, 3, 1, box_radius=1),
+    ]
+    for call in calls:
+        try:
+            call()
+        except PolyweightError:
+            pass
 
 
 def test_validation_reports_a_coroot_that_does_not_descend():
@@ -732,11 +887,11 @@ def test_validation_reports_a_kernel_that_is_not_block_constant():
     # (0, 3) are one class, but the functional reads -5 on one and 0 on
     # the other, so is_polynomial would answer both ways on one class
     datum = GroupDatum(
-        family="gl", spec_string="hand-built", ambient_dim=2,
+        family="gl", spec_string="hand-built",
         lattice=QuotientLattice(2, ((1, 0),)), blocks=((0, 1),), b=((1, 1),),
         d_indices=(0,), n_matrix=((1,),), simple_roots=(), simple_coroots=(),
         weyl_generators=((1, 0),), positive_root_sum_twice=(0, 0),
-        weight_basis=((1, 1),), basis_pairing_diag=(),
+        dual_lifts=(),
     )
     assert datum.lattice.equal_mod_kernel((-5, 3), (0, 3))
     report = validate_datum(datum)

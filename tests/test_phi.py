@@ -310,6 +310,9 @@ SHAPE_FAULTS = [
     ("row-count", build_levi([1, 1])._replace(n_matrix=((1, 0),)),
      "(d): n-matrix row count 1 differs from block count 2",
      ("(d): n-matrix row count 1 differs from block count 2",)),
+    ("d-index", GSP4._replace(d_indices=(5,)),
+     "(d): d index 5 names no row of the 2 block indicators",
+     ("(d): d index 5 names no row of the 2 block indicators",)),
 ]
 
 
