@@ -6,9 +6,9 @@ pairings inside the digit window), the digit-set membership combining
 both with distinguished shifts, the unique base-plus-multiple
 decomposition, and enumeration of the full digit set.  A context object
 fixes the group datum and the modulus p^r, rejects data failing a
-construction hypothesis, and precomputes exact integer coordinates for
-the weight-basis expansion used by the decomposition.  It owns the rows
-the sweeps read (``Tables``), so it never loads ``_kernels``.
+construction hypothesis, and reads the weight-basis coordinates of the
+decomposition off the coroots and the n-matrix, inverting no matrix.  It
+owns the rows the sweeps read (``Tables``), so it never loads ``_kernels``.
 """
 
 import itertools
@@ -25,7 +25,6 @@ from .errors import (
 from .functional import phi_ambient
 from .groups import _CachedRecord
 from .lattice import (
-    _echelonize,
     check_dim,
     is_prime_power,
     pair,
@@ -34,37 +33,10 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .weyl import act, coroot_faults, require_shape
+from .weyl import act, coordinate_rows, coroot_faults, require_shape
 
 # Most candidates ``enumerate_Pr`` builds and tests in one call.
 ENUMERATE_CAP = 1_000_000
-
-
-def _exact_inverse_rows(columns, n):
-    """Rows of the inverse of the matrix with the given integer columns.
-
-    Row-reduces [M | I] to Hermite normal form with integer operations
-    only (Cohen, *A Course in Computational Algebraic Number Theory*,
-    2.4): the row operations form a unimodular E with E M in Hermite
-    form, so when E M is the identity the right block E is the inverse.
-    Raises if the matrix is singular or not unimodular (the stacked
-    basis-plus-kernel matrix of a valid datum is unimodular, so a failure
-    means corrupted data).
-    """
-    if len(columns) != n:
-        raise DomainError("basis and kernel together must have full rank")
-    for col in columns:
-        check_dim(col, n)
-    augmented = [
-        tuple(col[i] for col in columns) + tuple(int(k == i) for k in range(n))
-        for i in range(n)
-    ]
-    rows, pivots = _echelonize(augmented, 2 * n)
-    if pivots[n - 1] != n - 1:
-        raise DomainError("basis and kernel together must have full rank")
-    if any(row[i] != 1 for i, row in enumerate(rows)):
-        raise DomainError("weight basis plus kernel is not unimodular")
-    return [row[n:] for row in rows]
 
 
 class Tables(
@@ -117,7 +89,7 @@ def tables_for(datum, coef=()):
 
 
 class ClassificationContext(_CachedRecord):
-    """Group datum plus modulus, with exact coordinate machinery.
+    """Group datum plus modulus, with the weight-basis coordinate rows.
 
     Only data satisfying every construction hypothesis are accepted,
     with ``HypothesisFailure`` otherwise.  Hypothesis (d) includes a
@@ -125,13 +97,11 @@ class ClassificationContext(_CachedRecord):
     classes and ``is_polynomial`` is sign-faithful, and coroots that
     descend, so the predicates pair with them as they are.  The even
     orthogonal family is rejected here and served solely by the ambient
-    counterexample entry points.  The weight basis with the kernel must
-    be unimodular, and its dual lifts dual to the simple coroots: one
-    lift per coroot, each lift pairing to 0 with every other coroot and
-    to at least 1 with its own, and the coroots pairing to 0 with the d
-    vectors and the kernel; ``DomainError`` otherwise.  The modulus
-    ``prpow`` = p^r is formed once, by ``lattice.prime_power``, which
-    refuses a p^r past ``lattice.PRPOW_BIT_LIMIT`` bits.
+    counterexample entry points.  The coordinate rows, and the duality
+    premises they rest on, are ``weyl.coordinate_rows``'s; a datum failing
+    a premise is refused with ``DomainError``.  The modulus ``prpow`` = p^r
+    is formed once, by ``lattice.prime_power``, which refuses a p^r past
+    ``lattice.PRPOW_BIT_LIMIT`` bits.
     """
 
     _fields = ("datum", "p", "r")
@@ -152,34 +122,14 @@ class ClassificationContext(_CachedRecord):
                 f"datum {datum.spec_string} fails construction "
                 f"hypotheses {', '.join(report.failed)}"
             )
-        basis = datum.weight_basis
-        if basis is None:
-            raise DomainError(f"datum {datum.spec_string} has no dual lifts")
-        inverse_rows = _exact_inverse_rows(
-            list(basis) + list(datum.lattice.kernel_basis), datum.ambient_dim
-        )
-        self._coef = tuple(inverse_rows[: len(basis)])
-        # the duality decompose and enumerate_Pr read: coroot k pairs with
-        # each weight as diag[k] >= 1 times the weight's k-th coordinate
-        coroots = datum.simple_coroots
-        if len(datum.dual_lifts) != len(coroots):
-            raise DomainError(
-                f"datum {datum.spec_string} has {len(datum.dual_lifts)} dual "
-                f"lifts for {len(coroots)} simple coroots"
-            )
-        for k, (diag, row, cov) in enumerate(
-            zip(datum.basis_pairing_diag, self._coef, coroots)
-        ):
-            scaled = row if diag == 1 else tuple(diag * x for x in row)
-            if diag < 1 or scaled != tuple(cov):
-                raise DomainError(
-                    f"datum {datum.spec_string}: dual lift {k} is not dual to "
-                    "the simple coroots with a positive pairing"
-                )
+        coords = coordinate_rows(datum)
+        if coords.fault:
+            raise DomainError(coords.fault)
+        self._rows = coords.rows
 
     @property
     def rank(self):
-        return len(self._coef)
+        return len(self._rows)
 
     @property
     def dual_count(self):
@@ -189,7 +139,7 @@ class ClassificationContext(_CachedRecord):
         """Coordinates of the class in the weight basis (kernel dropped)."""
         check_dim(weight, self.datum.ambient_dim)
         return tuple(
-            sum(c * x for c, x in zip(row, weight)) for row in self._coef
+            sum(c * x for c, x in zip(row, weight)) for row in self._rows
         )
 
     def x0_coordinates(self, weight):
@@ -209,7 +159,7 @@ class ClassificationContext(_CachedRecord):
     def tables(self):
         """The sweep kernels' tables of the datum and its coordinate rows."""
         if "tables" not in self._cache:
-            self._cache["tables"] = tables_for(self.datum, self._coef)
+            self._cache["tables"] = tables_for(self.datum, self._rows)
         return self._cache["tables"]
 
     def phi(self, weight):

@@ -213,12 +213,12 @@ class QuotientLattice:
 
     def __init__(self, ambient_dim, kernel_basis=()):
         if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
+            raise DomainError("ambient dimension must be positive")
         self.ambient_dim = ambient_dim
         self.kernel_basis = tuple(tuple(v) for v in kernel_basis)
         rows, cols = _echelonize(self.kernel_basis, ambient_dim)
         if len(rows) != len(self.kernel_basis):
-            raise ValueError("kernel basis vectors are linearly dependent")
+            raise DomainError("kernel basis vectors are linearly dependent")
         self._rows = rows
         self._pivot_cols = cols
         self._support = None  # per coordinate: (kernel index, entry) pairs

@@ -106,7 +106,7 @@ def generate_group(generators):
     gens = [tuple(g) for g in generators]
     for g in gens:
         if not is_perm(g):
-            raise ValueError(f"not a permutation: {g}")
+            raise DomainError(f"not a permutation: {g}")
     n = len(gens[0]) if gens else 0
     for g in gens:
         check_dim(g, n)
@@ -227,6 +227,101 @@ def coroot_faults(datum):
                 )
         cache["coroot-faults"] = tuple(faults)
     return cache["coroot-faults"]
+
+
+CoordinateRows = namedtuple("CoordinateRows", "rows fault")
+
+
+def coordinate_rows(datum):
+    """The weight-basis coordinate rows of a datum that passes validation,
+    or the first fault of their premises (``rows`` is None); once per datum.
+
+    With s coroots, A_k = coroot k / ``basis_pairing_diag[k]`` and
+    u_j = sum_B n_Bj e_(a_B), a_B the first index of block B, the rows are
+    A_0, ..., A_(s-1), then u_j - sum_k (lift_k . u_j) A_k for each j.  The
+    premises, checked in this order, pair each coroot at its non-zero
+    entries: (1) the datum has dual lifts; (2) the lifts, the d vectors
+    and the kernel basis are n vectors; (3) there is one lift per coroot;
+    (4) every lift has the ambient length (``DimensionMismatch`` if not);
+    (5) each diagonal entry is at least 1 and divides its coroot; (6) lift
+    j pairs to 0 with coroot k != j; (7) each coroot kills each d vector.
+
+    Let S stack the lifts, the d vectors and the kernel basis.  Row k of
+    S^-1 is A_k by 5-7, as coroot k descends.  Row s + j kills the lifts
+    by 5 and 6, and on the block-constant d vectors and kernel, which the
+    A_k kill, it reads phi_j: 1 on d_j and 0 on the other d vectors and
+    the kernel, by (d) (see ``is_polynomial``).  No unimodularity is left
+    to check, as S is a basis of Z^n.  By 5 and 6, Z^n is the span of the
+    lifts plus X_0, the vectors that every A_k kills.  By 2, X_0 has rank
+    l plus the kernel rank, so the d vectors and the kernel, in X_0 by 7
+    and descent and independent by (d), span it over Q, and every vector
+    of X_0 is block-constant.  An integral block-constant v is
+    sum_B v[a_B] b_B by (a) and (b), and b_B is congruent to
+    sum_j n_Bj d_j by (d), so X_0 is the integral span of the d vectors
+    and the kernel.
+    """
+    cache = datum._cache
+    if "coordinate-rows" not in cache:
+        cache["coordinate-rows"] = _coordinate_rows(datum)
+    return cache["coordinate-rows"]
+
+
+def _coordinate_rows(datum):
+    spec, n = f"datum {datum.spec_string}", datum.ambient_dim
+    lifts, coroots = datum.dual_lifts, datum.simple_coroots
+
+    def fault(message):
+        return CoordinateRows(None, message)
+
+    if lifts is None:
+        return fault(f"{spec} has no dual lifts")
+    s, l = len(lifts), datum.x0_rank
+    if s + l + datum.lattice.kernel_rank != n:
+        return fault(f"{spec}: basis and kernel together must have full rank")
+    if s != len(coroots):
+        return fault(f"{spec} has {s} dual lifts for {len(coroots)} simple coroots")
+    for lift in lifts:
+        check_dim(lift, n)
+    columns = list(zip(*datum.weight_basis))
+    supports = [[(i, c) for i, c in enumerate(cov) if c] for cov in coroots]
+    pairings = []  # each coroot paired with the lifts, then the d vectors
+    for entries in supports:
+        got = [0] * (s + l)
+        for i, c in entries:
+            got = [g + c * x for g, x in zip(got, columns[i])]
+        pairings.append(got)
+    diag = [got[k] for k, got in enumerate(pairings)]
+    for k, (entries, d) in enumerate(zip(supports, diag)):
+        if d < 1:
+            return fault(
+                f"{spec}: dual lift {k} is not dual to the simple coroots with a "
+                "positive pairing"
+            )
+        if any(c % d for _, c in entries):
+            return fault(
+                f"{spec}: dual lift {k} pairs to {d} with a coroot it does not "
+                "divide, so the weight basis plus kernel is not unimodular"
+            )
+    for k, got in enumerate(pairings):
+        j = next((j for j in range(s) if got[j] and j != k), None)
+        if j is not None:
+            return fault(f"{spec}: dual lift {j} pairs to {got[j]} with coroot {k}")
+    for k, got in enumerate(pairings):
+        if any(got[s:]):
+            return fault(f"{spec}: coroot {k} pairs non-zero with a d vector")
+    rows = [[c // d for c in cov] for cov, d in zip(coroots, diag)]
+    for j in range(l):
+        u, weights = [0] * n, [0] * s  # weights[k] = lift_k . u_j
+        for blk, coeffs in zip(datum.blocks, datum.n_matrix):
+            c, a = coeffs[j], blk[0]
+            if c:
+                u[a] += c
+                weights = [w + c * x for w, x in zip(weights, columns[a])]
+        for w, entries, A in zip(weights, supports, rows):
+            for i, _ in entries if w else ():
+                u[i] -= w * A[i]
+        rows.append(u)
+    return CoordinateRows(tuple(map(tuple, rows)), None)
 
 
 def block_constant(vec, blocks):

@@ -94,7 +94,7 @@ class TestContext:
     @pytest.mark.parametrize(
         "lifts,message",
         [
-            (((1, 1),), "must have full rank"),
+            (((1, 1),), "not dual to the simple coroots with a positive pairing"),
             ((), "must have full rank"),
             (((2, 0),), "not unimodular"),
         ],

@@ -10,12 +10,17 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyweight
 from polyweight.certify import check_assumption, kernel_block_constancy
-from polyweight.classify import ClassificationContext, decompose, enumerate_Pr
+from polyweight.classify import (
+    ClassificationContext,
+    decompose,
+    enumerate_Pr,
+    weyl_orbit_witness_nonpolynomial,
+)
 from polyweight.errors import (
     CapExceeded,
     DomainError,
@@ -39,6 +44,7 @@ from polyweight.lattice import QuotientLattice, pair
 from polyweight.weyl import (
     ValidationReport,
     act,
+    coordinate_rows,
     generate_group,
     identity_perm,
     transposition,
@@ -736,6 +742,12 @@ NOT_DUAL = [
     # the pairing diagonal is (0, 0)
     ("zero-pairing", GSP4._replace(dual_lifts=GSP4.dual_lifts[::-1]),
      "dual lift 0 is not dual to the simple coroots with a positive pairing"),
+    # lift 1 pairs to 1 with coroot 0 and to 1 with its own coroot
+    ("lift-meets-another-coroot",
+     GL3._replace(dual_lifts=(GL3.dual_lifts[0], (2, 1, 0))),
+     "dual lift 1 pairs to 1 with coroot 0"),
+    ("coroot-meets-a-d-vector", build_gl(2)._replace(simple_coroots=((1, 0),)),
+     "coroot 0 pairs non-zero with a d vector"),
     # go:6 passes (c-lower) once its within-block transpositions are
     # generators, but the family has no dual lifts
     ("no-dual-lifts",
@@ -797,6 +809,11 @@ def test_a_generator_that_is_not_a_permutation_is_reported():
         ClassificationContext(broken, 3, 1)
     assumption = check_assumption(broken, 3, 1, box_radius=1)
     assert assumption.additivity_witness.skipped
+    # the entry points that list W refuse it
+    with pytest.raises(PolyweightError, match="not a permutation"):
+        weyl_orbit_witness_nonpolynomial((0,) * 5, (0,) * 5, broken, 3)
+    with pytest.raises(PolyweightError, match="not a permutation"):
+        broken.weyl_group()
 
 
 MUTATION_BASES = [
@@ -810,8 +827,9 @@ MUTABLE_FIELDS = (
 
 @st.composite
 def one_field_mutation(draw):
-    """A built-in datum with one field changed: an entry dropped,
-    duplicated or swapped with another, or one integer moved."""
+    """A built-in datum, one of its fields and a new value for it: an
+    entry dropped, duplicated or swapped with another, or one integer
+    moved.  The value of ``lattice`` is its kernel basis."""
     datum = draw(st.sampled_from(MUTATION_BASES))
 
     def value_of(field):
@@ -839,19 +857,21 @@ def one_field_mutation(draw):
             k = draw(st.integers(0, len(row) - 1))
             row[k] += delta
             value[i] = tuple(row)
-    if field == "lattice":
-        try:
-            return datum._replace(lattice=QuotientLattice(datum.ambient_dim, value))
-        except ValueError:
-            reject()
-    return datum._replace(**{field: tuple(value)})
+    return datum, field, tuple(value)
 
 
 @settings(max_examples=300, deadline=2000)
-@given(datum=one_field_mutation(), data=st.data())
-def test_a_mutated_datum_is_answered_or_refused(datum, data):
-    # every entry point answers or raises a PolyweightError, never another
-    # exception type
+@given(mutation=one_field_mutation(), data=st.data())
+def test_a_mutated_datum_is_answered_or_refused(mutation, data):
+    # building the mutated lattice and every entry point answer or raise
+    # a PolyweightError, never another exception type
+    base, field, value = mutation
+    if field == "lattice":
+        try:
+            value = QuotientLattice(base.ambient_dim, value)
+        except PolyweightError:
+            return
+    datum = base._replace(**{field: value})
     weight = data.draw(st.tuples(*[st.integers(-6, 6)] * datum.ambient_dim))
     calls = [
         datum.validation,
@@ -931,16 +951,46 @@ def test_normalisation_agrees_with_shift_search(spec):
         assert not has_nonneg_rep(lat, reduced, lift_window(reduced))
 
 
-@pytest.mark.parametrize("spec", NORMALISED_SPECS + ["gsp:40", "go:41"])
-def test_context_inverts_the_basis_plus_kernel_stack(spec):
+ORACLE_SPECS = [
+    (spec, order) for spec, order in LADDER
+    if parse_group_spec(spec).ambient_dim <= 21 or spec in ("gsp:40", "go:41")
+]
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    ORACLE_SPECS,
+    # the identity order keeps the bare spec as its id
+    ids=[spec if order is None or list(order) == sorted(order)
+         else f"{spec}@{''.join(map(str, order))}" for spec, order in ORACLE_SPECS],
+)
+def test_context_inverts_the_basis_plus_kernel_stack(spec, order):
     datum = parse_group_spec(spec)
-    rows = ClassificationContext(datum, 3, 1)._coef
+    if order is not None:
+        datum = permute_d(datum, order)
+    if datum.family == "go_even":
+        with pytest.raises(HypothesisFailure):
+            ClassificationContext(datum, 3, 1)
+        return
+    rows = ClassificationContext(datum, 3, 1).tables().coef
     stacked = datum.weight_basis + datum.lattice.kernel_basis
     assert len(stacked) == datum.ambient_dim
+    assert len(rows) == len(datum.weight_basis)
     for i, row in enumerate(rows):
         assert [sum(a * b for a, b in zip(row, col)) for col in stacked] == [
             int(i == j) for j in range(len(stacked))
         ]
+
+
+def test_the_context_reads_the_rows_of_the_datum():
+    # the rows and their premises are checked once per datum, and the
+    # context and its sweep tables hold those rows
+    datum = build_go_odd(7)
+    record = coordinate_rows(datum)
+    assert record.fault is None and coordinate_rows(datum) is record
+    ctx = ClassificationContext(datum, 3, 1)
+    assert ctx.tables().coef is record.rows
+    assert ctx.coordinates((1,) * 7) == tuple(map(sum, record.rows))
 
 
 BOX_CASES = (
@@ -1025,8 +1075,8 @@ def test_high_rank_context_inverse(spec):
     begin = time.perf_counter()
     ClassificationContext(datum, 3, 1)
     elapsed = time.perf_counter() - begin
-    # the bottom-up echelon form keeps the inverse at a fraction of a
-    # second here; a dense back-reduction took a second on gl:256 alone
+    # the coordinate rows pair each coroot at its non-zero entries only,
+    # so validation and the rows take a fraction of a second here
     assert elapsed < 1.0, f"{spec}: {elapsed:.2f} s"
 
 

@@ -69,8 +69,13 @@ class TestQuotientLattice:
         assert lat != GSP4_KERNEL
 
     def test_dependent_kernel_vectors_are_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="linearly dependent"):
             QuotientLattice(4, ((1, -1, -1, 1), (2, -2, -2, 2)))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_non_positive_dimension_is_rejected(self, n):
+        with pytest.raises(DomainError, match="must be positive"):
+            QuotientLattice(n)
 
     @given(vectors4, st.integers(-5, 5))
     def test_canonical_rep_constant_on_cosets(self, v, c):

@@ -176,3 +176,17 @@ def test_functional_imports_only_the_lattice_and_errors():
     # the certificate and the sweeps build on the functional, so a
     # context compiles the functional without either of them
     assert _imports_outside("functional.py", ("lattice", "errors")) == []
+
+
+def test_classify_inverts_no_matrix():
+    # the context reads its coordinate rows off the coroots, through
+    # ``weyl.coordinate_rows``, and row-reduces nothing
+    tree = ast.parse((PACKAGE_DIR / "classify.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_echelonize" not in imported
+    assert "coordinate_rows" in imported
