@@ -17,12 +17,13 @@ it runs.
 
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
-numpy int64 arrays; ``poly_consistency_sweep`` loops over the box point
-by point.
+numpy integer arrays; ``poly_consistency_sweep`` loops over the box
+point by point.
 Before sweeping, the vectorised kernels bound every intermediate from
-the radius, the modulus and the table entries, and raise DomainError
-when the bound does not fit in 64 bits, so no value wraps.  numpy is imported
-inside those functions only, so importing the package does not load it.
+the radius, the modulus and the table entries.  The bound picks the
+lane width: int32 when it fits in 31 bits, int64 when it fits in 63,
+and DomainError beyond, so no value wraps.  numpy is imported inside
+those functions only, so importing the package does not load it.
 
 Every kernel reads a ``classify.Tables`` bundle of the datum's own rows
 (``ClassificationContext.tables()``) by attribute, and evaluates the
@@ -30,11 +31,13 @@ scalar functional with ``functional.phi_ambient`` on it.  No package module
 imports this one: a caller of a sweep imports it.
 """
 
+from functools import reduce
 from itertools import product
 
 from .errors import DomainError
 from .functional import _box, phi_ambient
 
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 
 # Most box points a vectorised sweep holds at once.
@@ -52,20 +55,26 @@ def _nmat_colsum(t):
     return max(_max_abs_sum(zip(*t.n_matrix)), 1)
 
 
-def _require_int64(bound, kernel):
+def _lane(bound, kernel):
+    """The numpy dtype of a sweep whose intermediates stay within
+    ``bound`` in absolute value: int32 up to 2^31 - 1, int64 up to
+    2^63 - 1, and DomainError beyond."""
     if bound > _INT64_MAX:
         raise DomainError(
             f"{kernel}: intermediate values may reach {bound}, beyond the "
             "64-bit range of the vectorised sweep"
         )
+    return "int32" if bound <= _INT32_MAX else "int64"
 
 
-def _box_slabs(np, n, radius):
-    """The box [-radius, radius]^n in box order, as int64 slabs.
+def _box_slabs(np, n, radius, dtype):
+    """The box [-radius, radius]^n in box order, as slabs of ``dtype``.
 
     The trailing coordinates form a fixed grid of at most _SLAB_ROWS
     points and the leading ones are walked in Python; when a single
-    coordinate is wider than a slab, the last one is cut into runs.
+    coordinate is wider than a slab, the last one is cut into runs, and
+    when the grid is the whole box it is the one slab.  The caller picks
+    ``dtype`` with ``_lane``, from a bound of at least the radius.
     """
     width = 2 * radius + 1
     k, size = 0, 1
@@ -74,28 +83,37 @@ def _box_slabs(np, n, radius):
         size *= width
     lead = n - max(k, 1)
     if k:
-        tail = np.indices((width,) * k, dtype=np.int64).reshape(k, -1).T - radius
+        tail = np.indices((width,) * k, dtype=dtype).reshape(k, -1).T - radius
+        if k == n:
+            yield tail
+            return
     for prefix in _box(lead, radius):
         if k:
-            slab = np.empty((size, n), dtype=np.int64)
+            slab = np.empty((size, n), dtype=dtype)
             slab[:, lead:] = tail
             slab[:, :lead] = prefix
             yield slab
         else:
             for lo in range(-radius, radius + 1, _SLAB_ROWS):
                 hi = min(lo + _SLAB_ROWS, radius + 1)
-                slab = np.empty((hi - lo, n), dtype=np.int64)
+                slab = np.empty((hi - lo, n), dtype=dtype)
                 slab[:, :lead] = prefix
-                slab[:, lead] = np.arange(lo, hi, dtype=np.int64)
+                slab[:, lead] = np.arange(lo, hi, dtype=dtype)
                 yield slab
 
 
 def _phi_rows(np, vecs, blocks, nmat):
-    """``functional.phi_ambient`` applied to every row of an int64 array."""
-    out = np.zeros((len(vecs), nmat.shape[1]), dtype=np.int64)
+    """``functional.phi_ambient`` applied to every row of an array.
+
+    The result has the dtype of ``vecs``, and ``nmat`` must share it:
+    the caller's ``_lane`` bound covers every partial sum.  Each block
+    minimum is taken over column views, without copying the block.
+    """
+    out = np.zeros((len(vecs), nmat.shape[1]), dtype=vecs.dtype)
     for members, row in zip(blocks, nmat):
         if row.any():
-            out += vecs[:, members].min(axis=1)[:, None] * row
+            low = reduce(np.minimum, (vecs[:, a] for a in members))
+            out += low[:, None] * row
     return out
 
 
@@ -111,14 +129,14 @@ def pair_witness_sweep(t, radius):
 
     Outer weights are walked one at a time and the inner box a slab at a
     time; every value is bounded by 2 * radius times the largest column
-    sum of the n-matrix.
+    sum of the n-matrix, which picks the lane width.
     """
-    _require_int64(2 * radius * _nmat_colsum(t), "pair_witness_sweep")
+    dtype = _lane(2 * radius * _nmat_colsum(t), "pair_witness_sweep")
 
     import numpy as np
 
     n, blocks = t.n, t.blocks
-    nmat = np.array(t.n_matrix, dtype=np.int64)
+    nmat = np.array(t.n_matrix, dtype=dtype)
 
     def prepare(slab):
         # per inner point: phi, and each block's first minimum position
@@ -131,15 +149,15 @@ def pair_witness_sweep(t, radius):
 
     cached = None
     if (2 * radius + 1) ** n <= _SLAB_ROWS:
-        cached = [prepare(slab) for slab in _box_slabs(np, n, radius)]
+        cached = [prepare(slab) for slab in _box_slabs(np, n, radius, dtype)]
 
     checked = 0
     for lam in _box(n, radius):
         arg0 = [min(members, key=lam.__getitem__) for members in blocks]
-        lamv = np.array(lam, dtype=np.int64)
-        phil = np.array(phi_ambient(lam, t), dtype=np.int64)
+        lamv = np.array(lam, dtype=dtype)
+        phil = np.array(phi_ambient(lam, t), dtype=dtype)
         for slab, phip, argmins in cached or map(
-            prepare, _box_slabs(np, n, radius)
+            prepare, _box_slabs(np, n, radius, dtype)
         ):
             u = slab + lamv
             for a0, a1 in zip(arg0, argmins):
@@ -152,7 +170,7 @@ def pair_witness_sweep(t, radius):
             bad = (_phi_rows(np, u, blocks, nmat) != phip + phil).any(axis=1)
             if bad.any():
                 f = int(bad.argmax())
-                lamp = tuple(int(v) for v in slab[f])
+                lamp = tuple(slab[f].tolist())
                 return checked + f + 1, (lam, lamp)
             checked += len(slab)
     return checked, None
@@ -183,7 +201,7 @@ def poly_consistency_sweep(t, radius):
 
 
 def _flags_bound(t, prpow, vmax):
-    """Largest intermediate of ``_flag_words`` on entries up to ``vmax``."""
+    """Largest intermediate of ``_predicates`` on entries up to ``vmax``."""
     shifted = vmax + prpow * max((abs(c) for d in t.dvecs for c in d), default=0)
     return max(
         prpow,
@@ -192,25 +210,30 @@ def _flags_bound(t, prpow, vmax):
     )
 
 
-def _flag_words(np, t, vecs, prpow):
-    """The ``predicate_flags_box`` word of every row of an int64 array."""
-    nmat = np.array(t.n_matrix, dtype=np.int64)
-    coroots = np.array(t.coroots, dtype=np.int64).reshape(-1, t.n)
+def _lane_tables(np, t, prpow, dtype):
+    """The n-matrix, the coroots and prpow times each d vector, as
+    ``dtype`` arrays for ``_predicates``; ``_flags_bound`` covers them."""
+    return (
+        np.array(t.n_matrix, dtype=dtype),
+        np.array(t.coroots, dtype=dtype).reshape(-1, t.n),
+        prpow * np.array(t.dvecs, dtype=dtype).reshape(-1, t.n),
+    )
+
+
+def _predicates(np, t, vecs, prpow, tables):
+    """phi of every row of ``vecs``, and the masks of the rows that are
+    polynomial, restricted and in the literal digit set (polynomial,
+    restricted, and every distinguished shift by prpow leaves the
+    polynomial cone)."""
+    nmat, coroots, steps = tables
     phi = _phi_rows(np, vecs, t.blocks, nmat)
     poly = phi.min(axis=1) >= 0
     pairing = vecs @ coroots.T
     restricted = ((pairing >= 0) & (pairing <= prpow - 1)).all(axis=1)
-    inrange = ((phi >= 0) & (phi <= prpow - 1)).all(axis=1)
     literal = poly & restricted
-    for d in t.dvecs:
-        shifted = vecs - prpow * np.array(d, dtype=np.int64)
-        literal &= _phi_rows(np, shifted, t.blocks, nmat).min(axis=1) < 0
-    return (
-        poly.astype(np.int64)
-        | restricted.astype(np.int64) << 1
-        | inrange.astype(np.int64) << 2
-        | literal.astype(np.int64) << 3
-    )
+    for step in steps:
+        literal &= _phi_rows(np, vecs - step, t.blocks, nmat).min(axis=1) < 0
+    return phi, poly, restricted, literal
 
 
 def predicate_flags_box(t, prpow, radius):
@@ -221,13 +244,21 @@ def predicate_flags_box(t, prpow, radius):
     bit 3 the literal digit-set predicate (polynomial, restricted, and
     every distinguished shift by prpow leaves the polynomial cone).
     """
-    _require_int64(_flags_bound(t, prpow, radius), "predicate_flags_box")
+    dtype = _lane(_flags_bound(t, prpow, radius), "predicate_flags_box")
 
     import numpy as np
 
+    tables = _lane_tables(np, t, prpow, dtype)
     out = []
-    for slab in _box_slabs(np, t.n, radius):
-        out.extend(_flag_words(np, t, slab, prpow).tolist())
+    for slab in _box_slabs(np, t.n, radius, dtype):
+        phi, poly, restricted, literal = _predicates(np, t, slab, prpow, tables)
+        inrange = ((phi >= 0) & (phi <= prpow - 1)).all(axis=1)
+        out.extend((
+            poly.view(np.uint8)
+            | restricted.view(np.uint8) << 1
+            | inrange.view(np.uint8) << 2
+            | literal.view(np.uint8) << 3
+        ).tolist())
     return out
 
 
@@ -249,11 +280,11 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
 
     Returns (weights checked, tuple of at most max_failures (lam, count)).
     """
-    n, l, ns = t.n, len(t.dvecs), len(t.coroots)
+    n, ns = t.n, len(t.coroots)
     lam0p_max = (prpow - 1) * _max_abs_sum(zip(*t.basis))
     window_max = 1 + lam0p_max * _nmat_colsum(t) // prpow
     cand_max = lam0p_max + prpow * window_max * _max_abs_sum(zip(*t.dvecs))
-    _require_int64(
+    dtype = _lane(
         max(
             radius * max(_max_abs_sum(t.coef), 1),
             prpow * max(t.diag, default=1),
@@ -264,41 +295,41 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
 
     import numpy as np
 
-    nmat = np.array(t.n_matrix, dtype=np.int64)
-    coef = np.array(t.coef, dtype=np.int64).reshape(-1, n)
-    basis = np.array(t.basis, dtype=np.int64).reshape(-1, n)
-    diag = np.array(t.diag, dtype=np.int64)
+    tables = _lane_tables(np, t, prpow, dtype)
+    nmat, _, steps = tables
+    coef = np.array(t.coef, dtype=dtype).reshape(-1, n)
+    basis = np.array(t.basis, dtype=dtype).reshape(-1, n)
+    diag = np.array(t.diag, dtype=dtype)
 
     checked = 0
     failures = []
-    for slab in _box_slabs(np, n, radius):
+    for slab in _box_slabs(np, n, radius, dtype):
         checked += len(slab)
         digits = (slab @ coef.T) % prpow
         feasible = (diag * digits[:, :ns] <= prpow - 1).all(axis=1)
         lam0p = digits @ basis
+        del digits
         phi0 = _phi_rows(np, lam0p, t.blocks, nmat)
         window = 1 + np.abs(phi0).max(axis=1) // prpow
         astar = phi0 // prpow
+        del phi0
         count = np.zeros(len(slab), dtype=np.int64)
         star_hit = np.zeros(len(slab), dtype=bool)
         reach = int(window[feasible].max()) if feasible.any() else -1
-        for shift in product(range(-reach, reach + 1), repeat=l):
+        for shift in product(range(-reach, reach + 1), repeat=len(steps)):
             rows = np.flatnonzero(
                 feasible & (window >= max(map(abs, shift), default=0))
             )
-            offset = [
-                prpow * sum(c * d[a] for c, d in zip(shift, t.dvecs))
-                for a in range(n)
-            ]
-            cand = lam0p[rows] - np.array(offset, dtype=np.int64)
-            hit = _flag_words(np, t, cand, prpow) >> 3 == 1
+            coeffs = np.array(shift, dtype=dtype)
+            cand = lam0p[rows]
+            cand -= coeffs @ steps
+            hit = _predicates(np, t, cand, prpow, tables)[3]
             count[rows] += hit
-            star_hit[rows] |= hit & (astar[rows] == shift).all(axis=1)
+            star_hit[rows] |= hit & (astar[rows] == coeffs).all(axis=1)
         room = max_failures - len(failures)
         if room > 0:
-            bad = np.flatnonzero(~feasible | (count != 1) | ~star_hit)
+            bad = np.flatnonzero(~feasible | (count != 1) | ~star_hit)[:room]
             failures.extend(
-                (tuple(int(v) for v in slab[f]), int(count[f]))
-                for f in bad[:room]
+                zip(map(tuple, slab[bad].tolist()), count[bad].tolist())
             )
     return checked, tuple(failures)

@@ -389,13 +389,13 @@ def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow):
     functional in ambient semantics, so it serves the even orthogonal
     family, which no context accepts; a caller with a context passes
     ``ctx.datum, ctx.prpow``.  It checks ``weyl.require_shape``, then
-    raises ``ValueError`` if a coroot does not descend to the quotient.
+    raises ``DomainError`` if a coroot does not descend to the quotient.
     """
     check_dim(lam0, datum.ambient_dim)
     check_dim(lam_tilde, datum.ambient_dim)
     require_shape(datum)
     if coroot_faults(datum):
-        raise ValueError("covector is not kernel-annihilating")
+        raise DomainError("covector is not kernel-annihilating")
     if not _in_pr(lam0, datum, prpow):
         raise PreconditionError("lam0 is not in the digit set for this datum")
     shift = vec_scale(prpow, lam_tilde)

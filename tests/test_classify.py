@@ -183,6 +183,13 @@ class TestCorootDescent:
         with pytest.raises(ValueError, match="not kernel-annihilating"):
             weyl_orbit_witness_nonpolynomial((0,) * 4, (0,) * 4, broken, 3)
 
+    def test_the_orbit_witness_refuses_it_as_a_domain_error(self):
+        # a PolyweightError, which the command line exits 3 on, and still
+        # the ValueError the test above matches
+        broken = GSP4._replace(simple_coroots=GSP4.simple_roots)
+        with pytest.raises(DomainError, match="not kernel-annihilating"):
+            weyl_orbit_witness_nonpolynomial((0,) * 4, (0,) * 4, broken, 3)
+
     def test_descent_is_checked_once_per_datum(self, monkeypatch):
         datum = build_gsp(4)
         lattice_type = type(datum.lattice)

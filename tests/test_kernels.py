@@ -151,6 +151,23 @@ def test_corrupted_tables_match_loop_reference():
             ) == loop_kernels.predicate_flags_box(bad, prpow, 1)
 
 
+def scalar_flag_words(ctx, radius):
+    """The ``predicate_flags_box`` words of a box, from the public predicates."""
+    expected = []
+    for lam in box_points(ctx.datum.ambient_dim, radius):
+        poly = is_polynomial(lam, ctx)
+        restricted = is_restricted(lam, ctx)
+        inrange = all(0 <= v <= ctx.prpow - 1 for v in ctx.phi(lam))
+        literal = in_Pr(lam, ctx)
+        expected.append(
+            int(poly)
+            | (int(restricted) << 1)
+            | (int(inrange) << 2)
+            | (int(literal) << 3)
+        )
+    return expected
+
+
 class TestAgainstPublicPredicates:
     """The flag words match the high-level predicates in box order."""
 
@@ -159,22 +176,10 @@ class TestAgainstPublicPredicates:
     )
     def test_flag_bits(self, datum, p, r):
         ctx = ClassificationContext(datum, p, r)
-        t = ctx.tables()
         radius = 2
-        prpow = p**r
-        expected = []
-        for lam in box_points(t.n, radius):
-            poly = is_polynomial(lam, ctx)
-            restricted = is_restricted(lam, ctx)
-            inrange = all(0 <= v <= prpow - 1 for v in ctx.phi(lam))
-            literal = in_Pr(lam, ctx)
-            expected.append(
-                int(poly)
-                | (int(restricted) << 1)
-                | (int(inrange) << 2)
-                | (int(literal) << 3)
-            )
-        assert list(kernels.predicate_flags_box(t, prpow, radius)) == expected
+        assert list(
+            kernels.predicate_flags_box(ctx.tables(), p**r, radius)
+        ) == scalar_flag_words(ctx, radius)
 
 
 class TestFailureReporting:
@@ -350,14 +355,14 @@ class TestSlabs:
     @pytest.mark.parametrize("n,radius", [(1, 3), (2, 2), (3, 1), (2, 9)])
     def test_slabs_walk_the_box_in_order(self, monkeypatch, n, radius):
         monkeypatch.setattr(kernels, "_SLAB_ROWS", 4)
-        slabs = list(kernels._box_slabs(np, n, radius))
+        slabs = list(kernels._box_slabs(np, n, radius, np.int64))
         assert all(len(slab) <= 4 for slab in slabs)
         walked = [tuple(int(v) for v in row) for slab in slabs for row in slab]
         assert walked == list(box_points(n, radius))
 
     def test_huge_radius_yields_bounded_slabs(self):
         radius = 3037000500
-        slabs = kernels._box_slabs(np, 3, radius)
+        slabs = kernels._box_slabs(np, 3, radius, np.int64)
         first, second = next(slabs), next(slabs)
         assert len(first) == len(second) == kernels._SLAB_ROWS
         assert tuple(first[0]) == (-radius,) * 3
@@ -410,6 +415,107 @@ class TestInt64Bound:
             kernels.pair_witness_sweep(t, radius)
         with pytest.raises(DomainError):
             kernels.decompose_unique_sweep(t, 2, 2**63)
+
+
+def spy_lanes(monkeypatch):
+    """The lane of every sweep from now on, in call order."""
+    lanes = []
+    lane = kernels._lane
+
+    def recording(bound, kernel):
+        lanes.append(lane(bound, kernel))
+        return lanes[-1]
+
+    monkeypatch.setattr(kernels, "_lane", recording)
+    return lanes
+
+
+def plain(answer):
+    """Whether every number in a sweep answer is a plain ``int``."""
+    if isinstance(answer, (tuple, list)):
+        return all(map(plain, answer))
+    return type(answer) is int
+
+
+class TestLanes:
+    """The sweeps answer alike in int32 and in int64 lanes.
+
+    A sweep runs in int32 when its intermediate bound fits in 31 bits and
+    in int64 when it fits in 63; the answers are the exact ones on both
+    sides of the switch, and every entry is a plain ``int``.
+    """
+
+    @pytest.mark.parametrize("datum", [GL2, GO5], ids=["gl2", "go5"])
+    def test_every_power_of_two_modulus(self, monkeypatch, datum):
+        t = tables_of(datum, 2, 1)
+        top = 1
+        while True:
+            try:
+                kernels.decompose_unique_sweep(t, 2 ** (top + 1), 0)
+            except DomainError:
+                break
+            top += 1
+        lanes = spy_lanes(monkeypatch)
+        size = 3**t.n
+        for k in range(1, top + 1):
+            ctx = ClassificationContext(datum, 2, k)
+            sweep = kernels.decompose_unique_sweep(t, 2**k, 1, size)
+            flags = kernels.predicate_flags_box(t, 2**k, 1)
+            assert sweep == loop_kernels.decompose_unique_sweep(t, 2**k, 1, size)
+            assert flags == loop_kernels.predicate_flags_box(t, 2**k, 1)
+            assert sweep == (size, tuple(scalar_decompose_failures(ctx, 1)))
+            assert flags == scalar_flag_words(ctx, 1)
+            assert plain(sweep) and plain(flags)
+        # both sweeps switch lanes once, from int32 to int64
+        for sweep_lanes in (lanes[0::2], lanes[1::2]):
+            switch = sweep_lanes.index("int64")
+            assert 1 < switch < top
+            assert sweep_lanes == ["int32"] * switch + ["int64"] * (top - switch)
+
+    def test_decomposition_radii_on_both_sides_of_the_switch(self, monkeypatch):
+        # go(5) with coordinate row 1, whose digit meets the pairing
+        # diagonal entry 2, scaled by s: the radius term 2 * radius * s
+        # is the bound, radius 1 the last in int32 lanes, and the box
+        # corners reach it, so a wrapped row value would move a digit
+        # mod 3 and with it the failure set (s is 2 mod 3, so the digit
+        # varies)
+        t = tables_of(GO5, 3, 1)
+        s = (2**31 - 1) // 2 - 1
+        scaled = t._replace(
+            coef=tuple(
+                tuple(s * c for c in row) if k == 1 else row
+                for k, row in enumerate(t.coef)
+            )
+        )
+        lanes = spy_lanes(monkeypatch)
+        for radius in (1, 2):
+            size = (2 * radius + 1) ** 5
+            sweep = kernels.decompose_unique_sweep(scaled, 3, radius, size)
+            assert sweep == loop_kernels.decompose_unique_sweep(
+                scaled, 3, radius, size
+            )
+            assert sweep[1] and plain(sweep)
+        assert lanes == ["int32", "int64"]
+
+    def test_flag_and_pair_radii_on_both_sides_of_the_switch(self, monkeypatch):
+        # gl(2) with its n-matrix entry scaled by s: at modulus 2 the flag
+        # sweep's bound is (radius + 2) * s and the pair sweep's
+        # 2 * radius * s, so radius 1 is the last in int32 lanes for both.
+        # From radius 2 on phi(w.lam + lamp) passes 2^31 in absolute
+        # value, and from radius 4 on phi itself, where a wrap would flip
+        # the polynomial bit
+        t = tables_of(GL2, 2, 1)
+        s = (2**31 - 1) // 3
+        scaled = t._replace(n_matrix=((s,),))
+        lanes = spy_lanes(monkeypatch)
+        for radius in (1, 2, 3, 4):
+            flags = kernels.predicate_flags_box(scaled, 2, radius)
+            assert flags == loop_kernels.predicate_flags_box(scaled, 2, radius)
+            assert plain(flags)
+            assert kernels.pair_witness_sweep(
+                scaled, radius
+            ) == loop_kernels.pair_witness_sweep(scaled, radius)
+        assert lanes == ["int32"] * 2 + ["int64"] * 6
 
 
 def test_package_import_does_not_load_numpy():
