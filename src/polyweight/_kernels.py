@@ -18,7 +18,9 @@ it runs.
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
 numpy integer arrays; ``poly_consistency_sweep`` loops over the box
-point by point.
+point by point.  Their per-row minima, maxima, all and any reduce a few
+columns each, and go through ``_fold``, over column views.
+``predicate_flags_box`` packs one flag word per point into a byte.
 Before sweeping, the vectorised kernels bound every intermediate from
 the radius, the modulus and the table entries.  The bound picks the
 lane width: int32 when it fits in 31 bits, int64 when it fits in 63,
@@ -102,6 +104,21 @@ def _box_slabs(np, n, radius, dtype):
                 yield slab
 
 
+def _fold(np, ufunc, arr):
+    """``ufunc`` reduced along axis 1 of a 2-D array, folded over its
+    column views.
+
+    The sweeps reduce a few columns per row, which numpy does far faster
+    column by column than along the axis.  With no column, as for the
+    coroot pairings and dual digits of data with no simple coroot such as
+    gl:1, every row reads the ufunc's identity: True for all, False for
+    any.
+    """
+    if not arr.shape[1]:
+        return np.full(len(arr), ufunc.identity, dtype=arr.dtype)
+    return reduce(ufunc, (arr[:, k] for k in range(arr.shape[1])))
+
+
 def _phi_rows(np, vecs, blocks, nmat):
     """``functional.phi_ambient`` applied to every row of an array.
 
@@ -167,7 +184,8 @@ def pair_witness_sweep(t, radius):
                 b = a1[hit]
                 u[hit, a0] = lamv[b] + slab[hit, a0]
                 u[hit, b] = lam[a0] + slab[hit, b]
-            bad = (_phi_rows(np, u, blocks, nmat) != phip + phil).any(axis=1)
+            phiu = _phi_rows(np, u, blocks, nmat)
+            bad = _fold(np, np.logical_or, phiu != phip + phil)
             if bad.any():
                 f = int(bad.argmax())
                 lamp = tuple(slab[f].tolist())
@@ -227,39 +245,45 @@ def _predicates(np, t, vecs, prpow, tables):
     polynomial cone)."""
     nmat, coroots, steps = tables
     phi = _phi_rows(np, vecs, t.blocks, nmat)
-    poly = phi.min(axis=1) >= 0
+    poly = _fold(np, np.minimum, phi) >= 0
     pairing = vecs @ coroots.T
-    restricted = ((pairing >= 0) & (pairing <= prpow - 1)).all(axis=1)
+    restricted = _fold(np, np.logical_and, (pairing >= 0) & (pairing <= prpow - 1))
     literal = poly & restricted
     for step in steps:
-        literal &= _phi_rows(np, vecs - step, t.blocks, nmat).min(axis=1) < 0
+        shifted = _phi_rows(np, vecs - step, t.blocks, nmat)
+        literal &= _fold(np, np.minimum, shifted) < 0
     return phi, poly, restricted, literal
 
 
 def predicate_flags_box(t, prpow, radius):
     """Evaluate the membership predicates at every point of a box.
 
-    Returns one flag word per point, in box order: bit 0 polynomial
-    (phi sign test), bit 1 restricted, bit 2 phi within [0, prpow - 1],
-    bit 3 the literal digit-set predicate (polynomial, restricted, and
-    every distinguished shift by prpow leaves the polynomial cone).
+    Returns the flag words as one ``bytearray``, one byte per point in
+    box order, so indexing or iterating it gives each word as an ``int``
+    and it compares equal to the ``bytes`` of the same words: bit 0
+    polynomial (phi sign test), bit 1 restricted, bit 2 phi within
+    [0, prpow - 1], bit 3 the literal digit-set predicate (polynomial,
+    restricted, and every distinguished shift by prpow leaves the
+    polynomial cone).  A byte per word takes an eighth of the memory of
+    a list of ints, and the array stays mutable, so a caller can edit a
+    copy of the answer word by word.
     """
     dtype = _lane(_flags_bound(t, prpow, radius), "predicate_flags_box")
 
     import numpy as np
 
     tables = _lane_tables(np, t, prpow, dtype)
-    out = []
+    words = bytearray()
     for slab in _box_slabs(np, t.n, radius, dtype):
         phi, poly, restricted, literal = _predicates(np, t, slab, prpow, tables)
-        inrange = ((phi >= 0) & (phi <= prpow - 1)).all(axis=1)
-        out.extend((
+        inrange = _fold(np, np.logical_and, (phi >= 0) & (phi <= prpow - 1))
+        words += (
             poly.view(np.uint8)
             | restricted.view(np.uint8) << 1
             | inrange.view(np.uint8) << 2
             | literal.view(np.uint8) << 3
-        ).tolist())
-    return out
+        ).tobytes()
+    return words
 
 
 def decompose_unique_sweep(t, prpow, radius, max_failures=5):
@@ -306,11 +330,11 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
     for slab in _box_slabs(np, n, radius, dtype):
         checked += len(slab)
         digits = (slab @ coef.T) % prpow
-        feasible = (diag * digits[:, :ns] <= prpow - 1).all(axis=1)
+        feasible = _fold(np, np.logical_and, diag * digits[:, :ns] <= prpow - 1)
         lam0p = digits @ basis
         del digits
         phi0 = _phi_rows(np, lam0p, t.blocks, nmat)
-        window = 1 + np.abs(phi0).max(axis=1) // prpow
+        window = 1 + _fold(np, np.maximum, np.abs(phi0)) // prpow
         astar = phi0 // prpow
         del phi0
         count = np.zeros(len(slab), dtype=np.int64)
@@ -325,7 +349,7 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
             cand -= coeffs @ steps
             hit = _predicates(np, t, cand, prpow, tables)[3]
             count[rows] += hit
-            star_hit[rows] |= hit & (astar[rows] == coeffs).all(axis=1)
+            star_hit[rows] |= hit & _fold(np, np.logical_and, astar[rows] == coeffs)
         room = max_failures - len(failures)
         if room > 0:
             bad = np.flatnonzero(~feasible | (count != 1) | ~star_hit)[:room]

@@ -13,6 +13,7 @@ owns the rows the sweeps read (``Tables``), so it never loads ``_kernels``.
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .errors import (
@@ -347,9 +348,21 @@ def enumerate_Pr(ctx):
 
     Iterates the dual digits over their admissible ranges and the
     functional target over [0, p^r - 1]^l, reconstructs each candidate
-    from the weight basis, and keeps those passing the literal predicate.
-    Raises CapExceeded, before building any candidate, when there are
-    more than ``ENUMERATE_CAP`` of them.
+    from the weight basis, and keeps the canonical representatives of
+    those passing the literal predicate.  Raises CapExceeded, before
+    building any candidate, when there are more than ``ENUMERATE_CAP`` of
+    them.
+
+    No two candidates share a class, so the representatives are sorted
+    without a set.  The candidate of dual digits c and target t is
+    sum_k c_k lift_k + sum_j (t_j - phi_j(base_c)) d_j, where base_c
+    depends on c alone: its weight-basis coordinates are c, then
+    t - phi(base_c), distinct for distinct (c, t).  Distinct coordinates
+    are distinct classes because the weight basis and the kernel basis
+    together form a basis of Z^n, which the context's premises give
+    (``validation()`` passes and ``weyl.coordinate_rows`` finds no
+    fault).  Two equal neighbours after the sort would break this, and
+    raise.
     """
     step = ctx.prpow
     datum = ctx.datum
@@ -365,7 +378,7 @@ def enumerate_Pr(ctx):
             f"{ENUMERATE_CAP} candidates"
         )
     digit_ranges = [range(size) for size in sizes]
-    out = set()
+    out = []
     for digs in itertools.product(*digit_ranges):
         base = ctx.from_coordinates(list(digs) + [0] * l)
         phib = ctx.phi(base)
@@ -376,8 +389,11 @@ def enumerate_Pr(ctx):
                 if shift:
                     cand = vec_add(cand, vec_scale(shift, d))
             if in_Pr(cand, ctx):
-                out.add(datum.lattice.canonical_rep(cand))
-    return tuple(sorted(out))
+                out.append(datum.lattice.canonical_rep(cand))
+    out.sort()
+    if any(map(operator.eq, out, itertools.islice(out, 1, None))):
+        raise AssertionError("enumeration met a class twice")
+    return tuple(out)
 
 
 def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow):

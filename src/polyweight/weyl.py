@@ -83,16 +83,9 @@ def act_covector(p, covector):
 def generate_group(generators):
     """The group the permutations generate, as a sorted tuple.
 
-    A deterministic Schreier-Sims algorithm (Seress, *Permutation Group
-    Algorithms*, 2003, Ch. 4) builds the stabilizer chain of the group G
-    on the base 0, ..., n - 1.  G_k is the pointwise stabilizer of 0, ...,
-    k - 1 in G, and level k holds, for each point b of the orbit of k
-    under G_k, one element of G_k taking k to b.  Levels complete from the
-    last up; a completed level k makes levels k, ..., n - 1 a chain of the
-    subgroup of G that the strong generators fixing 0, ..., k - 1
-    generate, and its order is the product of their orbit lengths.
-    ``CapExceeded`` is raised as soon as that order passes ``WEYL_CAP``,
-    before any element is listed.
+    ``CapExceeded`` is raised as soon as the order of the
+    ``stabilizer_chain`` passes ``WEYL_CAP``, before any element is
+    listed.
 
     Every g in G is one product u_0 u_1 ... u_(n-1) of a representative
     from each level.  The factors after u_k fix 0, ..., k, so g agrees on
@@ -102,6 +95,26 @@ def generate_group(generators):
     in lexicographic, that is sorted, order.  Only the levels with more
     than one representative are walked, each at least doubling the order,
     so the walk is at most log2(WEYL_CAP) deep.
+    """
+    chain = stabilizer_chain(generators, cap=WEYL_CAP)
+    e = identity_perm(len(chain))
+    return tuple(_walk(e, [orbit for orbit in chain if len(orbit) > 1]))
+
+
+def stabilizer_chain(generators, cap=None):
+    """The stabilizer chain of the group G the permutations generate.
+
+    A deterministic Schreier-Sims algorithm (Seress, *Permutation Group
+    Algorithms*, 2003, Ch. 4) builds the chain on the base 0, ..., n - 1.
+    G_k is the pointwise stabilizer of 0, ..., k - 1 in G, and level k,
+    the k-th dict of the returned list, maps each point b of the orbit of
+    k under G_k to one element of G_k taking k to b.  Levels complete
+    from the last up; a completed level k makes levels k, ..., n - 1 a
+    chain of the subgroup of G that the strong generators fixing 0, ...,
+    k - 1 generate, and its order is the product of their orbit lengths.
+    With a ``cap``, ``CapExceeded`` is raised as soon as that order passes
+    it.  Without one the chain holds at most n (n + 1) / 2
+    representatives, whatever the order.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -135,12 +148,10 @@ def generate_group(generators):
                 strong.append(residue)
                 k = residue[0]
                 continue
-            if math.prod(map(len, chain[k:])) > WEYL_CAP:
-                raise CapExceeded(
-                    f"group closure exceeded cap of {WEYL_CAP} elements"
-                )
+            if cap is not None and math.prod(map(len, chain[k:])) > cap:
+                raise CapExceeded(f"group closure exceeded cap of {cap} elements")
         k -= 1
-    return tuple(_walk(e, [orbit for orbit in chain if len(orbit) > 1]))
+    return chain
 
 
 def _walk(prefix, levels):
@@ -154,20 +165,40 @@ def _walk(prefix, levels):
         yield from _walk(compose(prefix, orbit[b]), levels[1:])
 
 
+def _sift(t, chain, k=0):
+    """Sift the permutation t, which fixes 0, ..., k - 1, through levels
+    k, ..., n - 1 of a chain: at each level j that t moves, divide out
+    the representative taking j to t[j].  Returns (j, h) where h, which
+    fixes 0, ..., j - 1 and moves j, leaves the chain at level j, or None
+    when t sifts to the identity, that is when the chain's group holds t.
+    """
+    for j in range(k, len(t)):
+        if t[j] != j:
+            if t[j] not in chain[j]:
+                return j, t
+            t = compose(inverse(chain[j][t[j]]), t)
+    return None
+
+
 def _schreier_residue(k, gens, chain):
     """The first Schreier generator g u of level k that the chain does not
-    hold, as (j, h): sifted through levels k, ..., n - 1, it leaves the
-    chain at level j as h, which fixes 0, ..., j - 1 and moves j.  None
-    when every one sifts to the identity, so that level k is complete."""
+    hold, as ``_sift`` leaves it, or None when every one sifts to the
+    identity, so that level k is complete."""
     for u in chain[k].values():
         for g in gens:
-            t = compose(g, u)
-            for j in range(k, len(t)):
-                if t[j] != j:
-                    if t[j] not in chain[j]:
-                        return j, t
-                    t = compose(inverse(chain[j][t[j]]), t)
+            residue = _sift(compose(g, u), chain, k)
+            if residue:
+                return residue
     return None
+
+
+def weyl_chain(datum):
+    """The stabilizer chain of the datum's Weyl group, with no cap, built
+    once per datum; for membership tests, which sift and list nothing."""
+    cache = datum._cache
+    if "weyl-chain" not in cache:
+        cache["weyl-chain"] = stabilizer_chain(datum.weyl_generators)
+    return cache["weyl-chain"]
 
 
 class ValidationReport(
@@ -421,7 +452,9 @@ def check_hypotheses(datum):
     every generator is an even permutation, as for the even orthogonal
     family, W lies in the alternating group and holds no transposition,
     so each such pair is a witness at once.  Only when some generator is
-    odd does such a pair fall back to the Weyl closure.  When some
+    odd does such a pair fall back to the Weyl group: the transposition
+    is sifted through the datum's ``weyl_chain``, and no element of W is
+    listed, so no ``WEYL_CAP`` applies.  When some
     generator is not a permutation, (c-upper) fails and there is no Weyl
     group to list, so (c-lower) reports every such pair as a witness; the
     pairs that the permutation generators' transpositions join still pass.
@@ -470,16 +503,17 @@ def check_hypotheses(datum):
         if len(moved) == 2:
             parent[root(moved[0])] = root(moved[1])
 
-    closure = None
     for bi, blk in enumerate(datum.blocks):
         for x, y in itertools.combinations(sorted(blk), 2):
             # a pair with an index out of range is (b)'s partition witness
             if x < 0 or y >= n or root(x) == root(y):
                 continue
-            if closure is None and not all_even:
-                # W is undefined when a generator is not a permutation
-                closure = set() if wit_c_upper else set(datum.weyl_group())
-            if all_even or transposition(n, x, y) not in closure:
+            # W is undefined when a generator is not a permutation
+            if (
+                all_even
+                or wit_c_upper
+                or _sift(transposition(n, x, y), weyl_chain(datum)) is not None
+            ):
                 wit_c_lower.append(
                     f"(c-lower): transposition ({x}, {y}) within block {bi} "
                     "is not in the generated Weyl group"

@@ -377,6 +377,21 @@ class TestEnumerate:
         with pytest.raises(CapExceeded, match=r"p\^r = 3\^1 has more than 2 cand"):
             enumerate_Pr(c)
 
+    def test_a_merged_class_breaks_the_postcondition(self, monkeypatch):
+        # the candidates are distinct classes, so the enumeration keeps no
+        # set; a canonical form that merges the classes of (1,) and (2,)
+        # leaves two equal neighbours, which must raise
+        c = ctx(build_gl(1), 3, 1)
+        lattice = type(c.datum.lattice)
+        canonical = lattice.canonical_rep
+
+        def merging(self, weight):
+            return canonical(self, (1,) if tuple(weight) == (2,) else weight)
+
+        monkeypatch.setattr(lattice, "canonical_rep", merging)
+        with pytest.raises(AssertionError, match="met a class twice"):
+            enumerate_Pr(c)
+
     @pytest.mark.parametrize(
         "n,p,r", [(1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]
     )

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyweight
+from polyweight import weyl
 from polyweight.certify import check_assumption, kernel_block_constancy
 from polyweight.classify import (
     ClassificationContext,
@@ -47,6 +48,7 @@ from polyweight.weyl import (
     coordinate_rows,
     generate_group,
     identity_perm,
+    stabilizer_chain,
     transposition,
 )
 from shift_oracle import box_window, has_nonneg_rep, lift_window
@@ -183,11 +185,13 @@ def test_generate_group_refuses_before_listing(spec):
     assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-def test_c_lower_falls_back_to_the_closure():
-    # (0 1) joins only 0 and 1, but with the 3-cycle it generates S_3
+def test_c_lower_falls_back_to_sifting():
+    # (0 1) joins only 0 and 1, but with the 3-cycle it generates S_3; the
+    # other pairs are sifted through the cached chain, and W is not listed
     datum = build_gl(3)._replace(weyl_generators=((1, 2, 0), (1, 0, 2)))
     assert validate_datum(datum).c_lower
-    assert "weyl" in datum._cache
+    assert "weyl-chain" in datum._cache
+    assert "weyl" not in datum._cache
     # a 3-cycle alone is even, so no transposition lies in its group
     cyclic = build_gl(3)._replace(weyl_generators=((1, 2, 0),))
     assert [w[:31] for w in validate_datum(cyclic).witnesses] == [
@@ -195,7 +199,33 @@ def test_c_lower_falls_back_to_the_closure():
         "(c-lower): transposition (0, 2)",
         "(c-lower): transposition (1, 2)",
     ]
-    assert "weyl" not in cyclic._cache
+    assert "weyl-chain" not in cyclic._cache
+
+
+def test_c_lower_sifts_past_the_listing_cap():
+    # a 9-cycle and (0 1) generate S_9, whose 362,880 elements pass
+    # WEYL_CAP; sifting decides every pair without listing one
+    cycle = tuple((i + 1) % 9 for i in range(9))
+    datum = build_gl(9)._replace(weyl_generators=(cycle, transposition(9, 0, 1)))
+    report = datum.validation()
+    assert report.c_lower and report.all_ok, report.witnesses
+    assert "weyl" not in datum._cache
+    with pytest.raises(CapExceeded, match="cap of 100000 elements"):
+        datum.weyl_group()
+
+
+@pytest.mark.parametrize("gens", HAND_BUILT.values(), ids=HAND_BUILT)
+def test_sifting_decides_membership(gens):
+    # every permutation of the points sifts to the identity exactly when
+    # sympy's stabilizer chain holds it
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in gens]
+    )
+    chain = stabilizer_chain(gens)
+    for p in itertools.permutations(range(len(gens[0]))):
+        member = oracle.contains(combinatorics.Permutation(list(p)))
+        assert (weyl._sift(p, chain) is None) == member, p
 
 
 def test_blocks_partition_indices():

@@ -37,15 +37,21 @@ GL3 = build_gl(3)
 GSP4 = build_gsp(4)
 GO5 = build_go_odd(5)
 LEVI23 = build_levi([2, 3])
+# no simple coroot: the sweeps' restricted and feasible masks reduce
+# zero columns
+GL1 = build_gl(1)
+LEVI111 = build_levi([1, 1, 1])
 
 CASES = [
+    (GL1, 3, 1, 2),
     (GL2, 2, 1, 2),
     (GL3, 3, 1, 2),
     (GSP4, 2, 2, 1),
     (GO5, 2, 1, 1),
     (LEVI23, 5, 1, 1),
+    (LEVI111, 2, 2, 1),
 ]
-CASE_IDS = ["gl2", "gl3", "gsp4", "go5", "levi23"]
+CASE_IDS = ["gl1", "gl2", "gl3", "gsp4", "go5", "levi23", "levi111"]
 
 
 def tables_of(datum, p, r):
@@ -96,9 +102,9 @@ class TestAgainstLoopReference:
 
     def test_predicate_flags_box(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
-        assert kernels.predicate_flags_box(
-            t, p**r, radius + 1
-        ) == loop_kernels.predicate_flags_box(t, p**r, radius + 1)
+        assert kernels.predicate_flags_box(t, p**r, radius + 1) == bytes(
+            loop_kernels.predicate_flags_box(t, p**r, radius + 1)
+        )
 
     def test_decompose_unique_sweep(self, datum, p, r, radius):
         t = tables_of(datum, p, r)
@@ -146,9 +152,9 @@ def test_corrupted_tables_match_loop_reference():
             assert kernels.decompose_unique_sweep(
                 bad, prpow, 1, 10**6
             ) == loop_kernels.decompose_unique_sweep(bad, prpow, 1, 10**6)
-            assert kernels.predicate_flags_box(
-                bad, prpow, 1
-            ) == loop_kernels.predicate_flags_box(bad, prpow, 1)
+            assert kernels.predicate_flags_box(bad, prpow, 1) == bytes(
+                loop_kernels.predicate_flags_box(bad, prpow, 1)
+            )
 
 
 def scalar_flag_words(ctx, radius):
@@ -172,14 +178,16 @@ class TestAgainstPublicPredicates:
     """The flag words match the high-level predicates in box order."""
 
     @pytest.mark.parametrize(
-        "datum,p,r", [(GL2, 2, 1), (GSP4, 3, 1)], ids=["gl2", "gsp4"]
+        "datum,p,r",
+        [(GL1, 3, 1), (GL2, 2, 1), (GSP4, 3, 1), (LEVI111, 2, 2)],
+        ids=["gl1", "gl2", "gsp4", "levi111"],
     )
     def test_flag_bits(self, datum, p, r):
         ctx = ClassificationContext(datum, p, r)
         radius = 2
-        assert list(
-            kernels.predicate_flags_box(ctx.tables(), p**r, radius)
-        ) == scalar_flag_words(ctx, radius)
+        assert kernels.predicate_flags_box(ctx.tables(), p**r, radius) == bytes(
+            scalar_flag_words(ctx, radius)
+        )
 
 
 class TestFailureReporting:
@@ -234,13 +242,15 @@ def test_tables_replace_roundtrip():
 
 
 SCALAR_CASES = [
+    (GL1, 2),
     (GL2, 2),
     (GL3, 2),
     (GSP4, 1),
     (GO5, 1),
     (LEVI23, 1),
+    (LEVI111, 1),
 ]
-SCALAR_IDS = ["gl2", "gl3", "gsp4", "go5", "levi23"]
+SCALAR_IDS = ["gl1", "gl2", "gl3", "gsp4", "go5", "levi23", "levi111"]
 
 
 class TestPairSweepAgainstScalar:
@@ -442,7 +452,8 @@ class TestLanes:
 
     A sweep runs in int32 when its intermediate bound fits in 31 bits and
     in int64 when it fits in 63; the answers are the exact ones on both
-    sides of the switch, and every entry is a plain ``int``.
+    sides of the switch, every entry of a decomposition answer is a plain
+    ``int``, and the flag words are a ``bytearray``.
     """
 
     @pytest.mark.parametrize("datum", [GL2, GO5], ids=["gl2", "go5"])
@@ -462,10 +473,10 @@ class TestLanes:
             sweep = kernels.decompose_unique_sweep(t, 2**k, 1, size)
             flags = kernels.predicate_flags_box(t, 2**k, 1)
             assert sweep == loop_kernels.decompose_unique_sweep(t, 2**k, 1, size)
-            assert flags == loop_kernels.predicate_flags_box(t, 2**k, 1)
+            assert flags == bytes(loop_kernels.predicate_flags_box(t, 2**k, 1))
             assert sweep == (size, tuple(scalar_decompose_failures(ctx, 1)))
-            assert flags == scalar_flag_words(ctx, 1)
-            assert plain(sweep) and plain(flags)
+            assert flags == bytes(scalar_flag_words(ctx, 1))
+            assert plain(sweep) and type(flags) is bytearray
         # both sweeps switch lanes once, from int32 to int64
         for sweep_lanes in (lanes[0::2], lanes[1::2]):
             switch = sweep_lanes.index("int64")
@@ -510,8 +521,8 @@ class TestLanes:
         lanes = spy_lanes(monkeypatch)
         for radius in (1, 2, 3, 4):
             flags = kernels.predicate_flags_box(scaled, 2, radius)
-            assert flags == loop_kernels.predicate_flags_box(scaled, 2, radius)
-            assert plain(flags)
+            assert flags == bytes(loop_kernels.predicate_flags_box(scaled, 2, radius))
+            assert type(flags) is bytearray
             assert kernels.pair_witness_sweep(
                 scaled, radius
             ) == loop_kernels.pair_witness_sweep(scaled, radius)
