@@ -84,12 +84,13 @@ def _box_slabs(np, n, radius, dtype):
         k += 1
         size *= width
     lead = n - max(k, 1)
+    prefixes = _box(lead, radius)  # refuses a negative radius
     if k:
         tail = np.indices((width,) * k, dtype=dtype).reshape(k, -1).T - radius
         if k == n:
             yield tail
             return
-    for prefix in _box(lead, radius):
+    for prefix in prefixes:
         if k:
             slab = np.empty((size, n), dtype=dtype)
             slab[:, lead:] = tail

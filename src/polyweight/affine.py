@@ -9,11 +9,11 @@ section-style shift bound a and the bijection check cover the rank-one
 distinguished case.
 """
 
-import itertools
 from collections import namedtuple
 
 from .classify import simple_membership
 from .errors import CapExceeded, DomainError, PreconditionError, ShiftRangeError
+from .functional import _box
 from .lattice import (
     QuotientLattice,
     _echelonize,
@@ -32,13 +32,15 @@ def _translation_lattice(datum, p, with_kernel):
     """Span of p times the simple roots, plus the kernel sublattice when
     ``with_kernel``; cached per datum, prime and flag."""
     key = ("translation-span", p, with_kernel)
-    if key not in datum._cache:
-        gens = [vec_scale(p, root) for root in datum.simple_roots]
-        if with_kernel:
-            gens.extend(datum.lattice.kernel_basis)
-        rows, _ = _echelonize(gens, datum.ambient_dim)
-        datum._cache[key] = QuotientLattice(datum.ambient_dim, tuple(rows))
-    return datum._cache[key]
+    return datum._cached(key, _translation_span, datum, p, with_kernel)
+
+
+def _translation_span(datum, p, with_kernel):
+    gens = [vec_scale(p, root) for root in datum.simple_roots]
+    if with_kernel:
+        gens.extend(datum.lattice.kernel_basis)
+    rows, _ = _echelonize(gens, datum.ambient_dim)
+    return QuotientLattice(datum.ambient_dim, tuple(rows))
 
 
 class AffineElement(namedtuple("AffineElement", "w translation")):
@@ -76,22 +78,23 @@ def _parity_rows(datum):
     Each row carries an integer lift so that solutions can be pulled
     back to Z.
     """
-    cache = datum._cache
-    if "parity-rows" not in cache:
-        rows = []
-        for k in datum.lattice._rows:
-            par = [c & 1 for c in k]
-            lift = list(k)
-            for pcol, prow, plift in rows:
-                if par[pcol]:
-                    par = [a ^ b for a, b in zip(par, prow)]
-                    lift = [a + b for a, b in zip(lift, plift)]
-            piv = next((i for i, c in enumerate(par) if c), None)
-            if piv is not None:
-                rows.append((piv, par, lift))
-        rows.sort()
-        cache["parity-rows"] = rows
-    return cache["parity-rows"]
+    return datum._cached("parity-rows", _parity_echelon, datum.lattice._rows)
+
+
+def _parity_echelon(kernel_rows):
+    rows = []
+    for k in kernel_rows:
+        par = [c & 1 for c in k]
+        lift = list(k)
+        for pcol, prow, plift in rows:
+            if par[pcol]:
+                par = [a ^ b for a, b in zip(par, prow)]
+                lift = [a + b for a, b in zip(lift, plift)]
+        piv = next((i for i, c in enumerate(par) if c), None)
+        if piv is not None:
+            rows.append((piv, par, lift))
+    rows.sort()
+    return rows
 
 
 def halve_class(vec, datum):
@@ -121,17 +124,17 @@ def _rho_shift(w, datum):
     only guaranteed even as a class; the quotient-exact halving picks a
     fixed representative.  Results are cached per group element.
     """
-    cache = datum._cache.setdefault("rho-shift", {})
-    if w not in cache:
-        two_rho = datum.positive_root_sum_twice
-        moved = vec_sub(act(w, two_rho), two_rho)
-        try:
-            cache[w] = halve_class(moved, datum)
-        except ValueError as exc:
-            raise DomainError(
-                "rho shift class is not divisible; datum is inconsistent"
-            ) from exc
-    return cache[w]
+    return datum._cached(("rho-shift", w), _halved_rho_shift, w, datum)
+
+
+def _halved_rho_shift(w, datum):
+    two_rho = datum.positive_root_sum_twice
+    try:
+        return halve_class(vec_sub(act(w, two_rho), two_rho), datum)
+    except ValueError as exc:
+        raise DomainError(
+            "rho shift class is not divisible; datum is inconsistent"
+        ) from exc
 
 
 def _twist(w, weight, datum):
@@ -171,6 +174,7 @@ def orbit_in_box(weight, p, box_radius, datum):
     """
     n = datum.ambient_dim
     check_dim(weight, n)
+    points = _box(n, box_radius)
     if (2 * box_radius + 1) ** n > ORBIT_BOX_CAP:
         raise CapExceeded(
             f"orbit scan of the box of radius {box_radius} in dimension {n} "
@@ -181,19 +185,18 @@ def orbit_in_box(weight, p, box_radius, datum):
         membership.canonical_rep(_twist(w, weight, datum))
         for w in datum.weyl_group()
     }
-    cache = datum._cache.setdefault("orbit-slices", {})
-    key = (p, box_radius, min(base_forms))
-    if key not in cache:
-        found = set()
-        for x in itertools.product(
-            range(-box_radius, box_radius + 1), repeat=n
-        ):
-            if membership.canonical_rep(x) in base_forms:
-                found.add(datum.lattice.canonical_rep(x))
-        cache[key] = tuple(sorted(found))
-    return OrbitSlice(
-        base=tuple(weight), box_radius=box_radius, elements=cache[key]
-    )
+    key = ("orbit-slice", p, box_radius, min(base_forms))
+    elements = datum._cached(key, _orbit_scan, points, membership, base_forms, datum)
+    return OrbitSlice(base=tuple(weight), box_radius=box_radius, elements=elements)
+
+
+def _orbit_scan(points, membership, base_forms, datum):
+    found = {
+        datum.lattice.canonical_rep(x)
+        for x in points
+        if membership.canonical_rep(x) in base_forms
+    }
+    return tuple(sorted(found))
 
 
 def shift_bound_a(weight, ctx):

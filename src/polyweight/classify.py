@@ -159,9 +159,7 @@ class ClassificationContext(_CachedRecord):
 
     def tables(self):
         """The sweep kernels' tables of the datum and its coordinate rows."""
-        if "tables" not in self._cache:
-            self._cache["tables"] = tables_for(self.datum, self._rows)
-        return self._cache["tables"]
+        return self._cached("tables", tables_for, self.datum, self._rows)
 
     def phi(self, weight):
         return phi_ambient(weight, self.datum)
@@ -203,10 +201,13 @@ def is_polynomial(weight, ctx):
 
 def is_restricted(weight, ctx):
     """All simple-coroot pairings lie in [0, p^r - 1]."""
-    bound = ctx.prpow - 1
-    for cov in ctx.datum.simple_coroots:
-        val = pair(weight, cov)
-        if val < 0 or val > bound:
+    return _restricted(weight, ctx.datum, ctx.prpow)
+
+
+def _restricted(weight, datum, prpow):
+    """``is_restricted`` for a datum and modulus, on ``weight`` as given."""
+    for cov in datum.simple_coroots:
+        if not 0 <= pair(weight, cov) < prpow:
             return False
     return True
 
@@ -235,13 +236,10 @@ def _in_pr(weight, datum, prpow):
     minimum times its n-matrix row, exactly.
     """
     value = phi_ambient(weight, datum)
-    if min(value) < 0:
+    if min(value) < 0 or not _restricted(weight, datum, prpow):
         return False
-    for cov in datum.simple_coroots:
-        val = pair(weight, cov)
-        if val < 0 or val > prpow - 1:
-            return False
-    for d, met in zip(datum.d_vectors, _shift_blocks(datum)):
+    met_by_d = datum._cached("shift-blocks", _shift_blocks, datum)
+    for d, met in zip(datum.d_vectors, met_by_d):
         shifted = value
         for blk, row in met:
             low = min(weight[a] for a in blk)
@@ -254,18 +252,15 @@ def _in_pr(weight, datum, prpow):
 
 def _shift_blocks(datum):
     """For each distinguished weight d, the blocks that meet its support,
-    paired with their n-matrix rows; computed once per datum."""
-    cache = datum._cache
-    if "shift-blocks" not in cache:
-        cache["shift-blocks"] = tuple(
-            tuple(
-                (blk, row)
-                for blk, row in zip(datum.blocks, datum.n_matrix)
-                if any(d[a] for a in blk)
-            )
-            for d in datum.d_vectors
+    paired with their n-matrix rows; ``_in_pr`` keeps it per datum."""
+    return tuple(
+        tuple(
+            (blk, row)
+            for blk, row in zip(datum.blocks, datum.n_matrix)
+            if any(d[a] for a in blk)
         )
-    return cache["shift-blocks"]
+        for d in datum.d_vectors
+    )
 
 
 class Decomposition(namedtuple("Decomposition", "lambda0 lambda_tilde")):

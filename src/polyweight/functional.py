@@ -6,10 +6,10 @@ the non-negative n-matrix.  It is constant on kernel classes and detects
 membership in the polynomial cone through its sign.  ``phi`` evaluates
 it on a class of a datum meeting every construction hypothesis, and
 ``phi_ambient`` on a fixed representative.  ``_box`` walks the boxes of
-``certify`` and ``_kernels``, which both build on this module.
+``certify``, ``_kernels`` and ``affine``, which all build on this module.
 """
 
-from .errors import HypothesisFailure
+from .errors import DomainError, HypothesisFailure
 from .lattice import check_dim
 
 
@@ -46,10 +46,19 @@ def phi(weight, datum):
 def _box(dim, radius):
     """The points of [-radius, radius]^dim in box order, made one at a time.
 
-    ``itertools.product`` walks the same order but first stores the
-    2 * radius + 1 values as a tuple; this holds one point, so a huge
-    radius costs no memory.
+    This is the radius rule of every box walk: a negative radius raises
+    ``DomainError`` at the call, before any point is made, and radius 0
+    is the one-point box.  Box order is ascending lexicographic, the last
+    coordinate fastest.  ``itertools.product`` walks the same order but
+    first stores the 2 * radius + 1 values as a tuple; this holds one
+    point, so a huge radius costs no memory.
     """
+    if radius < 0:
+        raise DomainError(f"box radius must be at least 0, got {radius}")
+    return _box_points(dim, radius)
+
+
+def _box_points(dim, radius):
     point = [-radius] * dim
     while True:
         yield tuple(point)

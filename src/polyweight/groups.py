@@ -40,14 +40,23 @@ from .lattice import QuotientLattice, pair, vec_scale, vec_sub
 
 
 class _CachedRecord:
-    """Field-wise repr and equality for a mutable record with a cache.
+    """Field-wise repr and equality for a mutable record with one memo.
 
     ``_fields`` names the compared and printed attributes, in order; the
-    per-instance ``_cache`` dict is neither.  Instances are unhashable.
+    ``_cache`` dict, which only ``_cached`` reads or writes, is neither.
+    Instances are unhashable.
     """
 
     _fields = ()
     __hash__ = None
+
+    def _cached(self, key, compute, *args):
+        """``compute(*args)``, once per ``key``; a hit allocates nothing."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute(*args)
+            return value
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -117,38 +126,33 @@ class GroupDatum(_CachedRecord):
     def d_vectors(self):
         return tuple(self.b[i] for i in self.d_indices)
 
-    def _derived(self, key, compute):
-        """``compute(dual_lifts)``, cached; None without dual lifts."""
-        if key not in self._cache:
-            lifts = self.dual_lifts
-            self._cache[key] = None if lifts is None else compute(tuple(lifts))
-        return self._cache[key]
-
     @property
     def weight_basis(self):
-        return self._derived("weight-basis", lambda lifts: lifts + self.d_vectors)
+        return self._cached("weight-basis", _weight_basis, self)
 
     @property
     def basis_pairing_diag(self):
-        return self._derived(
-            "pairing-diag", lambda lifts: tuple(map(pair, lifts, self.simple_coroots))
-        )
+        return self._cached("pairing-diag", _pairing_diag, self)
 
     def weyl_group(self):
         """All Weyl elements, sorted and cached; CapExceeded above WEYL_CAP."""
-        if "weyl" not in self._cache:
-            from .weyl import generate_group, identity_perm
+        from .weyl import generate_group, identity_perm
 
-            if self.weyl_generators:
-                self._cache["weyl"] = generate_group(self.weyl_generators)
-            else:
-                self._cache["weyl"] = (identity_perm(self.ambient_dim),)
-        return self._cache["weyl"]
+        gens = self.weyl_generators or (identity_perm(self.ambient_dim),)
+        return self._cached("weyl", generate_group, gens)
 
     def validation(self):
-        if "validation" not in self._cache:
-            self._cache["validation"] = validate_datum(self)
-        return self._cache["validation"]
+        return self._cached("validation", validate_datum, self)
+
+
+def _weight_basis(datum):
+    lifts = datum.dual_lifts
+    return None if lifts is None else tuple(lifts) + datum.d_vectors
+
+
+def _pairing_diag(datum):
+    lifts = datum.dual_lifts
+    return None if lifts is None else tuple(map(pair, lifts, datum.simple_coroots))
 
 
 # Largest ambient dimension a builder accepts: a datum holds O(n) dense

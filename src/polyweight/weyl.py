@@ -20,6 +20,12 @@ from .lattice import _echelonize, check_dim
 # Most elements ``generate_group`` lists, read at each call.
 WEYL_CAP = 100_000
 
+# Most permutation entries ``stabilizer_chain`` composes, into orbit
+# representatives and Schreier generators, before it refuses; read at each
+# call.  The built-in data compose at most 1.14 M before ``WEYL_CAP``
+# refuses them, on gsp:2048 and go:2047.
+CHAIN_WORK_CAP = 1_500_000
+
 
 def identity_perm(n):
     return tuple(range(n))
@@ -114,7 +120,10 @@ def stabilizer_chain(generators, cap=None):
     k - 1 generate, and its order is the product of their orbit lengths.
     With a ``cap``, ``CapExceeded`` is raised as soon as that order passes
     it.  Without one the chain holds at most n (n + 1) / 2
-    representatives, whatever the order.
+    representatives, whatever the order.  Either way ``CapExceeded`` is
+    raised as soon as the entries composed into orbit representatives and
+    Schreier generators pass ``CHAIN_WORK_CAP``; each Schreier generator
+    is sifted (``_sift``) before the next is composed.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -130,7 +139,7 @@ def stabilizer_chain(generators, cap=None):
         (next(i for i, v in enumerate(g) if v != i), g) for g in gens if g != e
     ]
     chain = [{k: e} for k in range(n)]
-    k = n - 1
+    work, k = 0, n - 1
     while k >= 0:
         level = [g for j, g in strong if j >= k]
         chain[k] = orbit = {k: e}
@@ -143,7 +152,19 @@ def stabilizer_chain(generators, cap=None):
                     queue.append(orbit[b])
         # with one point, every generator lies in G_(k+1), complete already
         if len(orbit) > 1:
-            residue = _schreier_residue(k, level, chain)
+            work += n * (len(orbit) - 1)
+            # the first Schreier generator g u that the chain does not hold,
+            # as _sift leaves it; with none, level k is complete
+            for u, g in itertools.product(orbit.values(), level):
+                work += n
+                if work > CHAIN_WORK_CAP:
+                    raise CapExceeded(
+                        f"stabilizer chain composed more than {CHAIN_WORK_CAP} "
+                        "permutation entries"
+                    )
+                residue = _sift(compose(g, u), chain, k)
+                if residue:
+                    break
             if residue:
                 strong.append(residue)
                 k = residue[0]
@@ -180,25 +201,10 @@ def _sift(t, chain, k=0):
     return None
 
 
-def _schreier_residue(k, gens, chain):
-    """The first Schreier generator g u of level k that the chain does not
-    hold, as ``_sift`` leaves it, or None when every one sifts to the
-    identity, so that level k is complete."""
-    for u in chain[k].values():
-        for g in gens:
-            residue = _sift(compose(g, u), chain, k)
-            if residue:
-                return residue
-    return None
-
-
 def weyl_chain(datum):
     """The stabilizer chain of the datum's Weyl group, with no cap, built
     once per datum; for membership tests, which sift and list nothing."""
-    cache = datum._cache
-    if "weyl-chain" not in cache:
-        cache["weyl-chain"] = stabilizer_chain(datum.weyl_generators)
-    return cache["weyl-chain"]
+    return datum._cached("weyl-chain", stabilizer_chain, datum.weyl_generators)
 
 
 class ValidationReport(
@@ -242,22 +248,21 @@ def coroot_faults(datum):
     or that is not of the ambient length, is a witness.  Hypothesis (d)
     and every pairing on classes rest on this one check.
     """
-    cache = datum._cache
-    if "coroot-faults" not in cache:
-        n = datum.ambient_dim
-        faults = []
-        for j, cov in enumerate(datum.simple_coroots):
-            if len(cov) != n:
-                faults.append(
-                    f"(d): simple coroot {j} has length {len(cov)}, not {n}"
-                )
-            elif not datum.lattice.annihilates(cov):
-                faults.append(
-                    f"(d): simple coroot {j} does not annihilate the kernel, "
-                    "so it does not descend to the quotient"
-                )
-        cache["coroot-faults"] = tuple(faults)
-    return cache["coroot-faults"]
+    return datum._cached("coroot-faults", _coroot_faults, datum)
+
+
+def _coroot_faults(datum):
+    n = datum.ambient_dim
+    faults = []
+    for j, cov in enumerate(datum.simple_coroots):
+        if len(cov) != n:
+            faults.append(f"(d): simple coroot {j} has length {len(cov)}, not {n}")
+        elif not datum.lattice.annihilates(cov):
+            faults.append(
+                f"(d): simple coroot {j} does not annihilate the kernel, "
+                "so it does not descend to the quotient"
+            )
+    return tuple(faults)
 
 
 CoordinateRows = namedtuple("CoordinateRows", "rows fault")
@@ -291,10 +296,7 @@ def coordinate_rows(datum):
     sum_j n_Bj d_j by (d), so X_0 is the integral span of the d vectors
     and the kernel.
     """
-    cache = datum._cache
-    if "coordinate-rows" not in cache:
-        cache["coordinate-rows"] = _coordinate_rows(datum)
-    return cache["coordinate-rows"]
+    return datum._cached("coordinate-rows", _coordinate_rows, datum)
 
 
 def _coordinate_rows(datum):
@@ -373,14 +375,15 @@ def kernel_faults(datum):
     witness.  A kernel basis that is block-constant spans only
     block-constant vectors.
     """
-    cache = datum._cache
-    if "kernel-faults" not in cache:
-        cache["kernel-faults"] = tuple(
-            f"(d): kernel vector {vec} is not constant on every block"
-            for vec in datum.lattice.kernel_basis
-            if not block_constant(vec, datum.blocks)
-        )
-    return cache["kernel-faults"]
+    return datum._cached("kernel-faults", _kernel_faults, datum)
+
+
+def _kernel_faults(datum):
+    return tuple(
+        f"(d): kernel vector {vec} is not constant on every block"
+        for vec in datum.lattice.kernel_basis
+        if not block_constant(vec, datum.blocks)
+    )
 
 
 def _d_index_outside(datum):
@@ -393,34 +396,35 @@ def shape_faults(datum):
     reads, checked once per datum: blocks partitioning the indices, d
     indices naming rows of ``b``, and one non-negative n-matrix row of
     the d-list length per block."""
-    cache = datum._cache
-    if "shape-faults" not in cache:
-        rows, blocks, rank = datum.n_matrix, datum.blocks, datum.x0_rank
-        wit_b, wit_d = [], []
-        outside = _d_index_outside(datum)
-        if outside is not None:
+    return datum._cached("shape-faults", _shape_faults, datum)
+
+
+def _shape_faults(datum):
+    rows, blocks, rank = datum.n_matrix, datum.blocks, datum.x0_rank
+    wit_b, wit_d = [], []
+    outside = _d_index_outside(datum)
+    if outside is not None:
+        wit_d.append(
+            f"(d): d index {outside} names no row of the {len(datum.b)} "
+            "block indicators"
+        )
+    indices = sorted(a for blk in blocks for a in blk)
+    if indices != list(range(datum.ambient_dim)):
+        wit_b.append("(b): the blocks do not partition the indices")
+    if len(rows) != len(blocks):
+        wit_d.append(
+            f"(d): n-matrix row count {len(rows)} differs from "
+            f"block count {len(blocks)}"
+        )
+    for i, row in enumerate(rows):
+        if len(row) != rank:
             wit_d.append(
-                f"(d): d index {outside} names no row of the {len(datum.b)} "
-                "block indicators"
+                f"(d): expansion of b[{i}] has length {len(row)}, not the "
+                f"d-list length {rank}"
             )
-        indices = sorted(a for blk in blocks for a in blk)
-        if indices != list(range(datum.ambient_dim)):
-            wit_b.append("(b): the blocks do not partition the indices")
-        if len(rows) != len(blocks):
-            wit_d.append(
-                f"(d): n-matrix row count {len(rows)} differs from "
-                f"block count {len(blocks)}"
-            )
-        for i, row in enumerate(rows):
-            if len(row) != rank:
-                wit_d.append(
-                    f"(d): expansion of b[{i}] has length {len(row)}, not the "
-                    f"d-list length {rank}"
-                )
-            elif min(row, default=0) < 0:
-                wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
-        cache["shape-faults"] = (tuple(wit_b), tuple(wit_d))
-    return cache["shape-faults"]
+        elif min(row, default=0) < 0:
+            wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
+    return tuple(wit_b), tuple(wit_d)
 
 
 def require_shape(datum):
@@ -454,10 +458,11 @@ def check_hypotheses(datum):
     so each such pair is a witness at once.  Only when some generator is
     odd does such a pair fall back to the Weyl group: the transposition
     is sifted through the datum's ``weyl_chain``, and no element of W is
-    listed, so no ``WEYL_CAP`` applies.  When some
-    generator is not a permutation, (c-upper) fails and there is no Weyl
-    group to list, so (c-lower) reports every such pair as a witness; the
-    pairs that the permutation generators' transpositions join still pass.
+    listed, so no ``WEYL_CAP`` applies; a chain past ``CHAIN_WORK_CAP``
+    raises ``CapExceeded``.  When some generator is not a permutation,
+    (c-upper) fails and there is no Weyl group to list, so (c-lower)
+    reports every such pair as a witness; the pairs that the permutation
+    generators' transpositions join still pass.
 
     (d) speaks of the characters killed by every coroot, which is defined
     on classes only when each simple coroot annihilates the kernel, and

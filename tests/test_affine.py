@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,38 @@ class TestOrbitInBox:
         with pytest.raises(CapExceeded, match="more than 27 points"):
             orbit_in_box((1, 0, 1), 2, 2, GL3)
 
+    def test_a_negative_radius_is_refused(self):
+        # the radius rule of functional._box, where an empty slice would do
+        for datum, lam in ((GL2, (1, 0)), (GL3, (1, 0, 1))):
+            with pytest.raises(DomainError, match="box radius"):
+                orbit_in_box(lam, 2, -1, datum)
+
+    def test_radius_zero_is_the_origin(self):
+        assert orbit_in_box((0, 0), 2, 0, GL2).elements == ((0, 0),)
+        assert orbit_in_box((1, 0), 2, 0, GL2).elements == ()
+
+    def test_another_weight_of_the_orbit_scans_no_box(self, monkeypatch):
+        # the slice is kept per prime, radius and orbit, and the rho shift
+        # per Weyl element, so a second weight of the orbit reuses both
+        datum = build_gsp(4)
+        calls = Counter()
+        for name in ("_orbit_scan", "_halved_rho_shift"):
+
+            def counted(*args, _name=name, _compute=getattr(affine, name)):
+                calls[_name] += 1
+                return _compute(*args)
+
+            monkeypatch.setattr(affine, name, counted)
+        lam = (1, 0, 0, 0)
+        first = orbit_in_box(lam, 2, 2, datum)
+        expected = {"_orbit_scan": 1, "_halved_rho_shift": len(datum.weyl_group())}
+        assert calls == expected
+        w = datum.weyl_group()[-1]
+        other = vec_add(act(w, lam), _rho_shift(w, datum))
+        assert datum.lattice.canonical_rep(other) != datum.lattice.canonical_rep(lam)
+        assert orbit_in_box(other, 2, 2, datum).elements == first.elements
+        assert calls == expected
+
 
 class TestShiftBound:
     def test_gl2_frozen(self):
@@ -281,6 +314,12 @@ class TestShiftBijection:
         assert result.shift_bound == 0
         assert result.counterexample is None
         assert result.orbit_size > 0
+
+    def test_a_negative_radius_is_refused(self):
+        # an empty orbit at R = -1 would make the check vacuously ok
+        c = ClassificationContext(GL3, 5, 1)
+        with pytest.raises(DomainError, match="box radius"):
+            check_shift_bijection((0, 0, 0), 1, c, -1)
 
     def test_zero_shift_is_vacuous(self):
         c = ClassificationContext(GL2, 2, 1)

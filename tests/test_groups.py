@@ -214,6 +214,20 @@ def test_c_lower_sifts_past_the_listing_cap():
         datum.weyl_group()
 
 
+def test_the_uncapped_chain_has_a_work_bound():
+    # a 100-cycle and (0 1) generate S_100, whose full chain takes about
+    # 15 s; the work cap refuses it first
+    n = 100
+    cycle = tuple((i + 1) % n for i in range(n))
+    datum = build_gl(n)._replace(weyl_generators=(cycle, transposition(n, 0, 1)))
+    begin = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"more than {weyl.CHAIN_WORK_CAP} "):
+        datum.validation()
+    elapsed = time.perf_counter() - begin
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert "weyl-chain" not in datum._cache
+
+
 @pytest.mark.parametrize("gens", HAND_BUILT.values(), ids=HAND_BUILT)
 def test_sifting_decides_membership(gens):
     # every permutation of the points sifts to the identity exactly when

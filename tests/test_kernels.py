@@ -6,8 +6,10 @@ and the vectorised sweeps against the plain loops in ``loop_kernels``,
 value for value in the fixed box order.
 """
 
+import contextlib
 import itertools
 import random
+import signal
 import subprocess
 import sys
 
@@ -27,7 +29,7 @@ from polyweight.classify import (
     is_restricted,
 )
 from polyweight.errors import DecompositionUnavailable, DomainError
-from polyweight.functional import phi
+from polyweight.functional import _box, phi
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
 from polyweight.lattice import vec_add, vec_scale, vec_sub
 from polyweight.weyl import act
@@ -377,6 +379,69 @@ class TestSlabs:
         assert len(first) == len(second) == kernels._SLAB_ROWS
         assert tuple(first[0]) == (-radius,) * 3
         assert tuple(second[0]) == (-radius, -radius, -radius + kernels._SLAB_ROWS)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in a call still running after ``seconds``, so a
+    sweep that loops for ever fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# each box walk as (tables, modulus, radius) -> answer
+BOX_WALKS = {
+    "box": lambda t, prpow, radius: sum(1 for _ in _box(t.n, radius)),
+    "pair_witness_sweep": lambda t, prpow, radius: kernels.pair_witness_sweep(
+        t, radius
+    ),
+    "poly_consistency_sweep": lambda t, prpow, radius: (
+        kernels.poly_consistency_sweep(t, radius)
+    ),
+    "predicate_flags_box": kernels.predicate_flags_box,
+    "decompose_unique_sweep": kernels.decompose_unique_sweep,
+}
+
+
+class TestBoxRadius:
+    """The radius rule of ``functional._box`` holds for every box walk."""
+
+    @pytest.mark.parametrize("walk", BOX_WALKS.values(), ids=BOX_WALKS)
+    @pytest.mark.parametrize("datum", [GL2, GL3], ids=["gl2", "gl3"])
+    def test_a_negative_radius_is_refused(self, datum, walk):
+        # without the rule, the box walk at R = -1 never ends and the numpy
+        # sweeps end in numpy's "negative dimensions" ValueError
+        t = tables_of(datum, 3, 1)
+        with deadline(5), pytest.raises(DomainError, match="box radius"):
+            walk(t, 3, -1)
+
+    def test_the_refusal_comes_before_any_point(self):
+        with pytest.raises(DomainError, match="at least 0, got -2"):
+            _box(2, -2)
+        with pytest.raises(DomainError, match="box radius"):
+            next(kernels._box_slabs(np, 3, -1, np.int32))
+
+    @pytest.mark.parametrize("datum", [GL2, GL3], ids=["gl2", "gl3"])
+    def test_radius_zero_is_the_origin(self, datum):
+        t = tables_of(datum, 3, 1)
+        n = datum.ambient_dim
+        assert list(_box(n, 0)) == [(0,) * n]
+        assert list(_box(0, 5)) == [()]
+        assert kernels.pair_witness_sweep(t, 0) == (1, None)
+        assert kernels.poly_consistency_sweep(t, 0) == (1, None)
+        assert list(kernels.predicate_flags_box(t, 3, 0)) == scalar_flag_words(
+            ClassificationContext(datum, 3, 1), 0
+        )
+        assert kernels.decompose_unique_sweep(t, 3, 0) == (1, ())
 
 
 class TestInt64Bound:

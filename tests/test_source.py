@@ -190,3 +190,43 @@ def test_classify_inverts_no_matrix():
     }
     assert "_echelonize" not in imported
     assert "coordinate_rows" in imported
+
+
+def _record_classes(tree):
+    """The classes of a module that are ``_CachedRecord`` or derive from it."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (
+            node.name == "_CachedRecord"
+            or any(getattr(base, "id", None) == "_CachedRecord" for base in node.bases)
+        ):
+            yield node
+
+
+def test_only_the_record_names_its_cache():
+    # every derived fact goes through ``_CachedRecord._cached``: the record
+    # constructors create the empty memo, and nothing else reads or writes it
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for cls in _record_classes(tree):
+            if cls.name == "_CachedRecord":
+                allowed.update(ast.walk(cls))
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    allowed.update(
+                        sub for sub in ast.walk(node)
+                        if isinstance(getattr(sub, "ctx", None), ast.Store)
+                    )
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if node not in allowed
+            and (
+                getattr(node, "attr", None) == "_cache"
+                or getattr(node, "id", None) == "_cache"
+                or (isinstance(node, ast.Constant) and node.value == "_cache")
+            )
+        ]
+    assert found == []
