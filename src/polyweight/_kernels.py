@@ -18,8 +18,15 @@ it runs.
 ``pair_witness_sweep``, ``predicate_flags_box`` and
 ``decompose_unique_sweep`` evaluate a slab of box points at a time with
 numpy integer arrays; ``poly_consistency_sweep`` loops over the box
-point by point.  Their per-row minima, maxima, all and any reduce a few
-columns each, and go through ``_fold``, over column views.
+point by point.  A slab holds at most ``_SLAB_BYTES`` (64 KiB) of
+points: ``_SLAB_BYTES // (n * itemsize)`` rows of n coordinates in the
+sweep's lane, and at least one.  Every per-slab temporary is a few
+arrays of those rows, so the working set of a sweep is bounded in bytes
+whatever the rank and the lane; it sets part of the peak memory of a
+caller that sweeps many boxes.  A slab stacks as many whole grids of
+trailing coordinates as fit, because each slab costs a fixed number of
+numpy calls.  The sweeps' per-row minima, maxima, all and any reduce a
+few columns each, and go through ``_fold``, over column views.
 ``predicate_flags_box`` packs one flag word per point into a byte.
 Before sweeping, the vectorised kernels bound every intermediate from
 the radius, the modulus and the table entries.  The bound picks the
@@ -34,7 +41,7 @@ imports this one: a caller of a sweep imports it.
 """
 
 from functools import reduce
-from itertools import product
+from itertools import groupby, islice, product
 
 from .errors import DomainError
 from .functional import _box, phi_ambient
@@ -42,8 +49,9 @@ from .functional import _box, phi_ambient
 _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 
-# Most box points a vectorised sweep holds at once.
-_SLAB_ROWS = 1 << 16
+# Most bytes of box points a vectorised sweep holds at once, in one slab;
+# ``_slab_rows`` turns it into rows for a dimension and a lane.
+_SLAB_BYTES = 1 << 16
 
 
 def _max_abs_sum(vectors):
@@ -69,18 +77,30 @@ def _lane(bound, kernel):
     return "int32" if bound <= _INT32_MAX else "int64"
 
 
+def _slab_rows(np, n, dtype):
+    """Most rows of a slab of n coordinates of ``dtype``: as many as fit
+    in _SLAB_BYTES, and at least one."""
+    return max(_SLAB_BYTES // (n * np.dtype(dtype).itemsize), 1)
+
+
 def _box_slabs(np, n, radius, dtype):
     """The box [-radius, radius]^n in box order, as slabs of ``dtype``.
 
-    The trailing coordinates form a fixed grid of at most _SLAB_ROWS
-    points and the leading ones are walked in Python; when a single
-    coordinate is wider than a slab, the last one is cut into runs, and
-    when the grid is the whole box it is the one slab.  The caller picks
-    ``dtype`` with ``_lane``, from a bound of at least the radius.
+    A slab holds at most ``_slab_rows(np, n, dtype)`` points, so at most
+    _SLAB_BYTES bytes (or one row) whatever n and the lane.  The trailing
+    coordinates form a fixed grid of at most that many points, and the
+    leading ones are walked in Python; a slab stacks the grids of as many
+    consecutive leading prefixes as fit, so every slab but the last is at
+    least half full and a slab's fixed cost in numpy calls is spread over
+    as many points as the budget allows.  When a single coordinate is
+    wider than a slab, the last one is cut into runs, and when the grid
+    is the whole box it is the one slab.  The caller picks ``dtype`` with
+    ``_lane``, from a bound of at least the radius.
     """
+    rows = _slab_rows(np, n, dtype)
     width = 2 * radius + 1
     k, size = 0, 1
-    while k < n and size * width <= _SLAB_ROWS:
+    while k < n and size * width <= rows:
         k += 1
         size *= width
     lead = n - max(k, 1)
@@ -90,19 +110,19 @@ def _box_slabs(np, n, radius, dtype):
         if k == n:
             yield tail
             return
+        while batch := list(islice(prefixes, rows // size)):
+            slab = np.empty((len(batch), size, n), dtype=dtype)
+            slab[:, :, lead:] = tail
+            slab[:, :, :lead] = np.array(batch, dtype=dtype)[:, None, :]
+            yield slab.reshape(-1, n)
+        return
     for prefix in prefixes:
-        if k:
-            slab = np.empty((size, n), dtype=dtype)
-            slab[:, lead:] = tail
+        for lo in range(-radius, radius + 1, rows):
+            hi = min(lo + rows, radius + 1)
+            slab = np.empty((hi - lo, n), dtype=dtype)
             slab[:, :lead] = prefix
+            slab[:, lead] = np.arange(lo, hi, dtype=dtype)
             yield slab
-        else:
-            for lo in range(-radius, radius + 1, _SLAB_ROWS):
-                hi = min(lo + _SLAB_ROWS, radius + 1)
-                slab = np.empty((hi - lo, n), dtype=dtype)
-                slab[:, :lead] = prefix
-                slab[:, lead] = np.arange(lo, hi, dtype=dtype)
-                yield slab
 
 
 def _fold(np, ufunc, arr):
@@ -125,14 +145,15 @@ def _phi_rows(np, vecs, blocks, nmat):
 
     The result has the dtype of ``vecs``, and ``nmat`` must share it:
     the caller's ``_lane`` bound covers every partial sum.  Each block
-    minimum is taken over column views, without copying the block.
+    minimum is taken over column views, without copying the block, into
+    a column of one array, and phi is that array times the n-matrix.
+    numpy runs the one product far faster than a broadcast sum per block,
+    whose inner loop spans only phi's few columns.
     """
-    out = np.zeros((len(vecs), nmat.shape[1]), dtype=vecs.dtype)
-    for members, row in zip(blocks, nmat):
-        if row.any():
-            low = reduce(np.minimum, (vecs[:, a] for a in members))
-            out += low[:, None] * row
-    return out
+    lows = np.empty((len(vecs), len(blocks)), dtype=vecs.dtype)
+    for j, members in enumerate(blocks):
+        lows[:, j] = reduce(np.minimum, (vecs[:, a] for a in members))
+    return lows @ nmat
 
 
 def pair_witness_sweep(t, radius):
@@ -146,8 +167,10 @@ def pair_witness_sweep(t, radius):
     pair or None); the count stops at the failure.
 
     Outer weights are walked one at a time and the inner box a slab at a
-    time; every value is bounded by 2 * radius times the largest column
-    sum of the n-matrix, which picks the lane width.
+    time; when the box is one slab, its phi rows and block minimum
+    positions are computed once and kept for every outer weight.  Every
+    value is bounded by 2 * radius times the largest column sum of the
+    n-matrix, which picks the lane width.
     """
     dtype = _lane(2 * radius * _nmat_colsum(t), "pair_witness_sweep")
 
@@ -166,7 +189,7 @@ def pair_witness_sweep(t, radius):
         return slab, _phi_rows(np, slab, blocks, nmat), argmins
 
     cached = None
-    if (2 * radius + 1) ** n <= _SLAB_ROWS:
+    if (2 * radius + 1) ** n <= _slab_rows(np, n, dtype):
         cached = [prepare(slab) for slab in _box_slabs(np, n, radius, dtype)]
 
     checked = 0
@@ -287,6 +310,12 @@ def predicate_flags_box(t, prpow, radius):
     return words
 
 
+def _level(shift):
+    """The largest absolute coefficient of a shift: the least window a
+    row needs for the shift to be tested on it."""
+    return max(map(abs, shift), default=0)
+
+
 def decompose_unique_sweep(t, prpow, radius, max_failures=5):
     """Check existence and uniqueness of the digit decomposition on a box.
 
@@ -299,9 +328,10 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
     restriction (even-pairing basis elements) count as failures with
     candidate count 0.
 
-    The box is swept a slab at a time; for each shift up to the largest
-    window in the slab, only the rows whose own window admits it are
-    tested.
+    The box is swept a slab at a time.  The shifts up to the largest
+    window in the slab are taken level by level, a level being a shift's
+    largest absolute coefficient: each level gathers the rows whose own
+    window admits it once, and adds its hits to the slab's counts once.
 
     Returns (weights checked, tuple of at most max_failures (lam, count)).
     """
@@ -341,16 +371,19 @@ def decompose_unique_sweep(t, prpow, radius, max_failures=5):
         count = np.zeros(len(slab), dtype=np.int64)
         star_hit = np.zeros(len(slab), dtype=bool)
         reach = int(window[feasible].max()) if feasible.any() else -1
-        for shift in product(range(-reach, reach + 1), repeat=len(steps)):
-            rows = np.flatnonzero(
-                feasible & (window >= max(map(abs, shift), default=0))
-            )
-            coeffs = np.array(shift, dtype=dtype)
-            cand = lam0p[rows]
-            cand -= coeffs @ steps
-            hit = _predicates(np, t, cand, prpow, tables)[3]
-            count[rows] += hit
-            star_hit[rows] |= hit & _fold(np, np.logical_and, astar[rows] == coeffs)
+        shifts = product(range(-reach, reach + 1), repeat=len(steps))
+        for level, shell in groupby(sorted(shifts, key=_level), key=_level):
+            rows = np.flatnonzero(feasible & (window >= level))
+            base, star = lam0p[rows], astar[rows]
+            hits = np.zeros(len(rows), dtype=np.int64)
+            on_star = np.zeros(len(rows), dtype=bool)
+            for shift in shell:
+                coeffs = np.array(shift, dtype=dtype)
+                hit = _predicates(np, t, base - coeffs @ steps, prpow, tables)[3]
+                hits += hit
+                on_star |= hit & _fold(np, np.logical_and, star == coeffs)
+            count[rows] += hits
+            star_hit[rows] |= on_star
         room = max_failures - len(failures)
         if room > 0:
             bad = np.flatnonzero(~feasible | (count != 1) | ~star_hit)[:room]

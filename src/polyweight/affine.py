@@ -243,7 +243,9 @@ def check_shift_bijection(weight, i, ctx, box_radius):
 
     The bound comes first, so a datum whose distinguished sublattice is
     not of rank one raises ``DomainError`` before the base weight is
-    tested, and the result carries the bound as ``shift_bound``.
+    tested, and the result carries the bound as ``shift_bound``.  The
+    radius rule of ``functional._box`` holds at every i, the vacuous
+    i = 0 included.
     """
     datum = ctx.datum
     a = shift_bound_a(weight, ctx)
@@ -256,6 +258,7 @@ def check_shift_bijection(weight, i, ctx, box_radius):
             f"shift index {i} outside the admissible range "
             f"[0, {ctx.p - a - 1}] for bound a = {a}"
         )
+    _box(datum.ambient_dim, box_radius)  # refuses a negative radius
     if i == 0:
         return ShiftCheckResult(
             ok=True, counterexample=None, orbit_size=0, shift_bound=a

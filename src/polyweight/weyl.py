@@ -21,10 +21,10 @@ from .lattice import _echelonize, check_dim
 WEYL_CAP = 100_000
 
 # Most permutation entries ``stabilizer_chain`` composes, into orbit
-# representatives and Schreier generators, before it refuses; read at each
-# call.  The built-in data compose at most 1.14 M before ``WEYL_CAP``
-# refuses them, on gsp:2048 and go:2047.
-CHAIN_WORK_CAP = 1_500_000
+# representatives and Schreier generators and while sifting them, before
+# it refuses; read at each call.  The built-in data compose at most 2.81 M
+# before ``WEYL_CAP`` refuses them, on gsp:2048 and go:2047.
+CHAIN_WORK_CAP = 3_000_000
 
 
 def identity_perm(n):
@@ -121,9 +121,10 @@ def stabilizer_chain(generators, cap=None):
     With a ``cap``, ``CapExceeded`` is raised as soon as that order passes
     it.  Without one the chain holds at most n (n + 1) / 2
     representatives, whatever the order.  Either way ``CapExceeded`` is
-    raised as soon as the entries composed into orbit representatives and
-    Schreier generators pass ``CHAIN_WORK_CAP``; each Schreier generator
-    is sifted (``_sift``) before the next is composed.
+    raised before a composition would take the entries composed past
+    ``CHAIN_WORK_CAP``: those of the orbit representatives, of the
+    Schreier generators and of each division of a Schreier generator's
+    sift (``_sift``), which runs before the next one is composed.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -140,6 +141,16 @@ def stabilizer_chain(generators, cap=None):
     ]
     chain = [{k: e} for k in range(n)]
     work, k = 0, n - 1
+
+    def spend(entries):
+        nonlocal work
+        work += entries
+        if work > CHAIN_WORK_CAP:
+            raise CapExceeded(
+                f"stabilizer chain composed more than {CHAIN_WORK_CAP} "
+                "permutation entries"
+            )
+
     while k >= 0:
         level = [g for j, g in strong if j >= k]
         chain[k] = orbit = {k: e}
@@ -148,21 +159,16 @@ def stabilizer_chain(generators, cap=None):
             for g in level:
                 b = g[u[k]]
                 if b not in orbit:
+                    spend(n)
                     orbit[b] = compose(g, u)
                     queue.append(orbit[b])
         # with one point, every generator lies in G_(k+1), complete already
         if len(orbit) > 1:
-            work += n * (len(orbit) - 1)
             # the first Schreier generator g u that the chain does not hold,
             # as _sift leaves it; with none, level k is complete
             for u, g in itertools.product(orbit.values(), level):
-                work += n
-                if work > CHAIN_WORK_CAP:
-                    raise CapExceeded(
-                        f"stabilizer chain composed more than {CHAIN_WORK_CAP} "
-                        "permutation entries"
-                    )
-                residue = _sift(compose(g, u), chain, k)
+                spend(n)
+                residue = _sift(compose(g, u), chain, k, spend)
                 if residue:
                     break
             if residue:
@@ -186,17 +192,21 @@ def _walk(prefix, levels):
         yield from _walk(compose(prefix, orbit[b]), levels[1:])
 
 
-def _sift(t, chain, k=0):
+def _sift(t, chain, k=0, spend=None):
     """Sift the permutation t, which fixes 0, ..., k - 1, through levels
     k, ..., n - 1 of a chain: at each level j that t moves, divide out
-    the representative taking j to t[j].  Returns (j, h) where h, which
-    fixes 0, ..., j - 1 and moves j, leaves the chain at level j, or None
-    when t sifts to the identity, that is when the chain's group holds t.
+    the representative taking j to t[j], first passing the n entries of
+    that composition to ``spend`` when one is given.  Returns (j, h)
+    where h, which fixes 0, ..., j - 1 and moves j, leaves the chain at
+    level j, or None when t sifts to the identity, that is when the
+    chain's group holds t.
     """
     for j in range(k, len(t)):
         if t[j] != j:
             if t[j] not in chain[j]:
                 return j, t
+            if spend:
+                spend(len(t))
             t = compose(inverse(chain[j][t[j]]), t)
     return None
 

@@ -316,10 +316,12 @@ class TestShiftBijection:
         assert result.orbit_size > 0
 
     def test_a_negative_radius_is_refused(self):
-        # an empty orbit at R = -1 would make the check vacuously ok
+        # an empty orbit at R = -1 would make the check vacuously ok, and
+        # the vacuous i = 0 answer must not skip the rule either
         c = ClassificationContext(GL3, 5, 1)
-        with pytest.raises(DomainError, match="box radius"):
-            check_shift_bijection((0, 0, 0), 1, c, -1)
+        for i in (1, 0):
+            with pytest.raises(DomainError, match="box radius"):
+                check_shift_bijection((0, 0, 0), i, c, -1)
 
     def test_zero_shift_is_vacuous(self):
         c = ClassificationContext(GL2, 2, 1)

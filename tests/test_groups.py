@@ -228,6 +228,33 @@ def test_the_uncapped_chain_has_a_work_bound():
     assert "weyl-chain" not in datum._cache
 
 
+@pytest.mark.parametrize("n", [45, 2048])
+def test_the_work_bound_counts_the_sifts(monkeypatch, n):
+    # every entry the chain composes counts, the divisions of its sifts
+    # included, so the refusal comes within one composition of the cap
+    # whatever n
+    composed = 0
+    compose = weyl.compose
+
+    def counted(p, q):
+        nonlocal composed
+        composed += len(q)
+        return compose(p, q)
+
+    monkeypatch.setattr(weyl, "compose", counted)
+    cycle = tuple((i + 1) % n for i in range(n))
+    with pytest.raises(CapExceeded, match="permutation entries"):
+        stabilizer_chain((cycle, transposition(n, 0, 1)))
+    assert weyl.CHAIN_WORK_CAP - n < composed <= weyl.CHAIN_WORK_CAP
+
+
+def test_the_largest_built_in_group_meets_the_listing_cap_first():
+    # its chain composes 2.81 M entries before WEYL_CAP refuses it, the
+    # most of any built-in datum (go:2047 composes 2.81 M too)
+    with pytest.raises(CapExceeded, match="cap of 100000 elements"):
+        parse_group_spec("gsp:2048").weyl_group()
+
+
 @pytest.mark.parametrize("gens", HAND_BUILT.values(), ids=HAND_BUILT)
 def test_sifting_decides_membership(gens):
     # every permutation of the points sifts to the identity exactly when

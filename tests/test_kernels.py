@@ -12,10 +12,13 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import loop_kernels
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyweight import kernel_backend_name
 from polyweight import _kernels as kernels
@@ -346,39 +349,100 @@ class TestDecomposeSweepAgainstScalar:
 
 
 class TestSlabs:
-    """Sweeps cut into many slabs return what one slab returns."""
+    """Sweeps cut into many slabs return what one slab returns, and every
+    slab holds at most ``_SLAB_BYTES`` bytes of box points."""
 
     @pytest.mark.parametrize("rows", [1, 4, 7, 30])
     def test_sweeps_do_not_depend_on_slab_size(self, monkeypatch, rows):
         gsp4 = tables_of(GSP4, 3, 1)
         go5 = tables_of(GO5, 3, 1)
-        whole = (
-            kernels.pair_witness_sweep(gsp4, 1),
-            kernels.decompose_unique_sweep(go5, 3, 1, 10**6),
-            kernels.predicate_flags_box(gsp4, 3, 2),
-        )
-        monkeypatch.setattr(kernels, "_SLAB_ROWS", rows)
-        assert (
-            kernels.pair_witness_sweep(gsp4, 1),
-            kernels.decompose_unique_sweep(go5, 3, 1, 10**6),
-            kernels.predicate_flags_box(gsp4, 3, 2),
-        ) == whole
+        sweeps = [
+            (gsp4, lambda: kernels.pair_witness_sweep(gsp4, 1)),
+            (go5, lambda: kernels.decompose_unique_sweep(go5, 3, 1, 10**6)),
+            (gsp4, lambda: kernels.predicate_flags_box(gsp4, 3, 2)),
+        ]
+        whole = [sweep() for _, sweep in sweeps]
+        limits = []
+        box_slabs = kernels._box_slabs
+
+        def spy(np_, n, radius, dtype):
+            limits.append(kernels._slab_rows(np_, n, dtype))
+            return box_slabs(np_, n, radius, dtype)
+
+        monkeypatch.setattr(kernels, "_box_slabs", spy)
+        for (t, sweep), answer in zip(sweeps, whole):
+            # these three sweeps run in int32 lanes, 4 bytes an entry
+            monkeypatch.setattr(kernels, "_SLAB_BYTES", rows * t.n * 4)
+            limits.clear()
+            assert sweep() == answer
+            assert limits and set(limits) == {rows}
 
     @pytest.mark.parametrize("n,radius", [(1, 3), (2, 2), (3, 1), (2, 9)])
     def test_slabs_walk_the_box_in_order(self, monkeypatch, n, radius):
-        monkeypatch.setattr(kernels, "_SLAB_ROWS", 4)
+        monkeypatch.setattr(kernels, "_SLAB_BYTES", 4 * n * 8)
         slabs = list(kernels._box_slabs(np, n, radius, np.int64))
         assert all(len(slab) <= 4 for slab in slabs)
         walked = [tuple(int(v) for v in row) for slab in slabs for row in slab]
         assert walked == list(box_points(n, radius))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_slab_fits_the_budget(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]), label="lane")
+        # boxes of at most 3^8 points, so the walk stays quick
+        radius = data.draw(
+            st.integers(0, max(r for r in range(9) if (2 * r + 1) ** n <= 3**8)),
+            label="radius",
+        )
+        budget = data.draw(
+            st.one_of(st.integers(1, 4096), st.just(kernels._SLAB_BYTES)),
+            label="budget",
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_SLAB_BYTES", budget)
+            slabs = list(kernels._box_slabs(np, n, radius, dtype))
+        assert all(slab.dtype == dtype and slab.shape[1] == n for slab in slabs)
+        assert all(slab.nbytes <= budget or len(slab) == 1 for slab in slabs)
+        walked = [tuple(row) for slab in slabs for row in slab.tolist()]
+        assert walked == list(box_points(n, radius))
+
+    def test_slabs_hold_as_many_grids_as_fit(self, monkeypatch):
+        # 12 rows of 3 int64 coordinates: grids of 5 points at radius 2,
+        # two to a slab, and the 25 grids of the box in 13 slabs
+        monkeypatch.setattr(kernels, "_SLAB_BYTES", 12 * 3 * 8)
+        slabs = list(kernels._box_slabs(np, 3, 2, np.int64))
+        assert [len(slab) for slab in slabs] == [10] * 12 + [5]
+
     def test_huge_radius_yields_bounded_slabs(self):
         radius = 3037000500
+        rows = kernels._slab_rows(np, 3, np.int64)
+        assert rows == kernels._SLAB_BYTES // 24
         slabs = kernels._box_slabs(np, 3, radius, np.int64)
         first, second = next(slabs), next(slabs)
-        assert len(first) == len(second) == kernels._SLAB_ROWS
+        assert len(first) == len(second) == rows
         assert tuple(first[0]) == (-radius,) * 3
-        assert tuple(second[0]) == (-radius, -radius, -radius + kernels._SLAB_ROWS)
+        assert tuple(second[0]) == (-radius, -radius, -radius + rows)
+
+    @pytest.mark.parametrize(
+        "sweep", ["decompose_unique_sweep", "predicate_flags_box"]
+    )
+    @pytest.mark.parametrize("datum", [GO5, LEVI23], ids=["go5", "levi23"])
+    def test_sweep_working_set_is_bounded(self, datum, sweep):
+        # a rank-5 box of 16,807 points at radius 3: a sweep that holds it
+        # as one slab allocates 1.06 to 2.67 MiB on top of what it
+        # returns; one of slabs of at most _SLAB_BYTES = 64 KiB allocates
+        # 0.22 to 0.49 MiB, under twelve budgets (0.75 MiB)
+        t = tables_of(datum, 2, 1)
+        run = lambda: getattr(kernels, sweep)(t, 2, 3)  # noqa: E731
+        run()  # numpy and the lane tables are loaded outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 12 * kernels._SLAB_BYTES, (peak - kept, kept)
 
 
 @contextlib.contextmanager
