@@ -171,6 +171,13 @@ def orbit_in_box(weight, p, box_radius, datum):
     sets are cached per orbit, since every weight of one orbit produces
     the same slice.  Raises CapExceeded, before scanning, when the box
     has more than ``ORBIT_BOX_CAP`` points.
+
+    The slice is also cached per class of the weight modulo the
+    translation span, so a repeat twists no Weyl element.  The base forms
+    depend only on that class: w acts linearly and permutes the roots, so
+    it maps p times the root lattice onto itself, and it preserves the
+    kernel, so weight + t with t in the span twists to w.weight + w(t)
+    plus the same rho shift, and w(t) lies in the span.
     """
     n = datum.ambient_dim
     check_dim(weight, n)
@@ -181,13 +188,22 @@ def orbit_in_box(weight, p, box_radius, datum):
             f"has more than {ORBIT_BOX_CAP} points"
         )
     membership = _translation_lattice(datum, p, True)
+    key = ("orbit-slice-of", p, box_radius, membership.canonical_rep(weight))
+    elements = datum._cached(
+        key, _orbit_slice, weight, p, box_radius, points, membership, datum
+    )
+    return OrbitSlice(base=tuple(weight), box_radius=box_radius, elements=elements)
+
+
+def _orbit_slice(weight, p, box_radius, points, membership, datum):
+    """The slice of the weight's orbit, cached per orbit: the key is the
+    least of the twisted base forms, which every weight of it shares."""
     base_forms = {
         membership.canonical_rep(_twist(w, weight, datum))
         for w in datum.weyl_group()
     }
     key = ("orbit-slice", p, box_radius, min(base_forms))
-    elements = datum._cached(key, _orbit_scan, points, membership, base_forms, datum)
-    return OrbitSlice(base=tuple(weight), box_radius=box_radius, elements=elements)
+    return datum._cached(key, _orbit_scan, points, membership, base_forms, datum)
 
 
 def _orbit_scan(points, membership, base_forms, datum):

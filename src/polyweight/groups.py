@@ -135,7 +135,8 @@ class GroupDatum(_CachedRecord):
         return self._cached("pairing-diag", _pairing_diag, self)
 
     def weyl_group(self):
-        """All Weyl elements, sorted and cached; CapExceeded above WEYL_CAP."""
+        """All Weyl elements, sorted and cached, as a ``weyl.PermutationTable``
+        that yields each one as a tuple; CapExceeded above WEYL_CAP."""
         from .weyl import generate_group, identity_perm
 
         gens = self.weyl_generators or (identity_perm(self.ambient_dim),)

@@ -1,7 +1,9 @@
 """Weyl elements as index permutations, and the hypotheses over them.
 
-Weyl group elements are index permutations stored as tuples p with p[i]
-the image of i, acting on weights by ``act(p, w)[p[i]] == w[i]``.
+Weyl group elements are index permutations p, tuples with p[i] the
+image of i, acting on weights by ``act(p, w)[p[i]] == w[i]``.  A listed
+group is a ``PermutationTable``: one flat array of its elements' entries,
+a byte each up to 256 points, that yields each element as such a tuple.
 
 ``check_hypotheses`` decides the construction hypotheses (a)-(d) of a
 group datum; (c) quantifies over the Weyl group the datum's generators
@@ -13,6 +15,7 @@ Weyl group is asked for.
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import CapExceeded, DomainError
 from .lattice import _echelonize, check_dim
@@ -87,7 +90,7 @@ def act_covector(p, covector):
 
 
 def generate_group(generators):
-    """The group the permutations generate, as a sorted tuple.
+    """The group the permutations generate, as a sorted ``PermutationTable``.
 
     ``CapExceeded`` is raised as soon as the order of the
     ``stabilizer_chain`` passes ``WEYL_CAP``, before any element is
@@ -102,9 +105,37 @@ def generate_group(generators):
     than one representative are walked, each at least doubling the order,
     so the walk is at most log2(WEYL_CAP) deep.
     """
+    from array import array
+
     chain = stabilizer_chain(generators, cap=WEYL_CAP)
-    e = identity_perm(len(chain))
-    return tuple(_walk(e, [orbit for orbit in chain if len(orbit) > 1]))
+    n = len(chain)
+    table = array("B" if n <= 256 else "H" if n <= 65536 else "L")
+    _fill(table, identity_perm(n), [orbit for orbit in chain if len(orbit) > 1])
+    return PermutationTable(table, n)
+
+
+class PermutationTable(Sequence):
+    """A read-only sequence of permutations of ``degree`` points, stored as
+    one flat array of their entries and yielded as tuples; a slice is a
+    tuple of them.  The table of degree 0 holds the empty permutation."""
+
+    def __init__(self, table, degree):
+        self._table, self.degree = table, degree
+        self._len = len(table) // degree if degree else 1
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(self._len)[index]))
+        start = range(self._len)[index] * self.degree
+        return tuple(self._table[start:start + self.degree])
+
+    def __iter__(self):
+        if not self.degree:
+            return iter([()])
+        return zip(*[iter(self._table)] * self.degree)
 
 
 def stabilizer_chain(generators, cap=None):
@@ -181,15 +212,19 @@ def stabilizer_chain(generators, cap=None):
     return chain
 
 
-def _walk(prefix, levels):
-    """Yield prefix u_k ... for each choice of one representative u_k per
-    level in ``levels``, in sorted order (see ``generate_group``)."""
+def _fill(table, prefix, levels):
+    """Extend ``table`` by the entries of prefix u_k ... for each choice of
+    one representative u_k per level in ``levels``, in sorted order (see
+    ``generate_group``); the last level's products are never tuples."""
     if not levels:
-        yield prefix
+        table.extend(prefix)
         return
-    orbit = levels[0]
+    orbit, rest = levels[0], levels[1:]
     for b in sorted(orbit, key=prefix.__getitem__):
-        yield from _walk(compose(prefix, orbit[b]), levels[1:])
+        if rest:
+            _fill(table, compose(prefix, orbit[b]), rest)
+        else:
+            table.extend(map(prefix.__getitem__, orbit[b]))
 
 
 def _sift(t, chain, k=0, spend=None):

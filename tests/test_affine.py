@@ -29,8 +29,14 @@ from polyweight.errors import (
     PreconditionError,
     ShiftRangeError,
 )
-from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
-from polyweight.lattice import vec_add, vec_sub
+from polyweight.groups import (
+    build_gl,
+    build_go_odd,
+    build_gsp,
+    build_levi,
+    parse_group_spec,
+)
+from polyweight.lattice import vec_add, vec_scale, vec_sub
 from polyweight.weyl import act, identity_perm
 
 GL1 = build_gl(1)
@@ -279,6 +285,48 @@ class TestOrbitInBox:
         assert datum.lattice.canonical_rep(other) != datum.lattice.canonical_rep(lam)
         assert orbit_in_box(other, 2, 2, datum).elements == first.elements
         assert calls == expected
+
+    @pytest.mark.parametrize(
+        "datum, p, lam",
+        [
+            (build_gl(7), 11, (0,) * 7),
+            (GSP4, 3, (1, 0, 0, 0)),
+            (GO5, 5, (1, 0, 0, 0, 0)),
+        ],
+        ids=lambda v: getattr(v, "spec_string", None),
+    )
+    def test_a_weight_of_a_seen_class_twists_nothing(self, datum, p, lam, monkeypatch):
+        # the slice is kept per class modulo p times the roots plus the
+        # kernel, so a repeat, or another weight of the class, reads it
+        # without twisting the base weight by W
+        first = orbit_in_box(lam, p, 1, datum)
+        calls = Counter()
+
+        def counted(*args, _twist=affine._twist):
+            calls["_twist"] += 1
+            return _twist(*args)
+
+        monkeypatch.setattr(affine, "_twist", counted)
+        other = vec_add(lam, vec_scale(p, datum.simple_roots[0]))
+        for vec in datum.lattice.kernel_basis:
+            other = vec_add(other, vec)
+        for weight in (lam, other):
+            assert orbit_in_box(weight, p, 1, datum).elements is first.elements
+        assert calls["_twist"] == 0
+        assert orbit_in_box(lam, p, 2, datum).elements
+        assert calls["_twist"] == len(datum.weyl_group())
+
+    @pytest.mark.parametrize("spec", ["gl:4", "gsp:6", "go:7", "go:8", "levi:1,2,3"])
+    def test_the_weyl_group_keeps_the_translation_span(self, spec):
+        # the premise of the per-class cache: each generator maps p times
+        # the roots plus the kernel into itself
+        datum = parse_group_spec(spec)
+        for p in (2, 3, 5):
+            span = affine._translation_lattice(datum, p, True)
+            basis = [vec_scale(p, root) for root in datum.simple_roots]
+            basis += datum.lattice.kernel_basis
+            for g in datum.weyl_generators:
+                assert all(span.contains(act(g, t)) for t in basis)
 
 
 class TestShiftBound:

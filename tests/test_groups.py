@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -183,6 +184,93 @@ def test_generate_group_refuses_before_listing(spec):
         tracemalloc.stop()
     assert elapsed < 1.0, f"{elapsed:.2f} s"
     assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_a_table_indexes_slices_and_searches_as_its_tuple_does():
+    table = build_gsp(6).weyl_group()
+    listed = tuple(table)
+    assert isinstance(table, weyl.PermutationTable)
+    assert len(table) == len(listed) == 48
+    assert [table[i] for i in range(-48, 48)] == list(listed * 2)
+    for past in (48, -49, 10**6):
+        with pytest.raises(IndexError):
+            table[past]
+    cuts = (
+        slice(None), slice(3, 9), slice(None, None, -1), slice(-5, None),
+        slice(40, 2, -7), slice(9, 3), slice(100, None),
+    )
+    for cut in cuts:
+        got = table[cut]
+        assert type(got) is tuple and got == listed[cut]
+        assert all(type(p) is tuple for p in got)
+    assert all(p in table for p in listed)
+    assert transposition(6, 0, 1) not in table and [0, 1, 2, 3, 4, 5] not in table
+    assert [table.index(p) for p in listed] == list(range(48))
+    assert list(reversed(table)) == list(reversed(listed))
+    assert table != listed and tuple(table) == listed
+
+
+@pytest.mark.parametrize(
+    "n, typecode", [(256, "B"), (257, "H"), (300, "H"), (65_536, "H"), (65_537, "L")]
+)
+def test_a_table_takes_the_narrowest_entries_that_fit(n, typecode):
+    # generate_group takes any degree; the builders stop at 2,048 points
+    table = generate_group([transposition(n, 0, n - 1)])
+    assert table._table.typecode == typecode
+    assert list(table) == [identity_perm(n), transposition(n, 0, n - 1)]
+    assert table[-1] == transposition(n, 0, n - 1)
+
+
+def test_no_generators_list_the_empty_permutation():
+    table = generate_group(())
+    assert len(table) == 1
+    assert list(table) == [()] and table[0] == table[-1] == ()
+    assert table[:] == ((),)
+
+
+def test_listing_gl8_holds_no_tuple_per_element():
+    # 40,320 elements as tuples peak at 4.6 MiB; as bytes, at 0.3-0.5 MiB
+    gens = build_gl(8).weyl_generators
+    tracemalloc.start()
+    try:
+        table = generate_group(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 40_320
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def closure(gens, n):
+    """The sorted group ``gens`` generate, by breadth-first products."""
+    e = identity_perm(n)
+    seen, queue = {e}, [e]
+    for u in queue:
+        for g in gens:
+            v = tuple(map(g.__getitem__, u))
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return sorted(seen)
+
+
+def test_random_generator_sets_list_their_closure():
+    # each generator permutes a random set of at most four points, so most
+    # groups are small and some reach S_7
+    rng = random.Random(28)
+    for _ in range(1_000):
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            images = rng.sample(support, len(support))
+            g = list(range(n))
+            for a, b in zip(support, images):
+                g[a] = b
+            gens.append(tuple(g))
+        table, expected = generate_group(gens), closure(gens, n)
+        assert list(table) == expected, gens
+        assert table[len(table) // 2] == expected[len(table) // 2]
 
 
 def test_c_lower_falls_back_to_sifting():
@@ -386,6 +474,7 @@ def test_weyl_group_cached_and_sorted():
     datum = build_gsp(4)
     first = datum.weyl_group()
     assert first is datum.weyl_group()
+    assert isinstance(first, weyl.PermutationTable)
     assert list(first) == sorted(first)
 
 

@@ -129,6 +129,24 @@ def test_a_context_and_its_tables_load_only_what_they_run():
     ]
 
 
+def test_only_listing_a_weyl_group_loads_array():
+    # ``array`` backs a listed Weyl group and is imported by the listing
+    # alone, so building, validating and taking a context never load it
+    code = (
+        "import json, sys\n"
+        "from polyweight import ClassificationContext, parse_group_spec\n"
+        "data = [parse_group_spec(spec)"
+        " for spec in ('gl:3', 'gsp:4', 'go:5', 'levi:2,3')]\n"
+        "for datum in data:\n"
+        "    assert datum.validation().all_ok\n"
+        "    ClassificationContext(datum, 3, 1)\n"
+        "before = 'array' in sys.modules\n"
+        "data[0].weyl_group()\n"
+        "print(json.dumps([before, 'array' in sys.modules]))"
+    )
+    assert run_fresh(code) == [False, True]
+
+
 def test_reading_the_backend_name_loads_only_the_package_and_errors():
     assert loaded_after("import polyweight\npolyweight.kernel_backend_name") == [
         "polyweight",
