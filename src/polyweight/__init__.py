@@ -7,8 +7,8 @@ families, and evaluates the block-minimum functional that detects
 polynomial character classes.  On top of that sit the digit-set
 predicates, the unique base-plus-multiple decomposition at a prime power
 modulus, digit-set enumeration, certification of the structural
-hypotheses, the even orthogonal rank-8 failure scenario, and the affine
-dot-action with orbit and shift-bijection checks.
+hypotheses, the even orthogonal rank-8 failure scenario, and the orbit
+and shift-bijection checks of the affine dot action.
 
 Hot sweep loops live in :mod:`polyweight._kernels`, one implementation
 in Python and numpy; the constant ``kernel_backend_name`` names it.
@@ -44,13 +44,9 @@ kernel_backend_name = "pure"
 # Every public name not bound above, and the submodule defining it under
 # the same name.
 _LAZY = {
-    "AffineElement": "affine",
     "OrbitSlice": "affine",
     "ShiftCheckResult": "affine",
-    "affine_element": "affine",
     "check_shift_bijection": "affine",
-    "compose_affine": "affine",
-    "dot_act": "affine",
     "orbit_in_box": "affine",
     "shift_bound_a": "affine",
     "ClassificationContext": "classify",

@@ -1,12 +1,13 @@
-"""Dot-action of the affine Weyl group and the shift-bijection check.
+"""Orbits of the affine Weyl group under the dot action, and the
+shift-bijection check.
 
-The affine group is the semidirect product of the finite Weyl group with
-translations by p times the root lattice; it acts through the rho-shifted
-dot-action.  Orbit slices are computed exactly by scanning a coordinate
-box and testing lattice membership of the difference against each
-group-twisted base point, so no completeness window is needed.  The
-section-style shift bound a and the bijection check cover the rank-one
-distinguished case.
+The affine group, the finite Weyl group W with translations by p times
+the root lattice, acts through the rho-shifted dot action.
+``_dot_orbit`` twists a weight by W and reduces the twists modulo the
+translation span.  Orbit slices scan a coordinate box against those
+base forms, exactly, so no completeness window is needed, and the shift
+bound a reads them in the rank-one distinguished case.  Both are kept
+per class of the weight, and the rho shifts are one table per datum.
 """
 
 from collections import namedtuple
@@ -18,66 +19,33 @@ from .lattice import (
     QuotientLattice,
     _echelonize,
     check_dim,
+    prime_power,
     vec_add,
     vec_scale,
     vec_sub,
 )
-from .weyl import act, compose
+from .weyl import act
 
 # Most box points ``orbit_in_box`` scans in one call.
 ORBIT_BOX_CAP = 1_000_000
 
 
-def _translation_lattice(datum, p, with_kernel):
-    """Span of p times the simple roots, plus the kernel sublattice when
-    ``with_kernel``; cached per datum, prime and flag."""
-    key = ("translation-span", p, with_kernel)
-    return datum._cached(key, _translation_span, datum, p, with_kernel)
+def _translation_lattice(datum, p):
+    """Span of p times the simple roots plus the kernel sublattice; cached
+    per datum and prime."""
+    return datum._cached(("translation-span", p), _translation_span, datum, p)
 
 
-def _translation_span(datum, p, with_kernel):
+def _translation_span(datum, p):
     gens = [vec_scale(p, root) for root in datum.simple_roots]
-    if with_kernel:
-        gens.extend(datum.lattice.kernel_basis)
+    gens.extend(datum.lattice.kernel_basis)
     rows, _ = _echelonize(gens, datum.ambient_dim)
     return QuotientLattice(datum.ambient_dim, tuple(rows))
 
 
-class AffineElement(namedtuple("AffineElement", "w translation")):
-    """A finite Weyl element together with a translation in p times the
-    root lattice.  Build through ``affine_element`` so the translation
-    constraint is verified."""
-
-    __slots__ = ()
-
-
-def affine_element(w, translation, datum, p):
-    n = datum.ambient_dim
-    check_dim(w, n)
-    check_dim(translation, n)
-    if not _translation_lattice(datum, p, False).contains(translation):
-        raise DomainError(
-            f"translation {translation} is not in {p} times the root lattice"
-        )
-    return AffineElement(w=tuple(w), translation=tuple(translation))
-
-
-def compose_affine(g, h, datum, p):
-    """Product in the semidirect group: first apply h, then g."""
-    return affine_element(
-        compose(g.w, h.w),
-        vec_add(g.translation, act(g.w, h.translation)),
-        datum,
-        p,
-    )
-
-
 def _parity_rows(datum):
-    """GF(2) echelon of the kernel's echelon rows, cached per datum.
-
-    Each row carries an integer lift so that solutions can be pulled
-    back to Z.
-    """
+    """GF(2) echelon of the kernel's echelon rows, cached per datum; each
+    row carries an integer lift, so that solutions pull back to Z."""
     return datum._cached("parity-rows", _parity_echelon, datum.lattice._rows)
 
 
@@ -122,12 +90,8 @@ def _rho_shift(w, datum):
     The permutation realization of a reflection can differ from the
     reflection formula by a kernel element, so the ambient difference is
     only guaranteed even as a class; the quotient-exact halving picks a
-    fixed representative.  Results are cached per group element.
+    fixed representative.
     """
-    return datum._cached(("rho-shift", w), _halved_rho_shift, w, datum)
-
-
-def _halved_rho_shift(w, datum):
     two_rho = datum.positive_root_sum_twice
     try:
         return halve_class(vec_sub(act(w, two_rho), two_rho), datum)
@@ -137,15 +101,23 @@ def _halved_rho_shift(w, datum):
         ) from exc
 
 
-def _twist(w, weight, datum):
-    """The untranslated dot action w.weight + half(w(2rho) - 2rho)."""
-    return vec_add(act(w, weight), _rho_shift(w, datum))
+def _rho_shifts(datum):
+    """The rho shift of every Weyl element, in the order of
+    ``datum.weyl_group()``: one tuple, cached per datum."""
+    return datum._cached(
+        "rho-shifts",
+        lambda: tuple(_rho_shift(w, datum) for w in datum.weyl_group()),
+    )
 
 
-def dot_act(g, weight, datum):
-    """The rho-shifted action w(weight + rho) - rho + translation."""
-    check_dim(weight, datum.ambient_dim)
-    return vec_add(_twist(g.w, weight, datum), g.translation)
+def _dot_orbit(weight, p, datum):
+    """The set of twisted base forms: w.weight + half(w(2rho) - 2rho)
+    reduced modulo the translation span, for every Weyl element w."""
+    span = _translation_lattice(datum, p)
+    return {
+        span.canonical_rep(vec_add(act(w, weight), shift))
+        for w, shift in zip(datum.weyl_group(), _rho_shifts(datum))
+    }
 
 
 class OrbitSlice(namedtuple("OrbitSlice", "base box_radius elements")):
@@ -167,50 +139,47 @@ def orbit_in_box(weight, p, box_radius, datum):
     in p times the root lattice (plus the kernel, which ambient
     representatives carry invisibly).  The scan is exact: every box
     point is reduced to its canonical form modulo that translation span
-    and matched against the twisted base forms.  The resulting element
-    sets are cached per orbit, since every weight of one orbit produces
-    the same slice.  Raises CapExceeded, before scanning, when the box
-    has more than ``ORBIT_BOX_CAP`` points.
+    and matched against the base forms of ``_dot_orbit``.  Raises
+    CapExceeded, before scanning, when the box has more than
+    ``ORBIT_BOX_CAP`` points, and ``lattice.prime_power``'s DomainError
+    when p is not prime.
 
-    The slice is also cached per class of the weight modulo the
-    translation span, so a repeat twists no Weyl element.  The base forms
-    depend only on that class: w acts linearly and permutes the roots, so
-    it maps p times the root lattice onto itself, and it preserves the
-    kernel, so weight + t with t in the span twists to w.weight + w(t)
-    plus the same rho shift, and w(t) lies in the span.
+    The slice is cached per orbit, and per class of the weight modulo
+    the translation span, so a repeat twists no Weyl element.  The base
+    forms depend only on that class: w acts linearly and permutes the
+    roots, so it maps p times the root lattice onto itself, and it
+    preserves the kernel, so weight + t with t in the span twists to
+    w.weight + w(t) plus the same rho shift, and w(t) lies in the span.
     """
     n = datum.ambient_dim
     check_dim(weight, n)
     points = _box(n, box_radius)
+    prime_power(p, 1)  # refuses a p that is not a prime
     if (2 * box_radius + 1) ** n > ORBIT_BOX_CAP:
         raise CapExceeded(
             f"orbit scan of the box of radius {box_radius} in dimension {n} "
             f"has more than {ORBIT_BOX_CAP} points"
         )
-    membership = _translation_lattice(datum, p, True)
-    key = ("orbit-slice-of", p, box_radius, membership.canonical_rep(weight))
-    elements = datum._cached(
-        key, _orbit_slice, weight, p, box_radius, points, membership, datum
-    )
+    span = _translation_lattice(datum, p)
+    key = ("orbit-slice-of", p, box_radius, span.canonical_rep(weight))
+    elements = datum._cached(key, _orbit_slice, weight, p, box_radius, points, datum)
     return OrbitSlice(base=tuple(weight), box_radius=box_radius, elements=elements)
 
 
-def _orbit_slice(weight, p, box_radius, points, membership, datum):
+def _orbit_slice(weight, p, box_radius, points, datum):
     """The slice of the weight's orbit, cached per orbit: the key is the
     least of the twisted base forms, which every weight of it shares."""
-    base_forms = {
-        membership.canonical_rep(_twist(w, weight, datum))
-        for w in datum.weyl_group()
-    }
+    base_forms = _dot_orbit(weight, p, datum)
     key = ("orbit-slice", p, box_radius, min(base_forms))
-    return datum._cached(key, _orbit_scan, points, membership, base_forms, datum)
+    span = _translation_lattice(datum, p)
+    return datum._cached(key, _orbit_scan, points, span, base_forms, datum)
 
 
-def _orbit_scan(points, membership, base_forms, datum):
+def _orbit_scan(points, span, base_forms, datum):
     found = {
         datum.lattice.canonical_rep(x)
         for x in points
-        if membership.canonical_rep(x) in base_forms
+        if span.canonical_rep(x) in base_forms
     }
     return tuple(sorted(found))
 
@@ -222,6 +191,14 @@ def shift_bound_a(weight, ctx):
     w.weight + half(w(2rho) - 2rho) and reduce it into [0, p - 1]; the
     bound a is the maximum.  Only data whose distinguished sublattice has
     rank one carry this notion.
+
+    The maximum is taken over the reduced base forms of ``_dot_orbit``
+    and kept per prime and class of the weight modulo the translation
+    span, so a repeat makes no pass over W.  Both are sound: the
+    distinguished row (``weyl.coordinate_rows``) is integral and kills
+    the kernel, so the coordinate mod p is constant on classes modulo p
+    times the root lattice plus the kernel, and the weights of one class
+    have the same base forms (see ``orbit_in_box``).
     """
     datum = ctx.datum
     if datum.x0_rank != 1:
@@ -229,18 +206,18 @@ def shift_bound_a(weight, ctx):
             "the shift bound needs a rank-one distinguished sublattice; "
             f"{datum.spec_string} has rank {datum.x0_rank}"
         )
-    best = 0
-    for w in datum.weyl_group():
-        value = ctx.x0_coordinates(_twist(w, weight, datum))[0] % ctx.p
-        if value > best:
-            best = value
-    return best
+    p = ctx.p
+    key = ("shift-bound", p, _translation_lattice(datum, p).canonical_rep(weight))
+    return datum._cached(key, _shift_bound, weight, ctx)
+
+
+def _shift_bound(weight, ctx):
+    forms = _dot_orbit(weight, ctx.p, ctx.datum)
+    return max(ctx.x0_coordinates(form)[0] % ctx.p for form in forms)
 
 
 class ShiftCheckResult(
-    namedtuple(
-        "ShiftCheckResult", "ok counterexample orbit_size shift_bound"
-    )
+    namedtuple("ShiftCheckResult", "ok counterexample orbit_size shift_bound")
 ):
     """Verdict of the shift-bijection check; ``counterexample`` is the
     first orbit class whose membership the shift changes, or None."""
@@ -260,8 +237,7 @@ def check_shift_bijection(weight, i, ctx, box_radius):
     The bound comes first, so a datum whose distinguished sublattice is
     not of rank one raises ``DomainError`` before the base weight is
     tested, and the result carries the bound as ``shift_bound``.  The
-    radius rule of ``functional._box`` holds at every i, the vacuous
-    i = 0 included.
+    radius rule of ``functional._box`` holds at every i, i = 0 included.
     """
     datum = ctx.datum
     a = shift_bound_a(weight, ctx)
@@ -274,24 +250,17 @@ def check_shift_bijection(weight, i, ctx, box_radius):
             f"shift index {i} outside the admissible range "
             f"[0, {ctx.p - a - 1}] for bound a = {a}"
         )
-    _box(datum.ambient_dim, box_radius)  # refuses a negative radius
-    if i == 0:
-        return ShiftCheckResult(
-            ok=True, counterexample=None, orbit_size=0, shift_bound=a
-        )
-    b = datum.d_vectors[0]
-    step = vec_scale(i, b)
-    elements = orbit_in_box(weight, ctx.p, box_radius, datum).elements
-    for mu in elements:
-        if simple_membership(mu, ctx) != simple_membership(
-            vec_add(mu, step), ctx
-        ):
-            return ShiftCheckResult(
-                ok=False,
-                counterexample=mu,
-                orbit_size=len(elements),
-                shift_bound=a,
-            )
+    _box(datum.ambient_dim, box_radius)  # the radius rule, at every i
+    elements = orbit_in_box(weight, ctx.p, box_radius, datum).elements if i else ()
+    step = vec_scale(i, datum.d_vectors[0])
+    counterexample = next(
+        (mu for mu in elements if simple_membership(mu, ctx)
+         != simple_membership(vec_add(mu, step), ctx)),
+        None,
+    )
     return ShiftCheckResult(
-        ok=True, counterexample=None, orbit_size=len(elements), shift_bound=a
+        ok=counterexample is None,
+        counterexample=counterexample,
+        orbit_size=len(elements),
+        shift_bound=a,
     )

@@ -16,6 +16,7 @@ from .errors import CapExceeded, DomainError, HypothesisFailure, PreconditionErr
 from .functional import _box, phi_ambient
 from .lattice import (
     PRPOW_BIT_LIMIT,
+    as_integer,
     check_dim,
     prime_power,
     vec_add,
@@ -309,7 +310,9 @@ def check_assumption(datum, p, r, box_radius=None):
     """
     prime_power(p, r)  # refuses a bad p or r before any work
     n = datum.ambient_dim
-    radius = default_box_radius(n) if box_radius is None else int(box_radius)
+    radius = default_box_radius(n)
+    if box_radius is not None:
+        radius = as_integer(box_radius, "box radius")
     if radius < 1:
         raise DomainError("box radius must be at least 1")
     side = 2 * radius + 1

@@ -10,7 +10,7 @@ it on a class of a datum meeting every construction hypothesis, and
 """
 
 from .errors import DomainError, HypothesisFailure
-from .lattice import check_dim
+from .lattice import as_integer, check_dim
 
 
 def phi_ambient(weight, data):
@@ -46,13 +46,15 @@ def phi(weight, datum):
 def _box(dim, radius):
     """The points of [-radius, radius]^dim in box order, made one at a time.
 
-    This is the radius rule of every box walk: a negative radius raises
-    ``DomainError`` at the call, before any point is made, and radius 0
-    is the one-point box.  Box order is ascending lexicographic, the last
-    coordinate fastest.  ``itertools.product`` walks the same order but
-    first stores the 2 * radius + 1 values as a tuple; this holds one
-    point, so a huge radius costs no memory.
+    This is the radius rule of every box walk: a radius that is not an
+    integer, or is negative, raises ``DomainError`` at the call, before
+    any point is made, and radius 0 is the one-point box.  Box order is
+    ascending lexicographic, the last coordinate fastest.
+    ``itertools.product`` walks the same order but first stores the
+    2 * radius + 1 values as a tuple; this holds one point, so a huge
+    radius costs no memory.
     """
+    radius = as_integer(radius, "box radius")
     if radius < 0:
         raise DomainError(f"box radius must be at least 0, got {radius}")
     return _box_points(dim, radius)

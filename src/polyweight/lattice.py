@@ -12,6 +12,7 @@ Weyl elements, which permute the coordinates, live in
 """
 
 import math
+import operator
 
 from .errors import DimensionMismatch, DomainError
 
@@ -119,12 +120,22 @@ def is_prime_power(m):
     return is_prime(base)
 
 
+def as_integer(value, name):
+    """``value`` as an int, through ``operator.index``; ``DomainError``,
+    never truncation, for a value that is not an integer, such as 2.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def prime_power(p, r):
     """The modulus p^r, for a prime p and an exponent r >= 1.
 
-    Raises ``DomainError`` when p is not prime, r < 1, or
-    p.bit_length() * r exceeds ``PRPOW_BIT_LIMIT``.
+    Raises ``DomainError`` when p or r is not an integer, p is not
+    prime, r < 1, or p.bit_length() * r exceeds ``PRPOW_BIT_LIMIT``.
     """
+    p, r = as_integer(p, "p"), as_integer(r, "r")
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     if r < 1:

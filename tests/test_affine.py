@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,14 +12,11 @@ from hypothesis import strategies as st
 
 from polyweight import affine
 from polyweight.affine import (
-    AffineElement,
     OrbitSlice,
     ShiftCheckResult,
+    _dot_orbit,
     _rho_shift,
-    affine_element,
     check_shift_bijection,
-    compose_affine,
-    dot_act,
     orbit_in_box,
     shift_bound_a,
 )
@@ -37,7 +35,7 @@ from polyweight.groups import (
     parse_group_spec,
 )
 from polyweight.lattice import vec_add, vec_scale, vec_sub
-from polyweight.weyl import act, identity_perm
+from polyweight.weyl import act, compose, identity_perm
 
 GL1 = build_gl(1)
 GL2 = build_gl(2)
@@ -90,16 +88,38 @@ def integer_span_test(gens, n):
     return contains
 
 
+def twist(w, lam, datum):
+    """The untranslated dot action w.lam, unreduced."""
+    return vec_add(act(w, lam), _rho_shift(w, datum))
+
+
+def count_dot_orbits(monkeypatch):
+    """Count the calls of ``affine._dot_orbit``, each a pass over W."""
+    calls = Counter()
+
+    def counted(*args, _compute=affine._dot_orbit):
+        calls["_dot_orbit"] += 1
+        return _compute(*args)
+
+    monkeypatch.setattr(affine, "_dot_orbit", counted)
+    return calls
+
+
+def same_class(lam, p, datum):
+    """Another weight of lam's class modulo p times the roots plus the kernel."""
+    other = vec_add(lam, vec_scale(p, datum.simple_roots[0]))
+    for vec in datum.lattice.kernel_basis:
+        other = vec_add(other, vec)
+    return other
+
+
 def orbit_oracle(lam, p, radius, datum):
     """Independent orbit scan: test every box point against the system."""
     n = datum.ambient_dim
     gens = [tuple(p * c for c in root) for root in datum.simple_roots]
     gens += list(datum.lattice.kernel_basis)
     in_span = integer_span_test(gens, n)
-    bases = [
-        vec_add(act(w, lam), _rho_shift(w, datum))
-        for w in datum.weyl_group()
-    ]
+    bases = [twist(w, lam, datum) for w in datum.weyl_group()]
     out = set()
     for x in itertools.product(range(-radius, radius + 1), repeat=n):
         if any(in_span(vec_sub(x, b)) for b in bases):
@@ -107,34 +127,18 @@ def orbit_oracle(lam, p, radius, datum):
     return tuple(sorted(out))
 
 
-class TestAffineElement:
-    def test_accepts_scaled_roots(self):
-        g = affine_element((0, 1), (2, -2), GL2, 2)
-        assert g.translation == (2, -2)
-
-    def test_rejects_non_lattice_translation(self):
-        with pytest.raises(DomainError):
-            affine_element((0, 1), (1, -1), GL2, 2)
-        with pytest.raises(DomainError):
-            affine_element((0, 1), (2, 0), GL2, 2)
-
-    def test_composition_is_semidirect(self):
-        s = (1, 0)
-        g = affine_element(s, (2, -2), GL2, 2)
-        h = affine_element((0, 1), (4, -4), GL2, 2)
-        gh = compose_affine(g, h, GL2, 2)
-        assert gh.w == s
-        assert gh.translation == vec_add((2, -2), act(s, (4, -4)))
-
-
 class TestDotAction:
     def test_gl2_frozen_values(self):
-        e = affine_element((0, 1), (0, 0), GL2, 2)
-        s = affine_element((1, 0), (0, 0), GL2, 2)
-        t = affine_element((0, 1), (2, -2), GL2, 2)
-        assert dot_act(e, (1, 0), GL2) == (1, 0)
-        assert dot_act(s, (1, 0), GL2) == (-1, 2)
-        assert dot_act(t, (1, 0), GL2) == (3, -2)
+        # the dot images of (1, 0) are itself and s.(1, 0) = (-1, 2), and
+        # the translations by 2(1, -1) carry each to its class
+        assert twist((0, 1), (1, 0), GL2) == (1, 0)
+        assert twist((1, 0), (1, 0), GL2) == (-1, 2)
+        span = affine._translation_lattice(GL2, 2)
+        assert _dot_orbit((1, 0), 2, GL2) == {
+            span.canonical_rep((1, 0)),
+            span.canonical_rep((-1, 2)),
+        }
+        assert _dot_orbit((3, -2), 2, GL2) == _dot_orbit((1, 0), 2, GL2)
 
     def test_rho_shift_of_identity_is_zero(self):
         for datum in (GL2, GL3, GSP4, GO5, LEVI23):
@@ -145,26 +149,13 @@ class TestDotAction:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_action_composition_ambient(self, datum, data):
-        p = 2
+        # w.(v.lam) = (wv).lam, the premise that makes the base forms of
+        # ``_dot_orbit`` one orbit; exact where the kernel is trivial
         W = datum.weyl_group()
-        root = datum.simple_roots[0]
-        k = data.draw(st.integers(-2, 2))
-        g = affine_element(
-            data.draw(st.sampled_from(W)),
-            tuple(p * k * c for c in root),
-            datum,
-            p,
-        )
-        h = affine_element(
-            data.draw(st.sampled_from(W)),
-            (0,) * datum.ambient_dim,
-            datum,
-            p,
-        )
+        w, v = data.draw(st.sampled_from(W)), data.draw(st.sampled_from(W))
         lam = data.draw(weights(datum))
-        assert dot_act(g, dot_act(h, lam, datum), datum) == dot_act(
-            compose_affine(g, h, datum, p), lam, datum
-        )
+        lhs = twist(w, twist(v, lam, datum), datum)
+        assert lhs == twist(compose(w, v), lam, datum)
 
     @pytest.mark.parametrize("datum", [GSP4, GO5], ids=["gsp4", "go5"])
     @settings(max_examples=40)
@@ -172,25 +163,11 @@ class TestDotAction:
     def test_action_composition_mod_kernel(self, datum, data):
         # permutation realizations of reflections are exact only up to the
         # kernel, so composition holds as classes
-        p = 2
         W = datum.weyl_group()
-        root = datum.simple_roots[0]
-        k = data.draw(st.integers(-2, 2))
-        g = affine_element(
-            data.draw(st.sampled_from(W)),
-            tuple(p * k * c for c in root),
-            datum,
-            p,
-        )
-        h = affine_element(
-            data.draw(st.sampled_from(W)),
-            (0,) * datum.ambient_dim,
-            datum,
-            p,
-        )
+        w, v = data.draw(st.sampled_from(W)), data.draw(st.sampled_from(W))
         lam = data.draw(weights(datum))
-        lhs = dot_act(g, dot_act(h, lam, datum), datum)
-        rhs = dot_act(compose_affine(g, h, datum, p), lam, datum)
+        lhs = twist(w, twist(v, lam, datum), datum)
+        rhs = twist(compose(w, v), lam, datum)
         assert datum.lattice.equal_mod_kernel(lhs, rhs)
 
     def test_rho_shift_consistent_with_two_rho_class(self):
@@ -218,20 +195,25 @@ class TestOrbitInBox:
         assert got == tuple(sorted(branch))
 
     @pytest.mark.parametrize(
-        "datum,lam,radius",
+        "datum,lam,radius,p",
         [
-            (GL2, (0, 1), 4),
-            (GL2, (-2, 3), 4),
-            (GL3, (1, 0, 1), 3),
-            (GSP4, (1, 0, 0, 0), 2),
-            (GSP4, (2, 1, 0, 1), 2),
-            (GO5, (1, 1, 0, 1, 0), 2),
+            # p = 2 keeps the bare case name
+            pytest.param(datum, lam, radius, p, id=name + (f"-p{p}" if p > 2 else ""))
+            for datum, lam, radius, name in [
+                (GL2, (0, 1), 4, "gl2-a"),
+                (GL2, (-2, 3), 4, "gl2-b"),
+                (GL3, (1, 0, 1), 3, "gl3"),
+                (GSP4, (1, 0, 0, 0), 2, "gsp4-a"),
+                (GSP4, (2, 1, 0, 1), 2, "gsp4-b"),
+                (GO5, (1, 1, 0, 1, 0), 2, "go5"),
+                (LEVI23, (1, 0, 0, 1, 0), 2, "levi23"),
+            ]
+            for p in (2, 3, 5)
         ],
-        ids=["gl2-a", "gl2-b", "gl3", "gsp4-a", "gsp4-b", "go5"],
     )
-    def test_matches_linear_solve_oracle(self, datum, lam, radius):
-        got = orbit_in_box(lam, 2, radius, datum).elements
-        assert got == orbit_oracle(lam, 2, radius, datum)
+    def test_matches_linear_solve_oracle(self, datum, lam, radius, p):
+        got = orbit_in_box(lam, p, radius, datum).elements
+        assert got == orbit_oracle(lam, p, radius, datum)
 
     def test_orbit_elements_are_canonical(self):
         slice_ = orbit_in_box((1, 0, 0, 1), 2, 2, GSP4)
@@ -243,7 +225,7 @@ class TestOrbitInBox:
         lam = (1, 0)
         elements = set(orbit_in_box(lam, 2, 6, GL2).elements)
         for w in GL2.weyl_group():
-            moved = vec_add(act(w, lam), _rho_shift(w, GL2))
+            moved = twist(w, lam, GL2)
             if max(abs(c) for c in moved) <= 6:
                 assert GL2.lattice.canonical_rep(moved) in elements
 
@@ -260,16 +242,26 @@ class TestOrbitInBox:
             with pytest.raises(DomainError, match="box radius"):
                 orbit_in_box(lam, 2, -1, datum)
 
+    def test_a_radius_that_is_not_an_integer_is_refused(self):
+        # R = 2.5 walked half-integer points and found an empty slice
+        with pytest.raises(DomainError, match="box radius must be an integer"):
+            orbit_in_box((0, 0), 3, 2.5, GL2)
+
+    @pytest.mark.parametrize("p", [2.5, 0, 4, -3])
+    def test_a_modulus_that_is_not_a_prime_is_refused(self, p):
+        with pytest.raises(DomainError, match="p must be"):
+            orbit_in_box((0, 0), p, 1, GL2)
+
     def test_radius_zero_is_the_origin(self):
         assert orbit_in_box((0, 0), 2, 0, GL2).elements == ((0, 0),)
         assert orbit_in_box((1, 0), 2, 0, GL2).elements == ()
 
     def test_another_weight_of_the_orbit_scans_no_box(self, monkeypatch):
-        # the slice is kept per prime, radius and orbit, and the rho shift
-        # per Weyl element, so a second weight of the orbit reuses both
+        # the slice is kept per prime, radius and orbit, and the rho shifts
+        # as one table per datum, so a second weight of the orbit reuses both
         datum = build_gsp(4)
         calls = Counter()
-        for name in ("_orbit_scan", "_halved_rho_shift"):
+        for name in ("_orbit_scan", "_rho_shift"):
 
             def counted(*args, _name=name, _compute=getattr(affine, name)):
                 calls[_name] += 1
@@ -278,10 +270,10 @@ class TestOrbitInBox:
             monkeypatch.setattr(affine, name, counted)
         lam = (1, 0, 0, 0)
         first = orbit_in_box(lam, 2, 2, datum)
-        expected = {"_orbit_scan": 1, "_halved_rho_shift": len(datum.weyl_group())}
+        expected = {"_orbit_scan": 1, "_rho_shift": len(datum.weyl_group())}
         assert calls == expected
         w = datum.weyl_group()[-1]
-        other = vec_add(act(w, lam), _rho_shift(w, datum))
+        other = twist(w, lam, datum)
         assert datum.lattice.canonical_rep(other) != datum.lattice.canonical_rep(lam)
         assert orbit_in_box(other, 2, 2, datum).elements == first.elements
         assert calls == expected
@@ -289,9 +281,10 @@ class TestOrbitInBox:
     @pytest.mark.parametrize(
         "datum, p, lam",
         [
+            # fresh data, so no other test has filled their caches
             (build_gl(7), 11, (0,) * 7),
-            (GSP4, 3, (1, 0, 0, 0)),
-            (GO5, 5, (1, 0, 0, 0, 0)),
+            (build_gsp(4), 3, (1, 0, 0, 0)),
+            (build_go_odd(5), 5, (1, 0, 0, 0, 0)),
         ],
         ids=lambda v: getattr(v, "spec_string", None),
     )
@@ -300,21 +293,12 @@ class TestOrbitInBox:
         # kernel, so a repeat, or another weight of the class, reads it
         # without twisting the base weight by W
         first = orbit_in_box(lam, p, 1, datum)
-        calls = Counter()
-
-        def counted(*args, _twist=affine._twist):
-            calls["_twist"] += 1
-            return _twist(*args)
-
-        monkeypatch.setattr(affine, "_twist", counted)
-        other = vec_add(lam, vec_scale(p, datum.simple_roots[0]))
-        for vec in datum.lattice.kernel_basis:
-            other = vec_add(other, vec)
-        for weight in (lam, other):
+        calls = count_dot_orbits(monkeypatch)
+        for weight in (lam, same_class(lam, p, datum)):
             assert orbit_in_box(weight, p, 1, datum).elements is first.elements
-        assert calls["_twist"] == 0
+        assert calls["_dot_orbit"] == 0
         assert orbit_in_box(lam, p, 2, datum).elements
-        assert calls["_twist"] == len(datum.weyl_group())
+        assert calls["_dot_orbit"] == 1
 
     @pytest.mark.parametrize("spec", ["gl:4", "gsp:6", "go:7", "go:8", "levi:1,2,3"])
     def test_the_weyl_group_keeps_the_translation_span(self, spec):
@@ -322,7 +306,7 @@ class TestOrbitInBox:
         # the roots plus the kernel into itself
         datum = parse_group_spec(spec)
         for p in (2, 3, 5):
-            span = affine._translation_lattice(datum, p, True)
+            span = affine._translation_lattice(datum, p)
             basis = [vec_scale(p, root) for root in datum.simple_roots]
             basis += datum.lattice.kernel_basis
             for g in datum.weyl_generators:
@@ -344,9 +328,44 @@ class TestShiftBound:
         datum = GL3
         best = 0
         for w in datum.weyl_group():
-            moved = vec_add(act(w, (1, 1, 0)), _rho_shift(w, datum))
-            best = max(best, c.x0_coordinates(moved)[0] % 3)
+            best = max(best, c.x0_coordinates(twist(w, (1, 1, 0), datum))[0] % 3)
         assert shift_bound_a((1, 1, 0), c) == best == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["gl:2", "gl:3", "gl:4", "gl:5", "gsp:4", "gsp:6", "go:3", "go:5", "go:7"],
+    )
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_unreduced_twist_over_w(self, spec, p):
+        # the bound as first defined: the largest x0 coordinate mod p of
+        # w.lam + half(w(2rho) - 2rho), unreduced, over all of W
+        datum = parse_group_spec(spec)
+        c = ClassificationContext(datum, p, 1)
+        rng = random.Random(f"{spec}-{p}")
+        for _ in range(6):
+            lam = tuple(rng.randint(-6, 6) for _ in range(datum.ambient_dim))
+            expected = max(
+                c.x0_coordinates(twist(w, lam, datum))[0] % p
+                for w in datum.weyl_group()
+            )
+            assert shift_bound_a(lam, c) == expected
+
+    @pytest.mark.parametrize(
+        "spec, lam", [("gl:4", (2, 0, -1, 3)), ("go:5", (1, 0, 2, 0, -1))]
+    )
+    def test_a_weight_of_a_seen_class_passes_w_no_more(self, spec, lam, monkeypatch):
+        # the bound is kept per prime and class modulo p times the roots
+        # plus the kernel, so a repeat, or another weight of the class, makes
+        # no pass over W
+        datum = parse_group_spec(spec)
+        c = ClassificationContext(datum, 5, 1)
+        calls = count_dot_orbits(monkeypatch)
+        a = shift_bound_a(lam, c)
+        assert calls["_dot_orbit"] == 1
+        assert shift_bound_a(lam, c) == shift_bound_a(same_class(lam, 5, datum), c) == a
+        assert calls["_dot_orbit"] == 1
+        shift_bound_a(tuple(x + 1 for x in lam[:-1]) + lam[-1:], c)
+        assert calls["_dot_orbit"] == 2
 
     def test_needs_rank_one_distinguished_part(self):
         c = ClassificationContext(LEVI23, 2, 1)
@@ -370,6 +389,14 @@ class TestShiftBijection:
         for i in (1, 0):
             with pytest.raises(DomainError, match="box radius"):
                 check_shift_bijection((0, 0, 0), i, c, -1)
+
+    def test_a_radius_that_is_not_an_integer_is_refused(self):
+        # R = 2.5 answered ok with an empty orbit, where R = 2 finds three
+        c = ClassificationContext(GL2, 3, 1)
+        assert check_shift_bijection((0, 0), 1, c, 2).orbit_size == 3
+        for i in (1, 0):
+            with pytest.raises(DomainError, match="box radius must be an integer"):
+                check_shift_bijection((0, 0), i, c, 2.5)
 
     def test_zero_shift_is_vacuous(self):
         c = ClassificationContext(GL2, 2, 1)
@@ -416,15 +443,6 @@ class TestShiftBijection:
 
 class TestRecords:
     """Construction, repr, equality and immutability of the records."""
-
-    def test_affine_element(self):
-        g = affine_element((1, 0), (2, -2), GL2, 2)
-        assert g == AffineElement((1, 0), (2, -2))
-        assert g == AffineElement(w=(1, 0), translation=(2, -2))
-        assert g != AffineElement((0, 1), (2, -2))
-        assert repr(g) == "AffineElement(w=(1, 0), translation=(2, -2))"
-        with pytest.raises(AttributeError):
-            g.w = (0, 1)
 
     def test_orbit_slice(self):
         slice_ = orbit_in_box((1, 0), 2, 1, GL2)

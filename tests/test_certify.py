@@ -184,6 +184,13 @@ def test_an_unbounded_box_is_refused_before_any_walk(spec, radius):
         check_assumption(parse_group_spec(spec), 3, 1, box_radius=radius)
 
 
+@pytest.mark.parametrize("radius", [2.5, 2.0, "2"])
+def test_a_radius_that_is_not_an_integer_is_refused(radius):
+    # int() certified R = 2.5 as radius 2
+    with pytest.raises(DomainError, match="box radius must be an integer"):
+        check_assumption(parse_group_spec("gl:2"), 3, 1, box_radius=radius)
+
+
 @pytest.mark.parametrize(
     "spec,radius,classes",
     # gl:3 at R=2: 5 minima vectors and 5 x0 vectors; levi:1,2 at R=1:

@@ -64,6 +64,12 @@ class TestContext:
         with pytest.raises(DomainError):
             ctx(GL2, 2, 0)
 
+    @pytest.mark.parametrize("p, r", [(3, 1.5), (2.5, 1), (3.0, 1), ("3", 1)])
+    def test_rejects_a_modulus_that_is_not_an_integer(self, p, r):
+        # (3, 1.5) built a context with prpow = 5.196...
+        with pytest.raises(DomainError, match="must be an integer"):
+            ctx(GL2, p, r)
+
     def test_modulus_is_formed_once_and_bounded(self):
         c = ctx(GL2, 3, 2)
         assert vars(c)["prpow"] == 9

@@ -488,9 +488,19 @@ class TestBoxRadius:
         with deadline(5), pytest.raises(DomainError, match="box radius"):
             walk(t, 3, -1)
 
+    @pytest.mark.parametrize("walk", BOX_WALKS.values(), ids=BOX_WALKS)
+    def test_a_radius_that_is_not_an_integer_is_refused(self, walk):
+        # R = 2.5 walked half-integer points, and the numpy sweeps raised
+        # TypeError
+        t = tables_of(GL2, 3, 1)
+        with pytest.raises(DomainError, match="box radius must be an integer"):
+            walk(t, 3, 2.5)
+
     def test_the_refusal_comes_before_any_point(self):
         with pytest.raises(DomainError, match="at least 0, got -2"):
             _box(2, -2)
+        with pytest.raises(DomainError, match="an integer, got 2.0"):
+            _box(2, 2.0)
         with pytest.raises(DomainError, match="box radius"):
             next(kernels._box_slabs(np, 3, -1, np.int32))
 

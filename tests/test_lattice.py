@@ -341,6 +341,10 @@ def test_prime_power_checks_its_modulus():
         prime_power(4, 1)
     with pytest.raises(DomainError, match="positive"):
         prime_power(3, 0)
+    # never truncated: 2.5 raised pow's TypeError, and r = 1.5 made 3^1.5
+    for p, r in ((2.5, 1), (3, 1.5), (3.0, 1), (3, "2")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            prime_power(p, r)
 
 
 def test_is_prime_power_matches_trial_division():
