@@ -45,6 +45,7 @@ from itertools import groupby, islice, product
 
 from .errors import DomainError
 from .functional import _box, phi_ambient
+from .lattice import int_text
 
 _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
@@ -71,8 +72,8 @@ def _lane(bound, kernel):
     2^63 - 1, and DomainError beyond."""
     if bound > _INT64_MAX:
         raise DomainError(
-            f"{kernel}: intermediate values may reach {bound}, beyond the "
-            "64-bit range of the vectorised sweep"
+            f"{kernel}: intermediate values may reach {int_text(bound)}, "
+            "beyond the 64-bit range of the vectorised sweep"
         )
     return "int32" if bound <= _INT32_MAX else "int64"
 

@@ -2,12 +2,11 @@
 shift-bijection check.
 
 The affine group, the finite Weyl group W with translations by p times
-the root lattice, acts through the rho-shifted dot action.
-``_dot_orbit`` twists a weight by W and reduces the twists modulo the
-translation span.  Orbit slices scan a coordinate box against those
-base forms, exactly, so no completeness window is needed, and the shift
-bound a reads them in the rank-one distinguished case.  Both are kept
-per class of the weight, and the rho shifts are one table per datum.
+the root lattice, acts by w.x = w(x + rho) - rho (Jantzen, *Representations
+of Algebraic Groups*, II.6).  On the built-in gl, Levi, gsp and odd go
+data W permutes, or permutes with signs, a few integer invariants of a
+class, so one key names each orbit (``_orbit_key``), the shift bound has
+a closed form and no element of W is listed.  Other data are refused.
 """
 
 from collections import namedtuple
@@ -15,109 +14,80 @@ from collections import namedtuple
 from .classify import simple_membership
 from .errors import CapExceeded, DomainError, PreconditionError, ShiftRangeError
 from .functional import _box
+from .groups import parse_group_spec
 from .lattice import (
-    QuotientLattice,
-    _echelonize,
-    check_dim,
-    prime_power,
-    vec_add,
-    vec_scale,
-    vec_sub,
+    check_dim, int_text, power_exceeds, prime_power, vec_add, vec_scale,
 )
-from .weyl import act
 
-# Most box points ``orbit_in_box`` scans in one call.
+# Most box points ``orbit_in_box`` scans in one call, and most subset sums
+# ``shift_bound_a`` reaches.
 ORBIT_BOX_CAP = 1_000_000
 
 
-def _translation_lattice(datum, p):
-    """Span of p times the simple roots plus the kernel sublattice; cached
-    per datum and prime."""
-    return datum._cached(("translation-span", p), _translation_span, datum, p)
-
-
-def _translation_span(datum, p):
-    gens = [vec_scale(p, root) for root in datum.simple_roots]
-    gens.extend(datum.lattice.kernel_basis)
-    rows, _ = _echelonize(gens, datum.ambient_dim)
-    return QuotientLattice(datum.ambient_dim, tuple(rows))
-
-
-def _parity_rows(datum):
-    """GF(2) echelon of the kernel's echelon rows, cached per datum; each
-    row carries an integer lift, so that solutions pull back to Z."""
-    return datum._cached("parity-rows", _parity_echelon, datum.lattice._rows)
-
-
-def _parity_echelon(kernel_rows):
-    rows = []
-    for k in kernel_rows:
-        par = [c & 1 for c in k]
-        lift = list(k)
-        for pcol, prow, plift in rows:
-            if par[pcol]:
-                par = [a ^ b for a, b in zip(par, prow)]
-                lift = [a + b for a, b in zip(lift, plift)]
-        piv = next((i for i, c in enumerate(par) if c), None)
-        if piv is not None:
-            rows.append((piv, par, lift))
-    rows.sort()
-    return rows
-
-
-def halve_class(vec, datum):
-    """Exact division of the class of ``vec`` by 2.
-
-    Finds a kernel shift making the vector coordinatewise even and
-    halves it (an all-even vector is halved as it stands); raises
-    ValueError if the class is not divisible.
-    """
-    check_dim(vec, datum.ambient_dim)
-    par = [c & 1 for c in vec]
-    shifted = list(vec)
-    for pcol, prow, plift in _parity_rows(datum):
-        if par[pcol]:
-            par = [a ^ b for a, b in zip(par, prow)]
-            shifted = [a + b for a, b in zip(shifted, plift)]
-    if any(par):
-        raise ValueError("coset is not divisible by 2")
-    return tuple(c // 2 for c in shifted)
-
-
-def _rho_shift(w, datum):
-    """A representative of half the class of w(2 rho) - 2 rho.
-
-    The permutation realization of a reflection can differ from the
-    reflection formula by a kernel element, so the ambient difference is
-    only guaranteed even as a class; the quotient-exact halving picks a
-    fixed representative.
-    """
-    two_rho = datum.positive_root_sum_twice
-    try:
-        return halve_class(vec_sub(act(w, two_rho), two_rho), datum)
-    except ValueError as exc:
-        raise DomainError(
-            "rho shift class is not divisible; datum is inconsistent"
-        ) from exc
-
-
-def _rho_shifts(datum):
-    """The rho shift of every Weyl element, in the order of
-    ``datum.weyl_group()``: one tuple, cached per datum."""
-    return datum._cached(
-        "rho-shifts",
-        lambda: tuple(_rho_shift(w, datum) for w in datum.weyl_group()),
+def _family(datum):
+    """The datum's family, or ``DomainError`` when its invariants are not
+    known to hold: the gate is that the datum equals, field for field, the
+    built-in datum of its spec string, decided once through its memo."""
+    if datum._cached("orbit-invariants", _is_builtin, datum):
+        return datum.family
+    raise DomainError(
+        f"no dot-orbit invariant for the {datum.family} datum "
+        f"{datum.spec_string}: the orbit checks cover the built-in gl, "
+        "levi, gsp and odd go data"
     )
 
 
-def _dot_orbit(weight, p, datum):
-    """The set of twisted base forms: w.weight + half(w(2rho) - 2rho)
-    reduced modulo the translation span, for every Weyl element w."""
-    span = _translation_lattice(datum, p)
-    return {
-        span.canonical_rep(vec_add(act(w, weight), shift))
-        for w, shift in zip(datum.weyl_group(), _rho_shifts(datum))
-    }
+def _is_builtin(datum):
+    try:
+        return (
+            datum.family in ("gl", "levi", "gsp", "go_odd")
+            and isinstance(datum.spec_string, str)
+            and parse_group_spec(datum.spec_string) == datum
+        )
+    except ValueError:  # a spec string that names no datum
+        return False
+
+
+def _mirror_steps(x, family):
+    """u_i = x_i - x_i' + (l - i) for gsp, or t_i = 2(x_i - x_i' + l - i)
+    - 1 for odd go, for i < l and i' = n - 1 - i: x + rho in coordinates
+    where W acts by signed permutations, doubled for odd go."""
+    n, l = len(x), len(x) // 2
+    if family == "gsp":
+        return [x[i] - x[n - 1 - i] + l - i for i in range(l)]
+    return [2 * (x[i] - x[n - 1 - i] + l - i) - 1 for i in range(l)]
+
+
+def _orbit_key(x, p, datum, family):
+    """The invariant naming the dot orbit of the class of x: two weights
+    lie in one orbit modulo p times the roots plus the kernel iff their
+    keys are equal.
+
+    * gl and Levi: no kernel, W permutes each block, and p times the
+      roots are the vectors of p Z^n with sum 0 on each block; so the key
+      is each block's sum and multiset of 2(x + rho) mod 2p.
+    * gsp and odd go: a class is (x_i - x_i' for i < l, s = sum(x)); W
+      fixes s and acts on the rest by signed permutations.  For odd go
+      the roots span Z^l, so t is known mod 2p up to sign and order.  For
+      gsp they span the vectors of even sum, so u is known mod p up to
+      sign and order, and the p v between two such has sum(v) even.  For
+      odd p that parity is s(x) - s(lam) mod 2, as signs keep parity; for
+      p = 2 a sign moves sum(v) by u_i, so it is free unless every u_i
+      is even, and then it is sum(u) mod 4.
+    """
+    if family in ("gl", "levi"):
+        two_rho = datum.positive_root_sum_twice
+        return tuple(
+            (sum(x[i] for i in blk),
+             tuple(sorted((2 * x[i] + two_rho[i]) % (2 * p) for i in blk)))
+            for blk in datum.blocks
+        )
+    steps = _mirror_steps(x, family)
+    m = p if family == "gsp" else 2 * p
+    key = (sum(x), tuple(sorted(min(g % m, -g % m) for g in steps)))
+    if family == "gsp" and p == 2 and not any(g % 2 for g in steps):
+        return key + (sum(steps) % 4,)
+    return key
 
 
 class OrbitSlice(namedtuple("OrbitSlice", "base box_radius elements")):
@@ -134,52 +104,37 @@ class OrbitSlice(namedtuple("OrbitSlice", "base box_radius elements")):
 def orbit_in_box(weight, p, box_radius, datum):
     """All dot-orbit classes with a representative in the closed box.
 
-    A box point x lies in the orbit of the base weight iff for some Weyl
-    element w the difference x - (w.weight + half(w(2rho) - 2rho)) falls
-    in p times the root lattice (plus the kernel, which ambient
-    representatives carry invisibly).  The scan is exact: every box
-    point is reduced to its canonical form modulo that translation span
-    and matched against the base forms of ``_dot_orbit``.  Raises
-    CapExceeded, before scanning, when the box has more than
-    ``ORBIT_BOX_CAP`` points, and ``lattice.prime_power``'s DomainError
-    when p is not prime.
-
-    The slice is cached per orbit, and per class of the weight modulo
-    the translation span, so a repeat twists no Weyl element.  The base
-    forms depend only on that class: w acts linearly and permutes the
-    roots, so it maps p times the root lattice onto itself, and it
-    preserves the kernel, so weight + t with t in the span twists to
-    w.weight + w(t) plus the same rho shift, and w(t) lies in the span.
+    A box point lies in the orbit iff its key (``_orbit_key``) equals the
+    weight's: an exact test in O(n log n) per point.  Raises, in order,
+    ``lattice.prime_power``'s DomainError when p is not prime,
+    CapExceeded when the box has more than ``ORBIT_BOX_CAP`` points, and
+    ``_family``'s DomainError.  The slice is kept per prime, radius and
+    key, so a repeat, or another weight of the orbit, scans no box.
     """
     n = datum.ambient_dim
     check_dim(weight, n)
     points = _box(n, box_radius)
     prime_power(p, 1)  # refuses a p that is not a prime
-    if (2 * box_radius + 1) ** n > ORBIT_BOX_CAP:
+    if power_exceeds(2 * box_radius + 1, n, ORBIT_BOX_CAP):
         raise CapExceeded(
-            f"orbit scan of the box of radius {box_radius} in dimension {n} "
-            f"has more than {ORBIT_BOX_CAP} points"
+            f"orbit scan of the box of radius {int_text(box_radius)} in "
+            f"dimension {n} has more than {ORBIT_BOX_CAP} points"
         )
-    span = _translation_lattice(datum, p)
-    key = ("orbit-slice-of", p, box_radius, span.canonical_rep(weight))
-    elements = datum._cached(key, _orbit_slice, weight, p, box_radius, points, datum)
+    family = _family(datum)
+    key = _orbit_key(weight, p, datum, family)
+    elements = datum._cached(
+        ("orbit-slice", p, box_radius, key),
+        _orbit_scan, points, sum(weight), key, p, datum, family,
+    )
     return OrbitSlice(base=tuple(weight), box_radius=box_radius, elements=elements)
 
 
-def _orbit_slice(weight, p, box_radius, points, datum):
-    """The slice of the weight's orbit, cached per orbit: the key is the
-    least of the twisted base forms, which every weight of it shares."""
-    base_forms = _dot_orbit(weight, p, datum)
-    key = ("orbit-slice", p, box_radius, min(base_forms))
-    span = _translation_lattice(datum, p)
-    return datum._cached(key, _orbit_scan, points, span, base_forms, datum)
-
-
-def _orbit_scan(points, span, base_forms, datum):
+def _orbit_scan(points, total, key, p, datum, family):
+    # every key fixes the coordinate sum, so that is tested first
     found = {
         datum.lattice.canonical_rep(x)
         for x in points
-        if span.canonical_rep(x) in base_forms
+        if sum(x) == total and _orbit_key(x, p, datum, family) == key
     }
     return tuple(sorted(found))
 
@@ -187,18 +142,19 @@ def _orbit_scan(points, span, base_forms, datum):
 def shift_bound_a(weight, ctx):
     """The maximal twisted distinguished coordinate, reduced mod p.
 
-    Over the full Weyl group, take the distinguished-basis coordinate of
-    w.weight + half(w(2rho) - 2rho) and reduce it into [0, p - 1]; the
-    bound a is the maximum.  Only data whose distinguished sublattice has
-    rank one carry this notion.
+    Over the full Weyl group, take the distinguished-basis coordinate x0
+    of w.weight and reduce it into [0, p - 1]; the bound a is the
+    maximum.  Only data whose distinguished sublattice has rank one carry
+    this notion, and ``_family`` refuses data without invariants.
 
-    The maximum is taken over the reduced base forms of ``_dot_orbit``
-    and kept per prime and class of the weight modulo the translation
-    span, so a repeat makes no pass over W.  Both are sound: the
-    distinguished row (``weyl.coordinate_rows``) is integral and kills
-    the kernel, so the coordinate mod p is constant on classes modulo p
-    times the root lattice plus the kernel, and the weights of one class
-    have the same base forms (see ``orbit_in_box``).
+    * gl and one-block Levi: x0 is the last coordinate, (lam + rho)_i -
+      rho_(n-1) for the i that w moves last, so a is the largest
+      (lam_i + n - 1 - i) mod p.
+    * gsp and odd go: x0 is (s - sum(x_i - x_i'))/2, or s - sum(x_i -
+      x_i'), so negating the set S moves it by the sum of g_i over S
+      (``_mirror_steps``), and a = max_S (x0(lam) + sum_S g_i) mod p.  The
+      subset sums are reached one g at a time, up to p - 1; their work
+      counts against ``ORBIT_BOX_CAP``, and is refused before it is done.
     """
     datum = ctx.datum
     if datum.x0_rank != 1:
@@ -206,14 +162,25 @@ def shift_bound_a(weight, ctx):
             "the shift bound needs a rank-one distinguished sublattice; "
             f"{datum.spec_string} has rank {datum.x0_rank}"
         )
+    family = _family(datum)
     p = ctx.p
-    key = ("shift-bound", p, _translation_lattice(datum, p).canonical_rep(weight))
-    return datum._cached(key, _shift_bound, weight, ctx)
-
-
-def _shift_bound(weight, ctx):
-    forms = _dot_orbit(weight, ctx.p, ctx.datum)
-    return max(ctx.x0_coordinates(form)[0] % ctx.p for form in forms)
+    if family in ("gl", "levi"):
+        n = datum.ambient_dim
+        check_dim(weight, n)
+        return max((x + n - 1 - i) % p for i, x in enumerate(weight))
+    (x0,) = ctx.x0_coordinates(weight)
+    reach, work = {x0 % p}, 0
+    for g in _mirror_steps(weight, family):
+        if p - 1 in reach:
+            break
+        work += len(reach)
+        if work > ORBIT_BOX_CAP:
+            raise CapExceeded(
+                f"shift bound of {datum.spec_string} at p = {p} reaches "
+                f"more than {ORBIT_BOX_CAP} subset sums"
+            )
+        reach |= {(r + g) % p for r in reach}
+    return max(reach)
 
 
 class ShiftCheckResult(
@@ -247,7 +214,7 @@ def check_shift_bijection(weight, i, ctx, box_radius):
         )
     if i < 0 or i > ctx.p - a - 1:
         raise ShiftRangeError(
-            f"shift index {i} outside the admissible range "
+            f"shift index {int_text(i)} outside the admissible range "
             f"[0, {ctx.p - a - 1}] for bound a = {a}"
         )
     _box(datum.ambient_dim, box_radius)  # the radius rule, at every i

@@ -18,6 +18,8 @@ from .lattice import (
     PRPOW_BIT_LIMIT,
     as_integer,
     check_dim,
+    int_text,
+    power_exceeds,
     prime_power,
     vec_add,
     vec_scale,
@@ -316,16 +318,19 @@ def check_assumption(datum, p, r, box_radius=None):
     if radius < 1:
         raise DomainError("box radius must be at least 1")
     side = 2 * radius + 1
-    classes = side ** len(datum.blocks) + side**datum.x0_rank
-    if classes > CERTIFY_CLASS_CAP:
+    s, l = len(datum.blocks), datum.x0_rank
+    if power_exceeds(side, max(s, l), CERTIFY_CLASS_CAP) or (
+        side**s + side**l > CERTIFY_CLASS_CAP
+    ):
         raise CapExceeded(
-            f"box certification of {datum.spec_string} at radius {radius} "
-            f"walks more than {CERTIFY_CLASS_CAP} classes"
+            f"box certification of {datum.spec_string} at radius "
+            f"{int_text(radius)} walks more than {CERTIFY_CLASS_CAP} classes"
         )
     bits = 2 * n * side.bit_length()
     if bits > PRPOW_BIT_LIMIT:
         raise CapExceeded(
-            f"box certification of {datum.spec_string} at radius {radius} "
+            f"box certification of {datum.spec_string} at radius "
+            f"{int_text(radius)} "
             f"counts (2R+1)^(2n) pairs: 2n * bit_length(2R+1) = {bits} "
             f"exceeds {PRPOW_BIT_LIMIT}"
         )

@@ -10,7 +10,7 @@ it on a class of a datum meeting every construction hypothesis, and
 """
 
 from .errors import DomainError, HypothesisFailure
-from .lattice import as_integer, check_dim
+from .lattice import as_integer, check_dim, int_text
 
 
 def phi_ambient(weight, data):
@@ -56,7 +56,7 @@ def _box(dim, radius):
     """
     radius = as_integer(radius, "box radius")
     if radius < 0:
-        raise DomainError(f"box radius must be at least 0, got {radius}")
+        raise DomainError(f"box radius must be at least 0, got {int_text(radius)}")
     return _box_points(dim, radius)
 
 

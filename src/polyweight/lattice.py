@@ -27,6 +27,24 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
+def int_text(value):
+    """An integer for a message: in decimal, or by its bit length past
+    Python's limit for writing one in decimal (4,300 digits by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
+def power_exceeds(base, exponent, cap):
+    """Whether base ** exponent > cap, for integers base, cap >= 1 and
+    exponent >= 0, deciding by bit lengths before forming a large power."""
+    if (base.bit_length() - 1) * exponent >= cap.bit_length():
+        return True  # base^e >= 2^((bit_length - 1) e) > cap
+    return base**exponent > cap
+
+
 def check_dim(vec, n):
     if len(vec) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(vec)}")
@@ -49,8 +67,8 @@ def is_prime(m):
         return False
     if m >= PRIME_TEST_LIMIT:
         raise DomainError(
-            f"primality of {m} is not decided: the deterministic test is "
-            f"exact only below {PRIME_TEST_LIMIT}"
+            f"primality of {int_text(m)} is not decided: the deterministic "
+            f"test is exact only below {PRIME_TEST_LIMIT}"
         )
     for q in _MR_BASES:
         if m % q == 0:
@@ -137,13 +155,14 @@ def prime_power(p, r):
     """
     p, r = as_integer(p, "p"), as_integer(r, "r")
     if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+        raise DomainError(f"p must be prime, got {int_text(p)}")
     if r < 1:
-        raise DomainError(f"r must be a positive integer, got {r}")
+        raise DomainError(f"r must be a positive integer, got {int_text(r)}")
     bits = p.bit_length() * r
     if bits > PRPOW_BIT_LIMIT:
         raise DomainError(
-            f"modulus p^r = {p}^{r} is refused: bit_length(p) * r = {bits} "
+            f"modulus p^r = {p}^{int_text(r)} is refused: "
+            f"bit_length(p) * r = {int_text(bits)} "
             f"exceeds {PRPOW_BIT_LIMIT}"
         )
     return p**r

@@ -9,6 +9,7 @@ witness rule the additivity proof uses is the one that works.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from polyweight.certify import check_assumption
 from polyweight.classify import tables_for
 from polyweight.errors import CapExceeded, DomainError
 from polyweight.functional import phi_ambient
-from polyweight.groups import build_gsp, parse_group_spec
+from polyweight.groups import build_gsp, build_levi, parse_group_spec
 from polyweight.lattice import QuotientLattice
 
 
@@ -215,6 +216,17 @@ def test_a_pair_count_past_the_bit_limit_is_refused(monkeypatch):
         check_assumption(datum, 3, 1, box_radius=2)
     monkeypatch.setattr(certify, "PRPOW_BIT_LIMIT", 18)
     assert check_assumption(datum, 3, 1, box_radius=2).all_ok
+
+
+def test_a_4300_digit_radius_is_refused_at_once():
+    # the class count (2R+1)^2048 + 2R+1 is decided on bit lengths before
+    # a power is formed; forming it took 15.6 s
+    datum = build_levi([1] * 2_048)
+    radius = 10**4_299
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"radius {radius} walks more than"):
+        check_assumption(datum, 3, 1, box_radius=radius)
+    assert time.perf_counter() - start < 0.5
 
 
 class _Walked(Exception):

@@ -1,12 +1,17 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from orbit_oracle import gl_closed_bound, gl_closed_slice
 
 from polyweight import kernel_backend_name
 from polyweight.cli import (
@@ -356,6 +361,26 @@ class TestOrbitShift:
             "orbit_size": 4,
         }
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_gl9_and_gl10_answer(self, capsys, n):
+        # their Weyl groups are past weyl.WEYL_CAP, which refused them
+        payload = run_json(
+            capsys,
+            ["orbit-shift", "--group", f"gl:{n}", "--p", "11", "--r", "1",
+             "--weight", ",".join(["0"] * n), "--shift-i", "1",
+             "--box-radius", "1"],
+        )
+        zero = (0,) * n
+        assert payload["result"] == {
+            "weight": list(zero),
+            "shift_i": 1,
+            "box_radius": 1,
+            "shift_bound": gl_closed_bound(zero, 11),
+            "ok": True,
+            "counterexample": None,
+            "orbit_size": len(gl_closed_slice(zero, 11, 1)),
+        }
+
     def test_out_of_range_shift(self, capsys):
         code, _, err = run(
             capsys,
@@ -477,6 +502,69 @@ class TestExitCodes:
             main(["--version"])
         assert err.value.code == 0
         assert "polyweight" in capsys.readouterr().out
+
+
+# Integers for the fuzzed options: small ones, and the edges of what the
+# caps and the decimal limit allow (10^4299 is the largest power of ten
+# Python reads from decimal by default).
+_EDGE_INTS = [10**4_299, -(10**4_299), 3_037_000_500, 10**30]
+_FUZZ_INTS = st.one_of(st.integers(-2, 4), st.sampled_from(_EDGE_INTS))
+_SMALL_PRIMES = st.sampled_from([2, 3, 5, 7])
+_FUZZ_PRIMES = st.one_of(
+    _SMALL_PRIMES,
+    _SMALL_PRIMES,
+    st.sampled_from([1, 0, -3, 4, 9, 1_000_000_007, 2**89 - 1, 10**4_299]),
+)
+# each spec with its ambient dimension; the degenerate ones have none
+_FUZZ_SPECS = {
+    "gl:1": 1, "gl:2": 2, "gl:3": 3, "gsp:2": 2, "gsp:4": 4, "go:3": 3,
+    "go:5": 5, "levi:1,2": 3, "levi:2,1": 3, "go:8": 8,
+    "gl:0": 1, "levi:": 1, "go:1": 1, "gsp:3": 3,
+}
+
+
+@st.composite
+def _fuzzed_requests(draw):
+    command = draw(st.sampled_from(["orbit-shift", "assumption-check"]))
+    spec = draw(st.sampled_from(sorted(_FUZZ_SPECS)))
+    r = draw(st.one_of(st.just(1), st.just(1), st.integers(-1, 3),
+                       st.sampled_from(_EDGE_INTS)))
+    argv = ["--format", draw(st.sampled_from(["json", "tsv"])), command,
+            "--group", spec, "--p", str(draw(_FUZZ_PRIMES)), "--r", str(r)]
+    if command == "orbit-shift":
+        dim = _FUZZ_SPECS[spec]
+        dim = draw(st.one_of(st.just(dim), st.just(dim), st.integers(1, 5)))
+        weight = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+        shift = draw(st.one_of(st.integers(0, 2), st.integers(0, 2), _FUZZ_INTS))
+        argv += [f"--weight={','.join(map(str, weight))}", f"--shift-i={shift}"]
+    radius = draw(st.one_of(st.none(), st.integers(1, 2), st.integers(1, 2), _FUZZ_INTS))
+    if radius is not None:
+        argv.append(f"--box-radius={radius}")
+    return argv
+
+
+class TestFuzzedRequests:
+    @settings(max_examples=150, deadline=2_000)
+    @given(argv=_fuzzed_requests())
+    def test_every_request_exits_cleanly(self, argv):
+        # huge and negative radii, composite, unit and undecided p, huge r
+        # and degenerate specs all end in a documented exit code, with no
+        # traceback, each within the deadline
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse's refusals
+                code = stop.code
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_PRECONDITION)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+            if argv[1] == "json":
+                json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue()
 
 
 class TestFormats:

@@ -6,10 +6,15 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from orbit_oracle import halve_class
 
 from polyweight import weyl
-from polyweight.affine import halve_class
-from polyweight.errors import CapExceeded, DimensionMismatch, DomainError
+from polyweight.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    DomainError,
+    PolyweightError,
+)
 from polyweight.groups import build_gsp
 from polyweight.lattice import (
     PRIME_TEST_LIMIT,
@@ -17,9 +22,11 @@ from polyweight.lattice import (
     QuotientLattice,
     _echelonize,
     dot,
+    int_text,
     is_prime,
     is_prime_power,
     pair,
+    power_exceeds,
     prime_power,
     vec_add,
     vec_scale,
@@ -369,3 +376,71 @@ def test_is_prime_power_on_large_values():
         is_prime_power(2**PRPOW_BIT_LIMIT)  # refused before any root
     with pytest.raises(DomainError, match="primality"):
         is_prime_power((2**89 - 1) ** 2)
+
+
+HUGE = 10**5000  # past the 4,300 digits Python writes in decimal
+
+
+def test_int_text_names_a_value_past_the_decimal_limit_by_its_bit_length():
+    assert int_text(-3037000500) == "-3037000500"
+    assert int_text(10**4299) == str(10**4299)  # 4,300 digits: still decimal
+    assert int_text(HUGE) == "an integer of 16610 bits"
+    assert int_text(-HUGE) == "a negative integer of 16610 bits"
+
+
+def test_power_exceeds_matches_the_power():
+    for base in range(1, 40):
+        for exponent in range(0, 30):
+            for cap in (1, 2, 7, 8, 9, 1_000, 10**6, 3**20):
+                assert power_exceeds(base, exponent, cap) == (base**exponent > cap)
+
+
+def _huge_requests():
+    """Each entry point that takes an integer of unbounded size, with the
+    value in that place; it must be refused with a PolyweightError."""
+    from polyweight import _kernels
+    from polyweight.affine import check_shift_bijection, orbit_in_box
+    from polyweight.certify import check_assumption
+    from polyweight.classify import ClassificationContext
+    from polyweight.functional import _box
+    from polyweight.groups import build_gl
+
+    gl2 = build_gl(2)
+    ctx = ClassificationContext(gl2, 3, 1)
+    t = ctx.tables()
+    both = {
+        "prime_power-p": lambda v: prime_power(v, 1),
+        "prime_power-r": lambda v: prime_power(2, v),
+        "context-p": lambda v: ClassificationContext(gl2, v, 1),
+        "context-r": lambda v: ClassificationContext(gl2, 3, v),
+        "orbit_in_box-radius": lambda v: orbit_in_box((0, 0), 3, v, gl2),
+        "orbit_in_box-p": lambda v: orbit_in_box((0, 0), v, 1, gl2),
+        "check_shift_bijection-i": lambda v: check_shift_bijection((0, 0), v, ctx, 1),
+        "check_shift_bijection-radius": lambda v: check_shift_bijection(
+            (0, 0), 1, ctx, v
+        ),
+        "check_assumption-radius": lambda v: check_assumption(gl2, 3, 1, box_radius=v),
+        "check_assumption-p": lambda v: check_assumption(gl2, v, 1),
+        "check_assumption-r": lambda v: check_assumption(gl2, 3, v),
+        "predicate_flags_box": lambda v: _kernels.predicate_flags_box(t, 3, v),
+        "decompose_unique_sweep": lambda v: _kernels.decompose_unique_sweep(t, 3, v),
+        "pair_witness_sweep": lambda v: _kernels.pair_witness_sweep(t, v),
+    }
+    requests = [
+        pytest.param(call, s * HUGE, id=f"{name}{sign}")
+        for name, call in both.items()
+        for sign, s in (("+", 1), ("-", -1))
+    ]
+    # a huge radius is a valid box, and a negative number is not prime
+    requests.append(pytest.param(lambda v: _box(2, v), -HUGE, id="_box-"))
+    requests.append(pytest.param(is_prime, HUGE, id="is_prime+"))
+    return requests
+
+
+@pytest.mark.parametrize("call, value", _huge_requests())
+def test_a_huge_integer_is_refused_with_a_polyweight_error(call, value):
+    # a refusal names the value by its bit length, where writing it in
+    # decimal raised a bare ValueError ("Exceeds the limit (4300 digits)")
+    with pytest.raises(PolyweightError) as refusal:
+        call(value)
+    assert len(str(refusal.value)) < 200

@@ -232,19 +232,14 @@ def test_only_the_record_names_its_cache():
     assert found == []
 
 
-def test_affine_passes_over_w_in_two_places():
-    # the rho shifts are one table per datum and the twisted base forms
-    # are stated once, so only ``_rho_shifts`` and ``_dot_orbit`` list W
+def test_affine_lists_no_weyl_group():
+    # orbits are named by invariant keys and the shift bound is a closed
+    # form, so ``affine.py`` calls no ``weyl_group()`` and imports nothing
+    # from ``weyl``; the W scan is the tests' oracle
     tree = ast.parse((PACKAGE_DIR / "affine.py").read_text())
-    allowed = set()
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in (
-            "_rho_shifts",
-            "_dot_orbit",
-        ):
-            allowed.update(_calls_named(node, "weyl_group"))
-    assert len(allowed) == 2
-    found = [
-        node.lineno for node in _calls_named(tree, "weyl_group") if node not in allowed
-    ]
-    assert found == []
+    assert [node.lineno for node in _calls_named(tree, "weyl_group")] == []
+    assert [
+        line
+        for line, target, _ in _package_imports(PACKAGE_DIR / "affine.py")
+        if target == "weyl"
+    ] == []
