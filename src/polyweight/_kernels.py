@@ -43,9 +43,9 @@ imports this one: a caller of a sweep imports it.
 from functools import reduce
 from itertools import groupby, islice, product
 
-from .errors import DomainError
+from .errors import CapExceeded, DomainError
 from .functional import _box, phi_ambient
-from .lattice import int_text
+from .lattice import int_text, power_exceeds
 
 _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
@@ -227,14 +227,21 @@ def poly_consistency_sweep(t, radius):
     non-negative.  It is ``certify._shift_exists`` with every coordinate
     its own block and the kernel basis vectors as columns, an exact
     search; like the certificate, it raises ``DomainError`` where a
-    coefficient range stays unbounded.  Returns (weights checked, first
-    disagreement or None) where a disagreement is (lam, phi verdict,
-    oracle verdict).
+    coefficient range stays unbounded.  A box of more than
+    ``certify.CERTIFY_CLASS_CAP`` points raises ``CapExceeded`` before
+    the first point.  Returns (weights checked, first disagreement or
+    None) where a disagreement is (lam, phi verdict, oracle verdict).
     """
-    from .certify import _shift_exists
+    from .certify import CERTIFY_CLASS_CAP, _shift_exists
 
+    points = _box(t.n, radius)  # refuses a radius that is not an integer >= 0
+    if power_exceeds(2 * radius + 1, t.n, CERTIFY_CLASS_CAP):
+        raise CapExceeded(
+            f"poly_consistency_sweep: the box of radius {int_text(radius)} "
+            f"in dimension {t.n} has more than {CERTIFY_CLASS_CAP} points"
+        )
     checked = 0
-    for lam in _box(t.n, radius):
+    for lam in points:
         ok_phi = min(phi_ambient(lam, t)) >= 0
         ok_oracle = _shift_exists(lam, t.kernel)
         checked += 1

@@ -14,7 +14,6 @@ from collections import namedtuple
 from .classify import simple_membership
 from .errors import CapExceeded, DomainError, PreconditionError, ShiftRangeError
 from .functional import _box
-from .groups import parse_group_spec
 from .lattice import (
     check_dim, int_text, power_exceeds, prime_power, vec_add, vec_scale,
 )
@@ -26,26 +25,18 @@ ORBIT_BOX_CAP = 1_000_000
 
 def _family(datum):
     """The datum's family, or ``DomainError`` when its invariants are not
-    known to hold: the gate is that the datum equals, field for field, the
-    built-in datum of its spec string, decided once through its memo."""
-    if datum._cached("orbit-invariants", _is_builtin, datum):
-        return datum.family
+    known to hold: the gate is the mark a builder leaves in its datum's
+    memo (``groups._built_in``), which ``_replace`` empties, so a
+    hand-built or replaced datum is refused even where it equals a
+    built-in one."""
+    family = datum.family
+    if family in ("gl", "levi", "gsp", "go_odd") and datum._cached("built-in", bool):
+        return family
     raise DomainError(
-        f"no dot-orbit invariant for the {datum.family} datum "
+        f"no dot-orbit invariant for the {family} datum "
         f"{datum.spec_string}: the orbit checks cover the built-in gl, "
         "levi, gsp and odd go data"
     )
-
-
-def _is_builtin(datum):
-    try:
-        return (
-            datum.family in ("gl", "levi", "gsp", "go_odd")
-            and isinstance(datum.spec_string, str)
-            and parse_group_spec(datum.spec_string) == datum
-        )
-    except ValueError:  # a spec string that names no datum
-        return False
 
 
 def _mirror_steps(x, family):

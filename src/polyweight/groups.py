@@ -169,6 +169,14 @@ def _require_index(n):
         )
 
 
+def _built_in(datum):
+    """Mark a datum as a builder's own, in its memo; ``_replace`` gives a
+    record with an empty memo, so the mark names exactly the data a
+    builder returned.  ``affine`` reads it as its orbit gate."""
+    datum._cached("built-in", bool, True)
+    return datum
+
+
 def _indicator(n, support):
     s = set(support)
     return tuple(1 if k in s else 0 for k in range(n))
@@ -213,7 +221,7 @@ def _block_diagonal(parts, family, spec_string):
             dual.append(_indicator(n, blk[: a + 1]))
         for a in range(size):
             two_rho[blk[a]] = size - 1 - 2 * a
-    return GroupDatum(
+    return _built_in(GroupDatum(
         family=family,
         spec_string=spec_string,
         lattice=QuotientLattice(n),
@@ -226,7 +234,7 @@ def _block_diagonal(parts, family, spec_string):
         weyl_generators=tuple(gens),
         positive_root_sum_twice=tuple(two_rho),
         dual_lifts=tuple(dual),
-    )
+    ))
 
 
 def build_gl(n):
@@ -284,7 +292,7 @@ def build_gsp(two_l):
     l = n // 2
     m = _mirrored(n, l)
     last = _root(n, l - 1, l)
-    return GroupDatum(
+    return _built_in(GroupDatum(
         family="gsp",
         spec_string=f"gsp:{n}",
         lattice=QuotientLattice(
@@ -302,7 +310,7 @@ def build_gsp(two_l):
             n, m.positive_pairs + [(a, n - 1 - a) for a in range(l)]
         ),
         dual_lifts=tuple(_indicator(n, range(k)) for k in range(1, l + 1)),
-    )
+    ))
 
 
 def build_go_odd(odd_n):
@@ -314,7 +322,7 @@ def build_go_odd(odd_n):
     l = mid = n // 2
     m = _mirrored(n, l)
     b = m.b + (_indicator(n, (mid,)),)
-    return GroupDatum(
+    return _built_in(GroupDatum(
         family="go_odd",
         spec_string=f"go:{n}",
         lattice=QuotientLattice(
@@ -332,7 +340,7 @@ def build_go_odd(odd_n):
             n, m.positive_pairs + [(a, mid) for a in range(l)]
         ),
         dual_lifts=tuple(_indicator(n, range(k)) for k in range(1, l + 1)),
-    )
+    ))
 
 
 def build_go_even(two_l):
@@ -349,7 +357,7 @@ def build_go_even(two_l):
     n = two_l
     l = n // 2
     m = _mirrored(n, l)
-    return GroupDatum(
+    return _built_in(GroupDatum(
         family="go_even",
         spec_string=f"go:{n}",
         lattice=QuotientLattice(
@@ -366,7 +374,7 @@ def build_go_even(two_l):
         ),
         positive_root_sum_twice=_root_sum(n, m.positive_pairs),
         dual_lifts=None,
-    )
+    ))
 
 
 def permute_d(datum, order):

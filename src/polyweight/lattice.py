@@ -56,9 +56,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003).
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# No odd composite below this is a strong pseudoprime to 2, 3, 5 and 7,
+# and this one is (Jaeschke, Math. Comp. 61 (1993) 915-926).
+_FOUR_BASE_LIMIT = 3_215_031_751
+
 
 def is_prime(m):
-    """Deterministic Miller-Rabin test with the first 13 primes as bases.
+    """Deterministic Miller-Rabin test with the first 13 primes as bases,
+    or the first four below 3,215,031,751, where they decide exactly.
 
     Exact below ``PRIME_TEST_LIMIT`` (about 3.317e24); larger values raise
     ``DomainError`` rather than get a probable answer.
@@ -77,7 +82,7 @@ def is_prime(m):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if m < _FOUR_BASE_LIMIT else _MR_BASES:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -140,11 +145,21 @@ def is_prime_power(m):
 
 def as_integer(value, name):
     """``value`` as an int, through ``operator.index``; ``DomainError``,
-    never truncation, for a value that is not an integer, such as 2.5."""
+    never truncation, for a value that is not an integer, such as 2.5.
+
+    The message names the value by its repr when that is short, and by
+    its type otherwise: the repr of a ``Fraction`` with a huge numerator
+    is long, or raises ``ValueError`` past 4,300 digits."""
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        try:
+            text = repr(value)
+        except ValueError:
+            text = ""
+        if not 0 < len(text) <= 40:
+            text = f"a {type(value).__name__} too long to write"
+        raise DomainError(f"{name} must be an integer, got {text}") from None
 
 
 def prime_power(p, r):

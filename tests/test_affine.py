@@ -337,10 +337,6 @@ class TestOrbitInBox:
 
 
 class TestShiftBound:
-    def test_gl2_frozen(self):
-        c = ClassificationContext(GL2, 2, 1)
-        assert shift_bound_a((1, 0), c) == 0
-
     def test_gl1_is_reduction_mod_p(self):
         c = ClassificationContext(GL1, 3, 1)
         for lam in range(-4, 5):
@@ -499,20 +495,19 @@ class TestInvariantsAgainstTheScan:
         with pytest.raises(DomainError, match=message):
             check_shift_bijection((0, 0, 0), 1, ctx, 1)
 
-    def test_the_gate_is_decided_once_per_datum(self, monkeypatch):
+    def test_the_gate_reads_the_builders_mark(self):
+        # the gate is provenance, not equality: a copy equal field for
+        # field to the built-in gsp:6, by _replace or by hand, is refused
         datum = build_gsp(6)
-        calls = Counter()
-
-        def counted(spec, _parse=affine.parse_group_spec):
-            calls[spec] += 1
-            return _parse(spec)
-
-        monkeypatch.setattr(affine, "parse_group_spec", counted)
-        ctx = ClassificationContext(datum, 5, 1)
-        for radius in (0, 1):
-            orbit_in_box((0,) * 6, 5, radius, datum)
-            shift_bound_a((0,) * 6, ctx)
-        assert calls == {"gsp:6": 1}
+        copies = [
+            datum._replace(),
+            GroupDatum(*(getattr(datum, name) for name in datum._fields)),
+        ]
+        assert copies == [datum, datum]
+        orbit_in_box((0,) * 6, 5, 1, datum)
+        for copy in copies:
+            with pytest.raises(DomainError, match="for the gsp datum gsp:6"):
+                orbit_in_box((0,) * 6, 5, 1, copy)
 
     def test_the_reach_set_counts_against_the_box_cap(self, monkeypatch):
         # gsp:12's bound at p = 29 reaches subset sums one u at a time
@@ -548,14 +543,6 @@ class TestLargeGl:
 
 
 class TestShiftBijection:
-    def test_gl2_frozen_case(self):
-        c = ClassificationContext(GL2, 2, 1)
-        result = check_shift_bijection((1, 0), 1, c, 4)
-        assert result.ok
-        assert result.shift_bound == 0
-        assert result.counterexample is None
-        assert result.orbit_size > 0
-
     def test_a_negative_radius_is_refused(self):
         # an empty orbit at R = -1 would make the check vacuously ok, and
         # the vacuous i = 0 answer must not skip the rule either
@@ -576,12 +563,6 @@ class TestShiftBijection:
         c = ClassificationContext(GL2, 2, 1)
         result = check_shift_bijection((1, 0), 0, c, 4)
         assert result.ok and result.orbit_size == 0
-
-    def test_gl3_admissible_shifts(self):
-        c = ClassificationContext(GL3, 3, 1)
-        a = shift_bound_a((1, 1, 0), c)
-        for i in range(0, 3 - a):
-            assert check_shift_bijection((1, 1, 0), i, c, 4).ok
 
     def test_out_of_range_shift_rejected(self):
         c = ClassificationContext(GL2, 2, 1)

@@ -1,9 +1,13 @@
-"""The sweep kernels agree with the scalar library and the loop reference.
+"""The sweep kernels agree with the loop reference and the scalar library.
 
-On every machine the kernels are compared against the scalar predicates
-(``phi``, ``find_witness_w``, ``decompose``, ``in_Pr``) on small boxes,
-and the vectorised sweeps against the plain loops in ``loop_kernels``,
-value for value in the fixed box order.
+The vectorised sweeps are compared with the plain loops in
+``loop_kernels``, value for value in the fixed box order; the flag words
+and the decomposition failures also with the scalar predicates
+(``is_polynomial``, ``is_restricted``, ``in_Pr``, ``decompose``) on small
+boxes.  The pair and positivity sweeps meet the scalar functional in
+``tests/test_certify.py``, as the oracles of ``check_assumption``.  The
+rest pins what the sweeps report on corrupted tables, and their slabs,
+radius refusals and integer lanes.
 """
 
 import contextlib
@@ -13,6 +17,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import loop_kernels
 import numpy as np
@@ -20,9 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyweight import kernel_backend_name
 from polyweight import _kernels as kernels
-from polyweight.certify import find_witness_w
+from polyweight import certify
 from polyweight.classify import (
     ClassificationContext,
     Tables,
@@ -31,11 +35,10 @@ from polyweight.classify import (
     is_polynomial,
     is_restricted,
 )
-from polyweight.errors import DecompositionUnavailable, DomainError
-from polyweight.functional import _box, phi
+from polyweight.errors import CapExceeded, DecompositionUnavailable, DomainError
+from polyweight.functional import _box
 from polyweight.groups import build_gl, build_go_odd, build_gsp, build_levi
-from polyweight.lattice import vec_add, vec_scale, vec_sub
-from polyweight.weyl import act
+from polyweight.lattice import vec_scale, vec_sub
 
 GL2 = build_gl(2)
 GL3 = build_gl(3)
@@ -65,18 +68,6 @@ def tables_of(datum, p, r):
 
 def box_points(n, radius):
     return itertools.product(range(-radius, radius + 1), repeat=n)
-
-
-def test_backend_name_is_known():
-    assert kernel_backend_name == "pure"
-
-
-def test_kernel_module_keeps_the_exhaustive_sweeps():
-    # check_assumption does not call them, but they are the exhaustive
-    # oracles of tests/test_certify.py, and the per-layer trace of
-    # perfbench looks these module attributes up by name
-    for name in ("pair_witness_sweep", "poly_consistency_sweep"):
-        assert callable(getattr(kernels, name))
 
 
 def test_certification_leaves_numpy_unloaded():
@@ -196,22 +187,6 @@ class TestAgainstPublicPredicates:
 
 
 class TestFailureReporting:
-    def test_decompose_failures_on_odd_orthogonal(self):
-        # the middle basis element pairs to 2, so odd residues have no
-        # restricted digit representative and count as failures
-        t = tables_of(GO5, 2, 1)
-        checked, failures = kernels.decompose_unique_sweep(t, 2, 1)
-        assert checked == 3**5
-        assert failures
-        assert all(count == 0 for _, count in failures)
-
-    def test_max_failures_truncates(self):
-        t = tables_of(GO5, 2, 1)
-        _, failures = kernels.decompose_unique_sweep(t, 2, 1, max_failures=2)
-        assert len(failures) == 2
-        _, longer = kernels.decompose_unique_sweep(t, 2, 1, max_failures=5)
-        assert longer[:2] == failures
-
     def test_poly_disagreement_tuple_matches(self):
         # corrupt the expansion matrix so the sign test and the shift
         # oracle disagree; the sweep reports the first such point
@@ -239,6 +214,18 @@ class TestFailureReporting:
         )
         assert kernels.poly_consistency_sweep(chain, 1) == (3**8, None)
 
+    def test_corrupted_blocks_report_first_failure(self):
+        # gl(3) with coordinate 1 listed in two blocks, {0, 1} and {1}.
+        # In box order the first outer weight with lam[0] < lam[1] is
+        # (-1, 0, -1); the first inner weight whose minimum over {0, 1}
+        # sits at position 1 is (0, -1, -1), the tenth.  The swap gives
+        # u = (0, -2, -2) and phi(u) = -4, while phi(lam) + phi(lamp) =
+        # -1 + -2 = -3.  Three full outer weights precede it: 3 * 27 + 10.
+        t = tables_of(GL3, 2, 1)
+        bad = t._replace(blocks=((0, 1), (1,)), n_matrix=((1,), (1,)))
+        failure = ((-1, 0, -1), (0, -1, -1))
+        assert kernels.pair_witness_sweep(bad, 1) == (91, failure)
+
 
 def test_tables_replace_roundtrip():
     t = tables_of(GL2, 2, 1)
@@ -256,35 +243,6 @@ SCALAR_CASES = [
     (LEVI111, 1),
 ]
 SCALAR_IDS = ["gl1", "gl2", "gl3", "gsp4", "go5", "levi23", "levi111"]
-
-
-class TestPairSweepAgainstScalar:
-    @pytest.mark.parametrize("datum,radius", SCALAR_CASES, ids=SCALAR_IDS)
-    def test_every_pair_is_certified(self, datum, radius):
-        # the scalar witness makes phi add on every pair, so the sweep
-        # must check the whole box squared and report no failure
-        points = list(box_points(datum.ambient_dim, radius))
-        for lam in points:
-            phil = phi(lam, datum)
-            for lamp in points:
-                w = find_witness_w(lam, lamp, datum)
-                assert phi(vec_add(act(w, lam), lamp), datum) == vec_add(
-                    phil, phi(lamp, datum)
-                )
-        t = tables_of(datum, 2, 1)
-        assert kernels.pair_witness_sweep(t, radius) == (len(points) ** 2, None)
-
-    def test_corrupted_blocks_report_first_failure(self):
-        # gl(3) with coordinate 1 listed in two blocks, {0, 1} and {1}.
-        # In box order the first outer weight with lam[0] < lam[1] is
-        # (-1, 0, -1); the first inner weight whose minimum over {0, 1}
-        # sits at position 1 is (0, -1, -1), the tenth.  The swap gives
-        # u = (0, -2, -2) and phi(u) = -4, while phi(lam) + phi(lamp) =
-        # -1 + -2 = -3.  Three full outer weights precede it: 3 * 27 + 10.
-        t = tables_of(GL3, 2, 1)
-        bad = t._replace(blocks=((0, 1), (1,)), n_matrix=((1,), (1,)))
-        failure = ((-1, 0, -1), (0, -1, -1))
-        assert kernels.pair_witness_sweep(bad, 1) == (91, failure)
 
 
 MODULI = [(2, 1), (3, 1), (2, 2)]
@@ -327,13 +285,19 @@ class TestDecomposeSweepAgainstScalar:
             ctx.tables(), p**r, radius, max_failures=size
         ) == (size, tuple(expected))
 
-    def test_max_failures_keeps_a_prefix(self):
-        ctx = ClassificationContext(GO5, 3, 1)
-        _, everything = kernels.decompose_unique_sweep(ctx.tables(), 3, 1, 10**6)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_max_failures_keeps_a_prefix(self, p):
+        # go(5)'s middle basis element pairs to 2, so a class whose forced
+        # dual digit is odd has no restricted representative: a failure
+        # with 0 decompositions
+        t = tables_of(GO5, p, 1)
+        _, everything = kernels.decompose_unique_sweep(t, p, 1, 10**6)
         assert len(everything) > 40
-        for cap in (0, 1, 5, 40, len(everything), len(everything) + 1):
+        assert all(count == 0 for _, count in everything)
+        assert kernels.decompose_unique_sweep(t, p, 1) == (3**5, everything[:5])
+        for cap in (0, 1, 2, 5, 40, len(everything), len(everything) + 1):
             checked, failures = kernels.decompose_unique_sweep(
-                ctx.tables(), 3, 1, max_failures=cap
+                t, p, 1, max_failures=cap
             )
             assert checked == 3**5
             assert failures == everything[:cap]
@@ -501,8 +465,22 @@ class TestBoxRadius:
             _box(2, -2)
         with pytest.raises(DomainError, match="an integer, got 2.0"):
             _box(2, 2.0)
+        # the repr of a Fraction past 4,300 digits raises ValueError
+        with pytest.raises(DomainError, match="got a Fraction too long to write"):
+            _box(2, Fraction(10**5000, 3))
         with pytest.raises(DomainError, match="box radius"):
             next(kernels._box_slabs(np, 3, -1, np.int32))
+
+    def test_the_poly_sweep_refuses_a_box_past_the_class_cap(self, monkeypatch):
+        # the box is counted on bit lengths before the first point
+        t = tables_of(GL2, 3, 1)
+        with deadline(1), pytest.raises(CapExceeded, match="more than 1000000 points"):
+            kernels.poly_consistency_sweep(t, 10**5000)
+        monkeypatch.setattr(certify, "CERTIFY_CLASS_CAP", 8)
+        with pytest.raises(CapExceeded, match="radius 1 in dimension 2"):
+            kernels.poly_consistency_sweep(t, 1)
+        monkeypatch.setattr(certify, "CERTIFY_CLASS_CAP", 9)
+        assert kernels.poly_consistency_sweep(t, 1) == (9, None)
 
     @pytest.mark.parametrize("datum", [GL2, GL3], ids=["gl2", "gl3"])
     def test_radius_zero_is_the_origin(self, datum):
@@ -666,26 +644,3 @@ class TestLanes:
                 scaled, radius
             ) == loop_kernels.pair_witness_sweep(scaled, radius)
         assert lanes == ["int32"] * 2 + ["int64"] * 6
-
-
-def test_package_import_does_not_load_numpy():
-    # numpy is loaded by the sweeps only; neither numpy, nor a process
-    # pool, nor the dataclasses machinery or fractions, is needed to
-    # import the package
-    unused = (
-        "numpy",
-        "concurrent.futures",
-        "multiprocessing",
-        "dataclasses",
-        "inspect",
-        "fractions",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, polyweight; "
-         f"print([m for m in {unused!r} if m in sys.modules])"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
