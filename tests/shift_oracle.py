@@ -33,3 +33,13 @@ def lift_window(vec):
     """The window the builders searched for a basis lift."""
     return sum(abs(c) for c in vec) + 1
 
+
+def box_window(vec, radius):
+    """A window for a box point: the coordinate spread plus the radius.
+
+    It is a small-box bound, not a proof: from gsp:16 on, where the
+    kernel is a chain of seven block differences, the box point
+    (-1, -1, -1, -1, 1, ..., 1, -1, -1, -1, -1) of radius 1 needs the
+    coefficient 4 against a window of 3.
+    """
+    return max(vec) - min(vec) + radius

@@ -337,6 +337,10 @@ class TestOrbitInBox:
 
 
 class TestShiftBound:
+    def test_gl2_frozen(self):
+        c = ClassificationContext(GL2, 2, 1)
+        assert shift_bound_a((1, 0), c) == 0
+
     def test_gl1_is_reduction_mod_p(self):
         c = ClassificationContext(GL1, 3, 1)
         for lam in range(-4, 5):
@@ -543,6 +547,14 @@ class TestLargeGl:
 
 
 class TestShiftBijection:
+    def test_gl2_frozen_case(self):
+        c = ClassificationContext(GL2, 2, 1)
+        result = check_shift_bijection((1, 0), 1, c, 4)
+        assert result.ok
+        assert result.shift_bound == 0
+        assert result.counterexample is None
+        assert result.orbit_size > 0
+
     def test_a_negative_radius_is_refused(self):
         # an empty orbit at R = -1 would make the check vacuously ok, and
         # the vacuous i = 0 answer must not skip the rule either
@@ -563,6 +575,12 @@ class TestShiftBijection:
         c = ClassificationContext(GL2, 2, 1)
         result = check_shift_bijection((1, 0), 0, c, 4)
         assert result.ok and result.orbit_size == 0
+
+    def test_gl3_admissible_shifts(self):
+        c = ClassificationContext(GL3, 3, 1)
+        a = shift_bound_a((1, 1, 0), c)
+        for i in range(0, 3 - a):
+            assert check_shift_bijection((1, 1, 0), i, c, 4).ok
 
     def test_out_of_range_shift_rejected(self):
         c = ClassificationContext(GL2, 2, 1)

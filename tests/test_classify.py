@@ -222,6 +222,18 @@ class TestInPr:
         assert not in_Pr((3, 3), c)  # (1, 1) stays polynomial
         assert in_Pr((1, 1), c)
 
+    @pytest.mark.parametrize("prpow,p,r", [(2, 2, 1), (3, 3, 1), (4, 2, 2)])
+    def test_gl_closed_form(self, prpow, p, r):
+        c = ctx(GL3, p, r)
+        bound = prpow - 1
+        for lam in itertools.product(range(-2, 2 * prpow + 1), repeat=3):
+            closed = (
+                0 <= lam[0] - lam[1] <= bound
+                and 0 <= lam[1] - lam[2] <= bound
+                and 0 <= lam[2] <= bound
+            )
+            assert in_Pr(lam, c) == closed, lam
+
     @pytest.mark.parametrize(
         "datum,p,r",
         [(GL2, 2, 1), (GSP4, 2, 1), (GSP4, 3, 1), (GO5, 2, 1)],
@@ -358,6 +370,9 @@ class TestEnumerate:
             (2, 1),
         )
 
+    def test_gl1_digits(self):
+        assert enumerate_Pr(ctx(build_gl(1), 3, 1)) == ((0,), (1,), (2,))
+
     def test_candidate_cap_is_checked_before_enumerating(self, monkeypatch):
         # gl(1) at p^r = 3 has 3 candidates: no digit range (no simple
         # coroot) times 3 functional targets
@@ -383,11 +398,24 @@ class TestEnumerate:
         with pytest.raises(AssertionError, match="met a class twice"):
             enumerate_Pr(c)
 
-    # criterion 3 compares gl(1) to gl(3) at p^r <= 4 with the oracle
+    @pytest.mark.parametrize(
+        "n,p,r", [(1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]
+    )
+    def test_gl_count_is_prpow_to_the_n(self, n, p, r):
+        c = ctx(build_gl(n), p, r)
+        assert len(enumerate_Pr(c)) == c.prpow ** n
+
     @pytest.mark.parametrize(
         "datum,p,r",
-        [(GSP4, 2, 1), (GO5, 2, 1), (LEVI23, 2, 1)],
-        ids=["gsp4", "go5", "levi23"],
+        [
+            (GL2, 2, 1),
+            (GL2, 3, 1),
+            (GL3, 2, 1),
+            (GSP4, 2, 1),
+            (GO5, 2, 1),
+            (LEVI23, 2, 1),
+        ],
+        ids=["gl2-2", "gl2-3", "gl3", "gsp4", "go5", "levi23"],
     )
     def test_matches_box_oracle(self, datum, p, r):
         c = ctx(datum, p, r)

@@ -52,9 +52,50 @@ from polyweight.weyl import (
     stabilizer_chain,
     transposition,
 )
-from shift_oracle import has_nonneg_rep, lift_window
+from shift_oracle import box_window, has_nonneg_rep, lift_window
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(polyweight.__file__)))
+
+ALL_GOOD = [
+    build_gl(1),
+    build_gl(2),
+    build_gl(3),
+    build_gsp(4),
+    build_gsp(6),
+    build_go_odd(3),
+    build_go_odd(5),
+    build_levi([2, 3]),
+    build_levi([1, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("datum", ALL_GOOD, ids=lambda d: d.spec_string)
+def test_validation_passes(datum):
+    report = validate_datum(datum)
+    assert report.all_ok, report.witnesses
+
+
+def test_weyl_group_orders():
+    assert len(build_gl(3).weyl_group()) == 6
+    assert len(build_gsp(4).weyl_group()) == 8
+    assert len(build_go_odd(5).weyl_group()) == 8
+    assert len(build_levi([2, 3]).weyl_group()) == 12
+    # index 2 in the full signed-permutation group of rank 4
+    assert len(build_go_even(8).weyl_group()) == 192
+
+
+def test_go_even_fails_exactly_c_lower():
+    report = validate_datum(build_go_even(8))
+    assert (report.a, report.b, report.c_upper, report.d) == (
+        True,
+        True,
+        True,
+        True,
+    )
+    assert not report.c_lower
+    assert not report.all_ok
+    assert any("c-lower" in w for w in report.witnesses)
+
 
 def test_go_even_missing_transposition_is_within_block():
     datum = build_go_even(4)
@@ -146,11 +187,9 @@ def test_generate_group_refuses_before_listing(spec):
 
 
 def test_a_table_indexes_slices_and_searches_as_its_tuple_does():
-    datum = build_gsp(6)
-    table = datum.weyl_group()
+    table = build_gsp(6).weyl_group()
     listed = tuple(table)
     assert isinstance(table, weyl.PermutationTable)
-    assert datum.weyl_group() is table
     assert len(table) == len(listed) == 48
     assert [table[i] for i in range(-48, 48)] == list(listed * 2)
     for past in (48, -49, 10**6):
@@ -318,6 +357,12 @@ def test_sifting_decides_membership(gens):
         assert (weyl._sift(p, chain) is None) == member, p
 
 
+def test_blocks_partition_indices():
+    for datum in ALL_GOOD + [build_go_even(8)]:
+        flat = sorted(i for blk in datum.blocks for i in blk)
+        assert flat == list(range(datum.ambient_dim))
+
+
 def test_gsp_pairing_structure():
     datum = build_gsp(4)
     assert datum.blocks == ((0, 3), (1, 2))
@@ -423,6 +468,14 @@ class TestPermuteD:
 def test_builders_reject_bad_sizes(builder, bad):
     with pytest.raises(ValueError):
         builder(bad)
+
+
+def test_weyl_group_cached_and_sorted():
+    datum = build_gsp(4)
+    first = datum.weyl_group()
+    assert first is datum.weyl_group()
+    assert isinstance(first, weyl.PermutationTable)
+    assert list(first) == sorted(first)
 
 
 DATUM_FIELDS = (
@@ -1098,6 +1151,28 @@ def test_the_context_reads_the_rows_of_the_datum():
     ctx = ClassificationContext(datum, 3, 1)
     assert ctx.tables().coef is record.rows
     assert ctx.coordinates((1,) * 7) == tuple(map(sum, record.rows))
+
+
+BOX_CASES = (
+    [(f"gl:{n}", 2) for n in range(1, 6)]
+    + [("gsp:2", 2), ("gsp:4", 2), ("go:3", 2), ("go:5", 2), ("go:4", 2)]
+    + [("levi:2,3", 2), ("levi:1,1,2", 2)]
+    + [("gl:6", 1), ("gl:7", 1), ("gsp:6", 1), ("go:6", 1), ("go:7", 1)]
+    + [("levi:1,2,3", 1), ("levi:2,2,3", 1)]
+)
+
+
+@pytest.mark.parametrize("spec,radius", BOX_CASES, ids=[c[0] for c in BOX_CASES])
+def test_block_minimum_test_agrees_with_shift_search_on_box(spec, radius):
+    datum = parse_group_spec(spec)
+    lat = datum.lattice
+    counts = {True: 0, False: 0}
+    rng = range(-radius, radius + 1)
+    for vec in itertools.product(rng, repeat=datum.ambient_dim):
+        got = sign_test(vec, datum)
+        assert got == has_nonneg_rep(lat, vec, box_window(vec, radius)), vec
+        counts[got] += 1
+    assert counts[True] and counts[False]
 
 
 SHAPE_GAPS = [

@@ -6,8 +6,9 @@ and the decomposition failures also with the scalar predicates
 (``is_polynomial``, ``is_restricted``, ``in_Pr``, ``decompose``) on small
 boxes.  The pair and positivity sweeps meet the scalar functional in
 ``tests/test_certify.py``, as the oracles of ``check_assumption``.  The
-rest pins what the sweeps report on corrupted tables, and their slabs,
-radius refusals and integer lanes.
+rest pins what the sweeps report on corrupted tables, their slabs,
+radius refusals and integer lanes, and that importing the package loads
+no numpy.
 """
 
 import contextlib
@@ -187,6 +188,22 @@ class TestAgainstPublicPredicates:
 
 
 class TestFailureReporting:
+    def test_decompose_failures_on_odd_orthogonal(self):
+        # the middle basis element pairs to 2, so odd residues have no
+        # restricted digit representative and count as failures
+        t = tables_of(GO5, 2, 1)
+        checked, failures = kernels.decompose_unique_sweep(t, 2, 1)
+        assert checked == 3**5
+        assert failures
+        assert all(count == 0 for _, count in failures)
+
+    def test_max_failures_truncates(self):
+        t = tables_of(GO5, 2, 1)
+        _, failures = kernels.decompose_unique_sweep(t, 2, 1, max_failures=2)
+        assert len(failures) == 2
+        _, longer = kernels.decompose_unique_sweep(t, 2, 1, max_failures=5)
+        assert longer[:2] == failures
+
     def test_poly_disagreement_tuple_matches(self):
         # corrupt the expansion matrix so the sign test and the shift
         # oracle disagree; the sweep reports the first such point
@@ -285,19 +302,13 @@ class TestDecomposeSweepAgainstScalar:
             ctx.tables(), p**r, radius, max_failures=size
         ) == (size, tuple(expected))
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_max_failures_keeps_a_prefix(self, p):
-        # go(5)'s middle basis element pairs to 2, so a class whose forced
-        # dual digit is odd has no restricted representative: a failure
-        # with 0 decompositions
-        t = tables_of(GO5, p, 1)
-        _, everything = kernels.decompose_unique_sweep(t, p, 1, 10**6)
+    def test_max_failures_keeps_a_prefix(self):
+        ctx = ClassificationContext(GO5, 3, 1)
+        _, everything = kernels.decompose_unique_sweep(ctx.tables(), 3, 1, 10**6)
         assert len(everything) > 40
-        assert all(count == 0 for _, count in everything)
-        assert kernels.decompose_unique_sweep(t, p, 1) == (3**5, everything[:5])
-        for cap in (0, 1, 2, 5, 40, len(everything), len(everything) + 1):
+        for cap in (0, 1, 5, 40, len(everything), len(everything) + 1):
             checked, failures = kernels.decompose_unique_sweep(
-                t, p, 1, max_failures=cap
+                ctx.tables(), 3, 1, max_failures=cap
             )
             assert checked == 3**5
             assert failures == everything[:cap]
@@ -644,3 +655,26 @@ class TestLanes:
                 scaled, radius
             ) == loop_kernels.pair_witness_sweep(scaled, radius)
         assert lanes == ["int32"] * 2 + ["int64"] * 6
+
+
+def test_package_import_does_not_load_numpy():
+    # numpy is loaded by the sweeps only; neither numpy, nor a process
+    # pool, nor the dataclasses machinery or fractions, is needed to
+    # import the package
+    unused = (
+        "numpy",
+        "concurrent.futures",
+        "multiprocessing",
+        "dataclasses",
+        "inspect",
+        "fractions",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polyweight; "
+         f"print([m for m in {unused!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -37,8 +37,10 @@ from polyweight.weyl import (
     act_covector,
     compose,
     generate_group,
+    identity_perm,
     inverse,
     is_even_perm,
+    is_perm,
     transposition,
 )
 
@@ -269,6 +271,13 @@ class TestPermutations:
         assert pair(act(p, w), cov) == pair(w, act_covector(p, cov))
         assert act_covector(inverse(p), act_covector(p, cov)) == cov
 
+    def test_generate_group_s3(self):
+        gens = (transposition(3, 0, 1), transposition(3, 1, 2))
+        group = generate_group(gens)
+        assert len(group) == 6
+        assert identity_perm(3) in group
+        assert all(is_perm(g) for g in group)
+
     def test_parity_counts_inversions(self):
         for p in itertools.permutations(range(5)):
             inversions = sum(
@@ -286,6 +295,13 @@ class TestPermutations:
         assert len(generate_group(gens)) == 6
 
 
+def test_is_prime_small_values():
+    primes = [2, 3, 5, 7, 11, 13, 97]
+    composites = [-3, 0, 1, 4, 6, 9, 15, 91]
+    assert all(is_prime(p) for p in primes)
+    assert not any(is_prime(c) for c in composites)
+
+
 def test_is_prime_matches_a_sieve_below_a_million():
     limit = 10**6
     sieve = bytearray([1]) * limit
@@ -293,7 +309,7 @@ def test_is_prime_matches_a_sieve_below_a_million():
     for q in range(2, int(limit**0.5) + 1):
         if sieve[q]:
             sieve[q * q::q] = bytearray(len(range(q * q, limit, q)))
-    assert [k for k in range(-3, limit) if is_prime(k)] == [
+    assert [k for k in range(limit) if is_prime(k)] == [
         k for k in range(limit) if sieve[k]
     ]
 

@@ -37,24 +37,7 @@ def run_fresh(code):
 
 
 def test_import_loads_only_the_package_and_errors():
-    # nor numpy, which the sweeps load, nor a process pool, the
-    # dataclasses machinery or fractions, which no import needs
-    unused = (
-        "numpy",
-        "concurrent.futures",
-        "multiprocessing",
-        "dataclasses",
-        "inspect",
-        "fractions",
-    )
-    code = (
-        "import sys, polyweight\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'polyweight')\n"
-        f"found = [m for m in {unused!r} if m in sys.modules]\n"
-        "import json\n"
-        "print(json.dumps([loaded, found]))"
-    )
-    assert run_fresh(code) == [["polyweight", "polyweight.errors"], []]
+    assert loaded_after("import polyweight") == ["polyweight", "polyweight.errors"]
 
 
 def test_building_a_datum_loads_only_the_builders():
@@ -162,6 +145,13 @@ def test_only_listing_a_weyl_group_loads_array():
         "print(json.dumps([before, 'array' in sys.modules]))"
     )
     assert run_fresh(code) == [False, True]
+
+
+def test_reading_the_backend_name_loads_only_the_package_and_errors():
+    assert loaded_after("import polyweight\npolyweight.kernel_backend_name") == [
+        "polyweight",
+        "polyweight.errors",
+    ]
 
 
 def test_the_cli_never_loads_the_kernels():

@@ -201,6 +201,26 @@ class TestKernelBlockConstancy:
 
 
 class TestCheckAssumption:
+    def test_gl2_radius3(self):
+        report = check_assumption(GL2, 2, 1, box_radius=3)
+        assert report.all_ok
+        names = [v.name for v in report.properties]
+        assert names == [
+            "positivity",
+            "homogeneity",
+            "additivity_witness",
+            "x0_bijection",
+        ]
+        assert all(v.checked > 0 for v in report.properties)
+
+    def test_gsp4_radius2(self):
+        report = check_assumption(GSP4, 2, 1, box_radius=2)
+        assert report.all_ok
+        pairs = next(
+            v for v in report.properties if v.name == "additivity_witness"
+        )
+        assert pairs.checked == 5 ** 4 * 5 ** 4
+
     def test_go_even_skips_witness_property(self):
         report = check_assumption(GOE8, 5, 1, box_radius=1)
         witness_prop = next(
