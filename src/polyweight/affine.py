@@ -99,8 +99,7 @@ def orbit_in_box(weight, p, box_radius, datum):
     weight's: an exact test in O(n log n) per point.  Raises, in order,
     ``lattice.prime_power``'s DomainError when p is not prime,
     CapExceeded when the box has more than ``ORBIT_BOX_CAP`` points, and
-    ``_family``'s DomainError.  The slice is kept per prime, radius and
-    key, so a repeat, or another weight of the orbit, scans no box.
+    ``_family``'s DomainError.  Each call scans its box; nothing is kept.
     """
     n = datum.ambient_dim
     check_dim(weight, n)
@@ -112,22 +111,16 @@ def orbit_in_box(weight, p, box_radius, datum):
             f"dimension {n} has more than {ORBIT_BOX_CAP} points"
         )
     family = _family(datum)
-    key = _orbit_key(weight, p, datum, family)
-    elements = datum._cached(
-        ("orbit-slice", p, box_radius, key),
-        _orbit_scan, points, sum(weight), key, p, datum, family,
-    )
-    return OrbitSlice(base=tuple(weight), box_radius=box_radius, elements=elements)
-
-
-def _orbit_scan(points, total, key, p, datum, family):
+    key, total = _orbit_key(weight, p, datum, family), sum(weight)
     # every key fixes the coordinate sum, so that is tested first
     found = {
         datum.lattice.canonical_rep(x)
         for x in points
         if sum(x) == total and _orbit_key(x, p, datum, family) == key
     }
-    return tuple(sorted(found))
+    return OrbitSlice(
+        base=tuple(weight), box_radius=box_radius, elements=tuple(sorted(found))
+    )
 
 
 def shift_bound_a(weight, ctx):

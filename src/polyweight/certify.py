@@ -24,7 +24,7 @@ from .lattice import (
     vec_add,
     vec_scale,
 )
-from .weyl import act, block_constant, kernel_faults, require_shape
+from .weyl import act, block_constant, require
 
 # Most classes ``check_assumption`` walks in one call, counted before it walks.
 CERTIFY_CLASS_CAP = 1_000_000
@@ -33,11 +33,15 @@ CERTIFY_CLASS_CAP = 1_000_000
 def find_witness_w(lam, lam_prime, datum):
     """A Weyl element making the functional add on the given pair.
 
-    The constructive choice transposes, within every block, the position
-    of ``lam``'s block minimum onto a position where ``lam_prime``
-    attains its block minimum; each such transposition lies in the Weyl
-    group by the lower group hypothesis.  It always works: on every
-    block B the two minima then sit at one position, so
+    Within every block the witness keeps the first position a0 of
+    ``lam``'s minimum where ``lam_prime`` is minimal too, and otherwise
+    transposes it with the first position of ``lam_prime``'s minimum, a
+    transposition in the Weyl group by the lower group hypothesis.  The
+    sweeps' witness (``_kernels.pair_witness_sweep``) transposes the two
+    even where ``lam_prime`` is minimal at both: on ((5, -3), (2, 2)) and
+    gl:2 this returns the identity where the sweep swaps.  Both rules
+    restore additivity: on every block B the two minima sit at one
+    position, so
     min_B(w.lam + lam_prime) = min_B(lam) + min_B(lam_prime), and phi
     adds blockwise.  The additivity postcondition is checked anyway and
     raises ``AssertionError`` on a miss, also under ``python -O``.
@@ -50,7 +54,7 @@ def find_witness_w(lam, lam_prime, datum):
     n = datum.ambient_dim
     check_dim(lam, n)
     check_dim(lam_prime, n)
-    require_shape(datum)
+    require(datum)
     target = vec_add(phi_ambient(lam, datum), phi_ambient(lam_prime, datum))
 
     w = tuple(range(n))
@@ -130,13 +134,9 @@ def _points_through(point, radius):
 
 
 def _block_kernel(datum):
-    """Each kernel basis vector's value on each block, as columns."""
-    faults = kernel_faults(datum)
-    if faults:
-        raise DomainError(
-            f"{datum.spec_string} fails {faults[0]}; the box certificate "
-            "needs block-constant kernel vectors"
-        )
+    """Each kernel basis vector's value on each block, as columns, once
+    ``weyl.require`` has checked the premises they are read on."""
+    require(datum, kernel="the box certificate needs block-constant kernel vectors")
     return [
         tuple(vec[blk[0]] for blk in datum.blocks)
         for vec in datum.lattice.kernel_basis
@@ -275,15 +275,17 @@ def check_assumption(datum, p, r, box_radius=None):
     * Homogeneity.  min is linear under a positive scale, and p^r >= 1,
       so min_B(p^r lam) = p^r min_B(lam) on every block and
       phi(p^r lam) = p^r phi(lam).
-    * Additivity.  The canonical witness (``find_witness_w``) transposes,
-      within each block B, the first position of lam's minimum with the
-      first position b of the minimum of lam'.  A permutation within B
-      keeps min_B, so min_B(w.lam + lam') >= min_B(lam) + min_B(lam'),
-      and at b both minima sit at one position, so equality holds:
+    * Additivity.  The sweeps' witness (``_kernels.pair_witness_sweep``)
+      transposes, within each block B, the first position of lam's
+      minimum with the first position b of the minimum of lam';
+      ``find_witness_w`` keeps lam's where lam' is minimal too.  Either
+      way a permutation within B keeps min_B, so
+      min_B(w.lam + lam') >= min_B(lam) + min_B(lam'), and both minima
+      sit at one position, so equality holds:
       min_B(w.lam + lam') = min_B(lam) + min_B(lam') on every block, and
       phi adds.
 
-    Properties 1 and 4 read the datum's rows, after ``weyl.require_shape``:
+    Properties 1 and 4 read the datum's rows, once ``weyl.require`` passes:
 
     * Positivity.  Every kernel vector must be constant on each block
       (``DomainError`` otherwise).  Then a kernel shift moves all of a
@@ -334,7 +336,6 @@ def check_assumption(datum, p, r, box_radius=None):
             f"counts (2R+1)^(2n) pairs: 2n * bit_length(2R+1) = {bits} "
             f"exceeds {PRPOW_BIT_LIMIT}"
         )
-    require_shape(datum)
     cols = _block_kernel(datum)
 
     checked, evaluated, fail = _positivity(datum, radius, cols)

@@ -26,6 +26,7 @@ from .errors import (
 from .functional import phi_ambient
 from .groups import _CachedRecord
 from .lattice import (
+    as_integer,
     check_dim,
     is_prime_power,
     pair,
@@ -34,7 +35,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .weyl import act, coordinate_rows, coroot_faults, require_shape
+from .weyl import act, coordinate_rows, require
 
 # Most candidates ``enumerate_Pr`` builds and tests in one call.
 ENUMERATE_CAP = 1_000_000
@@ -173,7 +174,7 @@ def is_polynomial(weight, ctx):
     (d), and kernel block-constancy: every kernel vector k is constant on
     each block B, with value k_B there.  The context checks all four
     premises, because validation reports each kernel basis vector that
-    is not block-constant as a (d) witness (``weyl.kernel_faults``), and
+    is not block-constant as a (d) witness (``weyl.Premises.kernel``), and
     a block-constant basis spans only block-constant vectors.
 
     * phi is constant on the class.  A kernel shift moves all
@@ -399,14 +400,17 @@ def weyl_orbit_witness_nonpolynomial(lam0, lam_tilde, datum, prpow):
     or None when every twist stays polynomial.  It evaluates the
     functional in ambient semantics, so it serves the even orthogonal
     family, which no context accepts; a caller with a context passes
-    ``ctx.datum, ctx.prpow``.  It checks ``weyl.require_shape``, then
-    raises ``DomainError`` if a coroot does not descend to the quotient.
+    ``ctx.datum, ctx.prpow``.  ``weyl.require`` refuses, with
+    ``DomainError``, a datum whose shape the functional cannot read, then
+    one with a coroot that does not descend to the quotient.
     """
     check_dim(lam0, datum.ambient_dim)
     check_dim(lam_tilde, datum.ambient_dim)
-    require_shape(datum)
-    if coroot_faults(datum):
-        raise DomainError("covector is not kernel-annihilating")
+    require(
+        datum,
+        coroots="the digit-set test pairs lam0 with each coroot, and a "
+        "covector that is not kernel-annihilating pairs with no class",
+    )
     if not _in_pr(lam0, datum, prpow):
         raise PreconditionError("lam0 is not in the digit set for this datum")
     shift = vec_scale(prpow, lam_tilde)
@@ -444,6 +448,7 @@ def go_even_counterexample(prpow):
     """
     from .groups import build_go_even
 
+    prpow = as_integer(prpow, "p^r")
     if not is_prime_power(prpow):
         raise PreconditionError(f"the scenario needs a prime power, got {prpow}")
     if (prpow - 1) % 4:

@@ -15,7 +15,7 @@ from .lattice import as_integer, check_dim, int_text
 
 def phi_ambient(weight, data):
     """Evaluate the functional on ambient coordinates, reading the rows of a
-    datum or a ``classify.Tables`` as they are (see ``weyl.require_shape``)."""
+    datum or a ``classify.Tables`` as they are (see ``weyl.require``)."""
     check_dim(weight, data.ambient_dim)
     out = [0] * data.x0_rank
     for blk, row in zip(data.blocks, data.n_matrix):

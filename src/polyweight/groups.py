@@ -36,7 +36,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import DomainError
-from .lattice import QuotientLattice, pair, vec_scale, vec_sub
+from .lattice import QuotientLattice, as_integer, int_text, pair, vec_scale, vec_sub
 
 
 class _CachedRecord:
@@ -143,7 +143,8 @@ class GroupDatum(_CachedRecord):
         return self._cached("weyl", generate_group, gens)
 
     def validation(self):
-        return self._cached("validation", validate_datum, self)
+        """The ``weyl.check_hypotheses`` report, checked once per datum."""
+        return self._cached("validation", _check_hypotheses, self)
 
 
 def _weight_basis(datum):
@@ -165,7 +166,8 @@ def _require_index(n):
     """Refuse an ambient dimension above ``AMBIENT_DIM_CAP``."""
     if n > AMBIENT_DIM_CAP:
         raise DomainError(
-            f"unsupported rank: ambient dimension {n} exceeds {AMBIENT_DIM_CAP}"
+            f"unsupported rank: ambient dimension {int_text(n)} exceeds "
+            f"{AMBIENT_DIM_CAP}"
         )
 
 
@@ -239,6 +241,7 @@ def _block_diagonal(parts, family, spec_string):
 
 def build_gl(n):
     """General linear group of rank n: the Levi subgroup with one block."""
+    n = as_integer(n, "gl rank")
     if n < 1:
         raise ValueError("gl needs n >= 1")
     _require_index(n)
@@ -247,7 +250,7 @@ def build_gl(n):
 
 def build_levi(parts):
     """Block-diagonal Levi subgroup of GL_n with the given block sizes."""
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(as_integer(x, "levi part size") for x in parts)
     if not parts or min(parts) < 1:
         raise ValueError("levi needs a non-empty list of positive part sizes")
     _require_index(sum(parts))
@@ -285,10 +288,10 @@ def _mirrored(n, l):
 
 def build_gsp(two_l):
     """Symplectic similitude group of ambient dimension 2l."""
-    if two_l < 2 or two_l % 2:
+    n = as_integer(two_l, "gsp ambient dimension")
+    if n < 2 or n % 2:
         raise ValueError("gsp needs an even ambient dimension >= 2")
-    _require_index(two_l)
-    n = two_l
+    _require_index(n)
     l = n // 2
     m = _mirrored(n, l)
     last = _root(n, l - 1, l)
@@ -315,10 +318,10 @@ def build_gsp(two_l):
 
 def build_go_odd(odd_n):
     """Odd orthogonal similitude group of ambient dimension 2l + 1."""
-    if odd_n < 3 or odd_n % 2 == 0:
+    n = as_integer(odd_n, "go ambient dimension")
+    if n < 3 or n % 2 == 0:
         raise ValueError("go_odd needs an odd ambient dimension >= 3")
-    _require_index(odd_n)
-    n = odd_n
+    _require_index(n)
     l = mid = n // 2
     m = _mirrored(n, l)
     b = m.b + (_indicator(n, (mid,)),)
@@ -351,10 +354,10 @@ def build_go_even(two_l):
     hypothesis; classification entry points reject it while the ambient
     counterexample machinery accepts it.
     """
-    if two_l < 4 or two_l % 2:
+    n = as_integer(two_l, "go ambient dimension")
+    if n < 4 or n % 2:
         raise ValueError("go_even needs an even ambient dimension >= 4")
-    _require_index(two_l)
-    n = two_l
+    _require_index(n)
     l = n // 2
     m = _mirrored(n, l)
     return _built_in(GroupDatum(
@@ -389,10 +392,11 @@ def permute_d(datum, order):
     Levi shapes.  The functional of the reordered datum is the matching
     coordinate permutation of the original functional.
     """
+    order = tuple(as_integer(j, "d-list position") for j in order)
     if sorted(order) != list(range(datum.x0_rank)):
         raise DomainError(
             "order must be a permutation of the d-list positions "
-            f"0..{datum.x0_rank - 1}, got {tuple(order)}"
+            f"0..{datum.x0_rank - 1}, got ({', '.join(map(int_text, order))})"
         )
     return datum._replace(
         d_indices=tuple(datum.d_indices[j] for j in order),
@@ -401,7 +405,11 @@ def permute_d(datum, order):
 
 
 def validate_datum(datum):
-    """Check the construction hypotheses: ``weyl.check_hypotheses``."""
+    """The construction-hypothesis report, ``GroupDatum.validation``."""
+    return datum.validation()
+
+
+def _check_hypotheses(datum):
     from .weyl import check_hypotheses
 
     return check_hypotheses(datum)

@@ -7,9 +7,12 @@ a byte each up to 256 points, that yields each element as such a tuple.
 
 ``check_hypotheses`` decides the construction hypotheses (a)-(d) of a
 group datum; (c) quantifies over the Weyl group the datum's generators
-generate; each rule is stated here once.  Building a datum does not
-load this module: it loads the first time a datum is validated or its
-Weyl group is asked for.
+generate; each rule is stated here once.  The premises that the
+functional and the coroot pairings read are decided once per datum, by
+``premises``, and a caller that does not validate in full raises a failed
+one through ``require``, the one guard.  Building a datum does not load
+this module: it loads the first time a datum is validated or its Weyl
+group is asked for.
 """
 
 import itertools
@@ -285,31 +288,6 @@ class ValidationReport(
         )
 
 
-def coroot_faults(datum):
-    """The (d) witnesses of the simple coroots that do not descend to the
-    quotient, checked once per datum.
-
-    A coroot descends when it annihilates the kernel; one that does not,
-    or that is not of the ambient length, is a witness.  Hypothesis (d)
-    and every pairing on classes rest on this one check.
-    """
-    return datum._cached("coroot-faults", _coroot_faults, datum)
-
-
-def _coroot_faults(datum):
-    n = datum.ambient_dim
-    faults = []
-    for j, cov in enumerate(datum.simple_coroots):
-        if len(cov) != n:
-            faults.append(f"(d): simple coroot {j} has length {len(cov)}, not {n}")
-        elif not datum.lattice.annihilates(cov):
-            faults.append(
-                f"(d): simple coroot {j} does not annihilate the kernel, "
-                "so it does not descend to the quotient"
-            )
-    return tuple(faults)
-
-
 CoordinateRows = namedtuple("CoordinateRows", "rows fault")
 
 
@@ -410,77 +388,87 @@ def block_constant(vec, blocks):
     )
 
 
-def kernel_faults(datum):
-    """The (d) witnesses of the kernel basis vectors that are not constant
-    on every block, checked once per datum.
-
-    A block-constant kernel moves every coordinate of a block by one
-    amount, so the functional is constant on classes; ``is_polynomial``
-    and the box certificate rest on this, and each witness is a (d)
-    witness.  A kernel basis that is block-constant spans only
-    block-constant vectors.
+class Premises(namedtuple("Premises", "partition rows coroots kernel d_vectors")):
+    """The witnesses of the premises a datum's rows are read on, a tuple
+    per premise, and the d vectors, None when a d index names no row of
+    ``b``.  ``partition`` is the (b) witness of blocks that do not
+    partition the indices, and ``rows`` the (d) witnesses of the d
+    indices and the n-matrix rows the functional reads.  ``coroots`` and
+    ``kernel`` are the (d) witnesses of coroots that do not descend to
+    the quotient and of kernel basis vectors not constant on every block:
+    the functional is constant on classes, and each pairing with a coroot
+    too, only when both are empty.
     """
-    return datum._cached("kernel-faults", _kernel_faults, datum)
+
+    __slots__ = ()
+
+    @property
+    def shape(self):
+        return self.partition + self.rows
 
 
-def _kernel_faults(datum):
-    return tuple(
-        f"(d): kernel vector {vec} is not constant on every block"
-        for vec in datum.lattice.kernel_basis
-        if not block_constant(vec, datum.blocks)
-    )
+def premises(datum):
+    """The datum's ``Premises``, once per datum; reads no index outside
+    the datum's vectors, so it raises on no datum."""
+    return datum._cached("premises", _premises, datum)
 
 
-def _d_index_outside(datum):
-    """The first d index that names no row of ``b``, or None."""
-    return next((i for i in datum.d_indices if not 0 <= i < len(datum.b)), None)
-
-
-def shape_faults(datum):
-    """The (b) and (d) witnesses, as a pair, of the shape the functional
-    reads, checked once per datum: blocks partitioning the indices, d
-    indices naming rows of ``b``, and one non-negative n-matrix row of
-    the d-list length per block."""
-    return datum._cached("shape-faults", _shape_faults, datum)
-
-
-def _shape_faults(datum):
-    rows, blocks, rank = datum.n_matrix, datum.blocks, datum.x0_rank
-    wit_b, wit_d = [], []
-    outside = _d_index_outside(datum)
+def _premises(datum):
+    n, n_matrix, blocks = datum.ambient_dim, datum.n_matrix, datum.blocks
+    partition, rows, coroots = [], [], []
+    outside = next((i for i in datum.d_indices if not 0 <= i < len(datum.b)), None)
     if outside is not None:
-        wit_d.append(
+        rows.append(
             f"(d): d index {outside} names no row of the {len(datum.b)} "
             "block indicators"
         )
-    indices = sorted(a for blk in blocks for a in blk)
-    if indices != list(range(datum.ambient_dim)):
-        wit_b.append("(b): the blocks do not partition the indices")
-    if len(rows) != len(blocks):
-        wit_d.append(
-            f"(d): n-matrix row count {len(rows)} differs from "
+    if sorted(a for blk in blocks for a in blk) != list(range(n)):
+        partition.append("(b): the blocks do not partition the indices")
+    if len(n_matrix) != len(blocks):
+        rows.append(
+            f"(d): n-matrix row count {len(n_matrix)} differs from "
             f"block count {len(blocks)}"
         )
-    for i, row in enumerate(rows):
-        if len(row) != rank:
-            wit_d.append(
+    for i, row in enumerate(n_matrix):
+        if len(row) != datum.x0_rank:
+            rows.append(
                 f"(d): expansion of b[{i}] has length {len(row)}, not the "
-                f"d-list length {rank}"
+                f"d-list length {datum.x0_rank}"
             )
         elif min(row, default=0) < 0:
-            wit_d.append(f"(d): expansion of b[{i}] has a negative coefficient")
-    return tuple(wit_b), tuple(wit_d)
+            rows.append(f"(d): expansion of b[{i}] has a negative coefficient")
+    for j, cov in enumerate(datum.simple_coroots):
+        if len(cov) != n:
+            coroots.append(f"(d): simple coroot {j} has length {len(cov)}, not {n}")
+        elif not datum.lattice.annihilates(cov):
+            coroots.append(
+                f"(d): simple coroot {j} does not annihilate the kernel, "
+                "so it does not descend to the quotient"
+            )
+    return Premises(
+        tuple(partition), tuple(rows), tuple(coroots),
+        kernel=tuple(
+            f"(d): kernel vector {vec} is not constant on every block"
+            for vec in datum.lattice.kernel_basis
+            if not block_constant(vec, blocks)
+        ),
+        d_vectors=datum.d_vectors if outside is None else None,
+    )
 
 
-def require_shape(datum):
-    """Raise ``DomainError`` naming the first ``shape_faults`` witness; for
-    callers of the functional that do not validate the datum in full."""
-    faults = sum(shape_faults(datum), ())
-    if faults:
-        raise DomainError(
-            f"{datum.spec_string} fails {faults[0]}; the functional cannot "
-            "read its blocks and n-matrix"
-        )
+def require(datum, **reasons):
+    """Raise ``DomainError`` naming the datum, the first witness of its
+    first failed premise and the reason it is read: the shape, which the
+    functional reads, then the ``coroots`` and ``kernel`` premises that
+    the caller names, each keyword giving the caller's reason."""
+    record = premises(datum)
+    reasons = {"shape": "the functional cannot read its blocks and n-matrix", **reasons}
+    for name in ("shape", "coroots", "kernel"):
+        faults = getattr(record, name) if name in reasons else ()
+        if faults:
+            raise DomainError(
+                f"{datum.spec_string} fails {faults[0]}; {reasons[name]}"
+            )
 
 
 def check_hypotheses(datum):
@@ -488,7 +476,7 @@ def check_hypotheses(datum):
 
     (b) and (d) pair ``b``, ``blocks`` and the n-matrix rows by position,
     so their counts are checked too, and the rest of the shape that the
-    functional reads is ``shape_faults``.
+    functional reads is the datum's ``premises``.
 
     (c-lower) is decided on the transposition graph: its vertices are the
     ambient indices, and every generator that is a transposition joins
@@ -513,7 +501,7 @@ def check_hypotheses(datum):
     on classes only when each simple coroot annihilates the kernel, and
     expands each block indicator over the d classes, which the functional
     reads blockwise only when the kernel is constant on every block; each
-    ``coroot_faults`` and ``kernel_faults`` witness is a (d) witness.
+    ``Premises.coroots`` and ``Premises.kernel`` witness is a (d) witness.
     """
     n = datum.ambient_dim
     wit_a, wit_b, wit_c_upper, wit_c_lower, wit_d = [], [], [], [], []
@@ -531,8 +519,8 @@ def check_hypotheses(datum):
         support = tuple(k for k, c in enumerate(b_vec) if c)
         if support != tuple(sorted(blk)):
             wit_b.append(f"(b): support of b[{i}] differs from block {i}")
-    shape_b, shape_d = shape_faults(datum)
-    wit_b.extend(shape_b)
+    record = premises(datum)
+    wit_b.extend(record.partition)
 
     parent = list(range(n))
 
@@ -569,16 +557,16 @@ def check_hypotheses(datum):
                     "is not in the generated Weyl group"
                 )
 
-    wit_d.extend(coroot_faults(datum))
-    wit_d.extend(kernel_faults(datum))
+    wit_d.extend(record.coroots)
+    wit_d.extend(record.kernel)
     # a d index outside b is a shape witness, and leaves no d classes
-    d_vecs = datum.d_vectors if _d_index_outside(datum) is None else None
+    d_vecs = record.d_vectors
     if d_vecs is not None:
         stacked = list(d_vecs) + list(datum.lattice.kernel_basis)
         rows, _ = _echelonize(stacked, n)
         if len(rows) != len(stacked):
             wit_d.append("(d): the d classes are linearly dependent")
-    wit_d.extend(shape_d)
+    wit_d.extend(record.rows)
     if d_vecs is not None:
         for i, (b_vec, row) in enumerate(zip(datum.b, datum.n_matrix)):
             combo = [0] * n

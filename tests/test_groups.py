@@ -470,6 +470,45 @@ def test_builders_reject_bad_sizes(builder, bad):
         builder(bad)
 
 
+HUGE = 10**5_000
+
+
+@pytest.mark.parametrize(
+    "builder,bad",
+    [
+        # int() truncated these to levi:1 and levi:2
+        (build_levi, [Fraction(3, 2)]),
+        (build_levi, [2.9]),
+        (build_gl, 3.5),
+        (build_gsp, 4.0),
+        (build_go_odd, Fraction(5)),
+        (build_go_even, "8"),
+        (lambda order: permute_d(build_levi([1, 2]), order), (1.0, 0.0)),
+        # writing the number in decimal raised a bare ValueError
+        (build_gl, HUGE),
+        (build_gsp, HUGE),
+        (build_go_odd, HUGE + 1),
+        (build_go_even, HUGE),
+        (build_levi, [1, HUGE]),
+        (lambda order: permute_d(build_levi([1, 2]), order), (HUGE, 0)),
+    ],
+    ids=[
+        "levi-fraction", "levi-float", "gl-float", "gsp-float", "go-fraction",
+        "go-text", "permute_d-float", "gl-huge", "gsp-huge", "go_odd-huge",
+        "go_even-huge", "levi-huge", "permute_d-huge",
+    ],
+)
+def test_builders_refuse_a_size_that_is_not_a_small_integer(builder, bad):
+    with pytest.raises(PolyweightError) as refusal:
+        builder(bad)
+    assert len(str(refusal.value)) < 200
+
+
+def test_a_boolean_size_is_its_integer():
+    assert build_gl(True) == build_gl(1)
+    assert build_gl(True).spec_string == "gl:1"
+
+
 def test_weyl_group_cached_and_sorted():
     datum = build_gsp(4)
     first = datum.weyl_group()
@@ -882,6 +921,33 @@ BROKEN = [
 def test_construction_checker_flags_each_broken_datum(datum, fault):
     faults = construction_faults(datum)
     assert any(fault in found for found in faults), faults
+
+
+def test_the_premises_of_every_broken_datum_are_decided():
+    # the premise record reads no index outside a datum's vectors, and
+    # validation reports each of its witnesses
+    for name, datum, _ in BROKEN:
+        record = weyl.premises(datum)
+        witnesses = validate_datum(datum).witnesses
+        found = record.shape + record.coroots + record.kernel
+        assert all(fault in witnesses for fault in found), name
+
+
+def test_a_datum_is_validated_once(monkeypatch):
+    # validate_datum and a context read one cached report
+    checked = []
+    original = weyl.check_hypotheses
+
+    def counted(datum):
+        checked.append(datum.spec_string)
+        return original(datum)
+
+    monkeypatch.setattr(weyl, "check_hypotheses", counted)
+    datum = build_levi([1, 2])
+    report = validate_datum(datum)
+    ClassificationContext(datum, 3, 1)
+    assert validate_datum(datum) is report is datum.validation()
+    assert checked == ["levi:1,2"]
 
 
 # -- facts no validation witness covers: the context refuses them --

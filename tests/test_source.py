@@ -129,7 +129,7 @@ _HYPOTHESIS_LABELS = ("(a)", "(b)", "(c-lower)", "(c-upper)", "(d)")
 def test_only_weyl_states_the_hypotheses():
     # the hypotheses, their labels and their witnesses are written in
     # ``weyl.py`` alone; every other module reads a ``ValidationReport``
-    # or calls its fault lists
+    # or calls its guard, ``weyl.require``
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE_DIR.rglob("*.py"))
@@ -138,6 +138,21 @@ def test_only_weyl_states_the_hypotheses():
         if isinstance(node, ast.Constant)
         and isinstance(node.value, str)
         and node.value.startswith(_HYPOTHESIS_LABELS)
+    ]
+    assert found == []
+
+
+def test_only_weyl_raises_a_failed_premise():
+    # the premise record is read in ``weyl.py`` alone: every other module
+    # raises a failed premise through ``weyl.require``
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if path.name != "weyl.py"
+        for name in ("premises", "_premises", "Premises")
+        for node in _calls_named(
+            ast.parse(path.read_text(), filename=str(path)), name
+        )
     ]
     assert found == []
 
